@@ -11,8 +11,8 @@ in registration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .geometry import SiteSpace, image_closed_under_map

@@ -668,10 +668,6 @@ def support_is_stable(em: EquivariantModule) -> bool:
     return True
 
 
-def complex_support(ec: EquivariantComplex) -> ClosedSet:
-    return module_support(complex_to_module(ec).module)
-
-
 # -- pullback and invariants ------------------------------------------------------------
 
 
@@ -1162,34 +1158,6 @@ def _check_evaluation_iso(em, h_group, h_embed, table, pieces) -> None:
 
     if not map_is_isomorphism(ev):
         raise ValidationError("isotypic pieces do not reassemble the module")
-
-
-def residual_pieces(em: EquivariantModule, h_group: FiniteGroup,
-                    h_embed: Sequence[int], table: CharacterTable,
-                    require_trivial_ring_action: bool = True) -> list:
-    """Isotypic pieces wrapped with the residual action.
-
-    The whole group leaves trivial residue; the trivial subgroup leaves
-    everything.  Strict intermediate quotients are out of scope here.
-    """
-    g = em.action.group
-    if h_group.order == g.order:
-        pieces = isotypic_decompose_module(em, h_group, h_embed, table,
-                                           require_trivial_ring_action)
-        act = trivial_action(em.action.ring)
-        out = []
-        for p in pieces:
-            out.append((p.name, EquivariantModule(act, p.module,
-                                                  identity_rho(act, p.module.rank)), p))
-        return out
-    if h_group.order == 1:
-        return [(table.trivial_name(), em,
-                 IsotypicPiece(table.trivial_name(), em.module,
-                               tuple(unit_vector(em.module.ring, em.module.rank, j)
-                                     for j in range(em.module.rank))))]
-    raise PreconditionError(
-        "residual actions for proper nontrivial stabilizers are not supported"
-    )
 
 
 # -- support reduction ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainMismatchError, ValidationError
 
@@ -338,26 +338,3 @@ def solve(m: Matrix, b: Matrix):
         x[pc] = red.at(r_idx, m.cols)
     return Matrix(f, m.cols, 1, tuple(x))
 
-
-def span_contains(basis: Matrix, v: Matrix) -> bool:
-    """Whether column v lies in the column span of basis."""
-    return solve(basis, v) is not None
-
-
-def column_space_basis(m: Matrix) -> Matrix:
-    """Columns of m forming a basis of the column space (original columns)."""
-    _, pivots = rref(m)
-    cols = [m.col(j) for j in pivots]
-    ent = tuple(cols[j][i] for i in range(m.rows) for j in range(len(cols)))
-    return Matrix(m.field, m.rows, len(cols), ent)
-
-
-def intersect_kernels(mats: Iterable[Matrix]) -> Matrix:
-    """Basis of the common right kernel of several matrices (stacked)."""
-    mats = list(mats)
-    if not mats:
-        raise ValidationError("need at least one matrix")
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.vstack(m)
-    return kernel_basis(stacked)

@@ -19,13 +19,11 @@ from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .polyring import (
     Poly,
     PolyRing,
-    buchberger,
     eliminate,
     ideal_contains_radical,
     ideal_is_proper,
     ideal_product,
     ideal_sum,
-    lift_to_prefix,
     radical_equal,
     radical_member,
     ring_with_prefix,

@@ -613,14 +613,6 @@ def s3_character_table(fld: Field) -> CharacterTable:
     return t
 
 
-def perm_matrix(fld: Field, perm: Sequence[int]) -> Matrix:
-    n = len(perm)
-    rows = [[fld.zero()] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        rows[i][j] = fld.one()
-    return Matrix.from_rows(fld, rows)
-
-
 def regular_representation(group: FiniteGroup, fld: Field) -> Representation:
     """Left translation on the group algebra basis."""
     n = group.order

@@ -4,8 +4,10 @@ A module element of A^r is a tuple of r polynomials.  Module Groebner
 bases run under position-over-term order (lower component index wins, ties
 by a ring order), which doubles as an elimination order on components:
 that single device computes syzygies, annihilators, kernels, cokernels and
-cohomology of complexes.  The coprime-pair shortcut is not valid for
-modules, so only the chain criterion prunes S-pairs here.
+cohomology of complexes.  `module_groebner` is ttkit's only Groebner
+engine: `polyring.buchberger` runs an ideal through it as a rank-1 module.
+The chain criterion prunes S-pairs at every rank; the coprime-lead
+criterion holds only for ideals, so it is applied at rank 1 alone.
 
 Conventions: a `PresentedModule` is coker of its relation columns; maps of
 presented modules are matrices on generators, validated to send relations
@@ -107,23 +109,38 @@ def _lead_term(d: dict, order: ModuleOrder):
     return max(d.keys(), key=order.key)
 
 
+def _lead(v: Vector, order: ModuleOrder):
+    """Leading (position, monomial) of a nonzero vector, and its coefficient."""
+    for pos, p in enumerate(v):
+        if p.terms:
+            mono, c = p.leading(order.ring_order)
+            return (pos, mono), c
+    raise ValidationError("zero vector has no leading term")
+
+
+def _monic(v: Vector, order: ModuleOrder):
+    """(v scaled to lead coefficient 1, its lead term, the scale factor)."""
+    lt, lc = _lead(v, order)
+    inv = v[0].ring.field.inv(lc)
+    return tuple(p.scale(inv) for p in v), lt, inv
+
+
 # -- module division and Groebner bases -----------------------------------------
 
 
 def vector_divmod(v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT):
-    """v = sum(q_k basis_k) + r with no term of r divisible by a basis lead."""
+    """v = sum(q_k basis_k) + r with no term of r divisible by a basis lead.
+
+    The first basis vector whose lead divides wins, so the output is
+    deterministic in the order given.  At rank 1 this is multivariate
+    polynomial division (`polyring.poly_divmod`).
+    """
     if not v:
         raise ValidationError("zero-rank vector")
     ring = v[0].ring
     fld = ring.field
     rank = len(v)
-    leads = []
-    for b in basis:
-        d = _vec_to_dict(b)
-        if not d:
-            raise ValidationError("zero vector in division basis")
-        lt = _lead_term(d, order)
-        leads.append((lt, d[lt]))
+    leads = [_lead(b, order) for b in basis]  # rejects a zero basis vector
     quots = [dict() for _ in basis]
     rem: dict = {}
     work = _vec_to_dict(v)
@@ -145,14 +162,15 @@ def vector_divmod(v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT):
         qc = fld.div(c, lc)
         qd = quots[hit]
         qd[qm] = fld.add(qd.get(qm, fld.zero()), qc) if qm in qd else qc
-        for (bpos, bmono), bc in _vec_to_dict(basis[hit]).items():
-            key = (bpos, mono_mul(qm, bmono))
-            cur = work.get(key, fld.zero())
-            new = fld.sub(cur, fld.mul(qc, bc))
-            if fld.is_zero(new):
-                work.pop(key, None)
-            else:
-                work[key] = new
+        for bpos, bp in enumerate(basis[hit]):
+            for bmono, bc in bp.terms:
+                key = (bpos, mono_mul(qm, bmono))
+                cur = work.get(key, fld.zero())
+                new = fld.sub(cur, fld.mul(qc, bc))
+                if fld.is_zero(new):
+                    work.pop(key, None)
+                else:
+                    work[key] = new
     qpolys = [ring.from_terms(q.items()) for q in quots]
     return qpolys, _dict_to_vec(rem, ring, rank)
 
@@ -167,7 +185,13 @@ def vector_normal_form(v: Vector, basis: Sequence[Vector], order: ModuleOrder = 
 def module_groebner(
     gens: Sequence[Vector], order: ModuleOrder = POT, track: bool = False
 ):
-    """Reduced Groebner basis of the submodule generated by gens.
+    """Reduced monic Groebner basis of the submodule generated by gens.
+
+    Pair selection: smallest lcm under the ring order (normal strategy),
+    ties by index.  A pair is discarded by the chain criterion when a third
+    lead at the same position divides the lcm and both side pairs are
+    done, and, at rank 1 only, when its leads are coprime.  Ideals run here
+    as rank-1 modules, through `polyring.buchberger`.
 
     With track=True also returns, for each basis vector, its expression as
     a combination of the input generators.
@@ -181,22 +205,17 @@ def module_groebner(
     m = len(gens)
 
     basis: list = []
-    reps: list = []
+    leads: list = []
+    reps: Optional[list] = [] if track else None
     for i, g in nonzero:
-        d = _vec_to_dict(g)
-        lt = _lead_term(d, order)
-        inv = ring.field.inv(d[lt])
-        basis.append(vec_scale(ring.const(inv), g))
-        rep = [ring.zero()] * m
-        rep[i] = ring.const(inv)
-        reps.append(rep)
+        b, lt, inv = _monic(g, order)
+        basis.append(b)
+        leads.append(lt)
+        if track:
+            rep = [ring.zero()] * m
+            rep[i] = ring.const(inv)
+            reps.append(rep)
 
-    def lead(v: Vector):
-        d = _vec_to_dict(v)
-        lt = _lead_term(d, order)
-        return lt, d[lt]
-
-    leads = [lead(b)[0] for b in basis]
     pairs = {
         (i, j)
         for i in range(len(basis))
@@ -215,6 +234,8 @@ def module_groebner(
         i, j = pair
         pos = leads[i][0]
         l = pair_lcm(pair)
+        if rank == 1 and l == mono_mul(leads[i][1], leads[j][1]):
+            continue  # coprime leading terms
         skip = False
         for k in range(len(basis)):
             if k in (i, j) or leads[k][0] != pos:
@@ -230,81 +251,60 @@ def module_groebner(
         mi = ring.monomial(mono_div(l, leads[i][1]))
         mj = ring.monomial(mono_div(l, leads[j][1]))
         s = vec_sub(vec_scale(mi, basis[i]), vec_scale(mj, basis[j]))
-        s_rep = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
-        quots, r = ([], s) if vec_is_zero(s) else vector_divmod(s, basis, order)
-        for q, rep in zip(quots, reps):
-            if not q.is_zero():
-                s_rep = [a - q * b for a, b in zip(s_rep, rep)]
+        if vec_is_zero(s):
+            continue
+        quots, r = vector_divmod(s, basis, order)
         if vec_is_zero(r):
             continue
-        lt, lc = lead(r)
-        inv = ring.const(ring.field.inv(lc))
-        basis.append(vec_scale(inv, r))
-        reps.append([inv * a for a in s_rep])
+        b, lt, inv = _monic(r, order)
+        if track:
+            s_rep = [mi * a - mj * c for a, c in zip(reps[i], reps[j])]
+            reps.append([a.scale(inv) for a in _rep_minus(s_rep, quots, reps)])
+        basis.append(b)
         leads.append(lt)
         new = len(basis) - 1
         for k in range(new):
             if leads[k][0] == lt[0]:
                 pairs.add((k, new))
 
-    basis, reps = _module_interreduce(basis, reps, order)
+    basis, reps = _module_interreduce(basis, leads, reps, order)
     return (basis, reps) if track else basis
 
 
-def _module_interreduce(basis, reps, order: ModuleOrder):
-    ring = basis[0][0].ring
+def _rep_minus(rep: list, quots: Sequence[Poly], reps: Sequence[list]) -> list:
+    """rep - sum(q_k reps_k): the representation after a division step."""
+    for q, other in zip(quots, reps):
+        if not q.is_zero():
+            rep = [a - q * b for a, b in zip(rep, other)]
+    return rep
 
-    def lead(v):
-        d = _vec_to_dict(v)
-        lt = _lead_term(d, order)
-        return lt, d[lt]
 
-    keep = list(range(len(basis)))
-    leads = [lead(basis[i])[0] for i in keep]
-    filtered = []
-    for a, i in enumerate(keep):
-        la = leads[a]
-        dominated = False
-        for b, j in enumerate(keep):
-            if a == b:
-                continue
-            lb = leads[b]
-            if lb[0] == la[0] and mono_divides(lb[1], la[1]) and (lb[1] != la[1] or b < a):
-                dominated = True
-                break
-        if not dominated:
-            filtered.append(i)
-    basis = [basis[i] for i in filtered]
-    reps = [reps[i] for i in filtered]
+def _module_interreduce(basis: list, leads: list, reps: Optional[list], order: ModuleOrder):
+    """The reduced basis of a monic Groebner basis, by descending lead.
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            other_reps = reps[:i] + reps[i + 1 :]
-            if not others:
-                continue
-            quots, r = vector_divmod(basis[i], others, order)
-            if vec_is_zero(r):
-                basis.pop(i)
-                reps.pop(i)
-                changed = True
-                break
-            rep = list(reps[i])
-            for q, orep in zip(quots, other_reps):
-                if not q.is_zero():
-                    rep = [a - q * b for a, b in zip(rep, orep)]
-            lt, lc = lead(r)
-            inv = ring.const(ring.field.inv(lc))
-            r2 = vec_scale(inv, r)
-            rep = [inv * a for a in rep]
-            if r2 != basis[i]:
-                basis[i] = r2
-                reps[i] = rep
-                changed = True
-    idx = sorted(range(len(basis)), key=lambda i: order.key(lead(basis[i])[0]), reverse=True)
-    return [basis[i] for i in idx], [reps[i] for i in idx]
+    Drops each vector whose lead another lead divides (of equal leads the
+    first stays), then reduces each survivor by the others.  Reducing never
+    moves a lead, so one pass leaves every vector reduced.  `reps` is None
+    when untracked, else it follows the vectors.
+    """
+    keep = [
+        a
+        for a, la in enumerate(leads)
+        if not any(
+            b != a and lb[0] == la[0] and mono_divides(lb[1], la[1]) and (lb[1] != la[1] or b < a)
+            for b, lb in enumerate(leads)
+        )
+    ]
+    basis = [basis[a] for a in keep]
+    leads = [leads[a] for a in keep]
+    if reps is not None:
+        reps = [reps[a] for a in keep]
+    for i in range(len(basis)):
+        quots, basis[i] = vector_divmod(basis[i], basis[:i] + basis[i + 1 :], order)
+        if reps is not None:
+            reps[i] = _rep_minus(reps[i], quots, reps[:i] + reps[i + 1 :])
+    idx = sorted(range(len(basis)), key=lambda i: order.key(leads[i]), reverse=True)
+    return [basis[i] for i in idx], (None if reps is None else [reps[i] for i in idx])
 
 
 # -- syzygies --------------------------------------------------------------------
@@ -853,12 +853,8 @@ def standard_pairs(mod: PresentedModule, cap: int = 4096) -> Optional[list]:
     ascending, so multiplication matrices are reproducible.
     """
     gb = mod.relation_gb()
-    leads = []
-    for v in gb:
-        d = _vec_to_dict(v)
-        leads.append(_lead_term(d, POT))
     by_pos: dict = {}
-    for pos, mono in leads:
+    for pos, mono in (_lead(v, POT)[0] for v in gb):
         by_pos.setdefault(pos, []).append(mono)
     ring = mod.ring
     n = ring.nvars

@@ -3,9 +3,10 @@
 Monomials are exponent tuples.  A `Poly` stores its terms sorted strictly
 descending under graded reverse lexicographic order; that is only a storage
 convention, every Groebner computation takes an explicit `MonomialOrder`.
-Buchberger's algorithm uses the two classical pair criteria (coprime
-leading terms and the chain criterion) and returns the reduced monic basis,
-so equal inputs give the identical basis.
+Division and Buchberger's algorithm run in the module engine of `polymod`,
+with an ideal as a rank-1 module.  Buchberger uses the two classical pair
+criteria (coprime leading terms and the chain criterion) and returns the
+reduced monic basis, so equal inputs give the identical basis.
 
 The text grammar for polynomials: variables are identifiers, `^` marks
 powers, `*` is optional between factors, rational coefficients are written
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainMismatchError, ValidationError
 from .fields import Field
@@ -448,46 +448,12 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 def poly_divmod(f: Poly, divisors: Sequence[Poly], order: MonomialOrder):
     """Multivariate division: f = sum(q_i g_i) + r, no term of r divisible
     by any leading term.  The first divisor whose leading term divides wins,
-    so the output is deterministic in the order given."""
-    ring = f.ring
-    fld = ring.field
-    divisors = list(divisors)
-    leads = [g.leading(order) for g in divisors]
-    quots = [dict() for _ in divisors]
-    rem: dict = {}
-    work = dict(f.terms)
+    so the output is deterministic in the order given.  This is rank-1
+    `polymod.vector_divmod`."""
+    from .polymod import ModuleOrder, vector_divmod
 
-    def lead_mono(d: dict):
-        return max(d.keys(), key=order.key)
-
-    while work:
-        m = lead_mono(work)
-        c = work[m]
-        hit = None
-        for i, (lm, lc) in enumerate(leads):
-            if mono_divides(lm, m):
-                hit = i
-                break
-        if hit is None:
-            rem[m] = fld.add(rem.get(m, fld.zero()), c) if m in rem else c
-            del work[m]
-            continue
-        lm, lc = leads[hit]
-        qm = mono_div(m, lm)
-        qc = fld.div(c, lc)
-        qd = quots[hit]
-        qd[qm] = fld.add(qd.get(qm, fld.zero()), qc) if qm in qd else qc
-        for gm, gc in divisors[hit].terms:
-            tm = mono_mul(qm, gm)
-            delta = fld.mul(qc, gc)
-            cur = work.get(tm, fld.zero())
-            new = fld.sub(cur, delta)
-            if fld.is_zero(new):
-                work.pop(tm, None)
-            else:
-                work[tm] = new
-    mk = lambda d: ring.from_terms(d.items())
-    return [mk(q) for q in quots], mk(rem)
+    quots, rem = vector_divmod((f,), [(g,) for g in divisors], ModuleOrder(order))
+    return quots, rem[0]
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
@@ -512,97 +478,19 @@ def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list:
     """Reduced monic Groebner basis of the ideal generated by gens.
 
-    Pair selection: smallest lcm under the order (normal strategy).  Pairs
-    are discarded by the coprime criterion and by the chain criterion when
-    a third leading term divides the lcm and both side pairs are done.
+    The ideal runs through the module engine, `polymod.module_groebner`, as
+    a rank-1 module.  Pair selection: smallest lcm under the order (normal
+    strategy).  Pairs are discarded by the coprime criterion and by the
+    chain criterion when a third leading term divides the lcm and both side
+    pairs are done.
     """
-    ring = None
-    basis = []
-    for g in gens:
-        if ring is None:
-            ring = g.ring
-        elif g.ring != ring:
+    from .polymod import ModuleOrder, module_groebner
+
+    gens = list(gens)
+    for g in gens[1:]:
+        if g.ring != gens[0].ring:
             raise DomainMismatchError("generators from different rings")
-        if not g.is_zero():
-            basis.append(g.monic(order))
-    if not basis:
-        return []
-
-    leads = [g.leading(order)[0] for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    done = set()
-
-    def lcm_of(p):
-        return mono_lcm(leads[p[0]], leads[p[1]])
-
-    while pairs:
-        pair = min(pairs, key=lambda p: (order.key(lcm_of(p)), p))
-        pairs.discard(pair)
-        done.add(pair)
-        i, j = pair
-        li, lj = leads[i], leads[j]
-        l = mono_lcm(li, lj)
-        if l == mono_mul(li, lj):
-            continue  # coprime leading terms
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(leads[k], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = normal_form(s_poly(basis[i], basis[j], order), basis, order)
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        basis.append(r)
-        leads.append(r.leading(order)[0])
-        new_idx = len(basis) - 1
-        for k in range(new_idx):
-            pairs.add((k, new_idx))
-    return interreduce(basis, order)
-
-
-def interreduce(basis: Sequence[Poly], order: MonomialOrder) -> list:
-    """Reduce a Groebner basis to the unique reduced monic basis."""
-    basis = [g.monic(order) for g in basis if not g.is_zero()]
-    # drop elements whose leading term another element's leading term divides
-    keep = []
-    for i, g in enumerate(basis):
-        lm = g.leading(order)[0]
-        dominated = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            hm = h.leading(order)[0]
-            if mono_divides(hm, lm) and (hm != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            if not others:
-                continue
-            r = normal_form(keep[i], others, order)
-            if r.is_zero():
-                keep.pop(i)
-                changed = True
-                break
-            r = r.monic(order)
-            if r != keep[i]:
-                keep[i] = r
-                changed = True
-    keep.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return keep
+    return [v[0] for v in module_groebner([(g,) for g in gens], ModuleOrder(order))]
 
 
 @dataclass(frozen=True)
@@ -673,10 +561,9 @@ def eliminate(gens: Sequence[Poly], k: int) -> list:
 def radical_member(f: Poly, gens: Sequence[Poly]) -> bool:
     """Whether f lies in the radical of (gens), by the extra-variable trick:
     f in rad(I) iff 1 in I + (1 - t f) in the extended ring."""
-    ring = f.ring
     if f.is_zero():
-        gb = GroebnerBasis.of(list(gens) or [ring.zero()])
-        return True if not gb.polys else gb.is_unit_ideal() or f.is_zero()
+        return True
+    ring = f.ring
     big = ring_with_prefix(ring, ("_t",))
     t = big.var("_t")
     lifted = [lift_to_prefix(g, big, 1) for g in gens]
@@ -717,8 +604,6 @@ def exact_divide(f: Poly, g: Poly, order: MonomialOrder = GREVLEX) -> Poly:
 def ideal_quotient(a: Sequence[Poly], b: Sequence[Poly]) -> list:
     """Generators of (a : b) = {f : f*(b) <= (a)}."""
     a, b = list(a), list(b)
-    if not a:
-        a = []
     result: list | None = None
     for g in b:
         if g.is_zero():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttkit.fields import QQ
+from ttkit.fields import GF, QQ
 from ttkit.polyring import GREVLEX, PolyRing, radical_equal
 from ttkit.polymod import (
     ModuleMap,
@@ -150,6 +150,37 @@ def test_vector_divmod_reconstructs():
     for q, b in zip(quots, basis):
         acc = tuple(p + q * bp for p, bp in zip(acc, b))
     assert acc == v
+
+
+# -- module Groebner bases ---------------------------------------------------------
+
+RF7 = PolyRing(GF(7), ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "ring, gens",
+    [
+        (RXY, [("x", "y"), ("y^2", "x - 1"), ("x*y", "0")]),
+        (RXY, [("x^2 - y", "1", "0"), ("x*y - 1", "0", "1"), ("y^2 - x", "0", "0")]),
+        (RXY, [("x^2 - y",), ("x*y - 1",), ("0",)]),
+        (RF7, [("x^2 + 3*y", "x"), ("x*y + 3", "y"), ("y^2", "x*y")]),
+    ],
+)
+def test_module_groebner_tracked_reps_reconstruct_basis(ring, gens):
+    gens = [V(*g, ring=ring) for g in gens]
+    basis, reps = module_groebner(gens, track=True)
+    assert basis == module_groebner(gens)
+    assert len(reps) == len(basis)
+    for v, rep in zip(basis, reps):
+        assert len(rep) == len(gens)
+        assert vec_combination(gens, rep) == v
+
+
+def test_module_groebner_coprime_criterion_only_at_rank_one():
+    # The leads x*e0 and y*e0 are coprime, yet their S-vector (0, y - x)
+    # does not reduce to zero: the coprime shortcut is wrong above rank 1.
+    basis = module_groebner([V("x", "1"), V("y", "1")])
+    assert V("0", "x - y") in basis
 
 
 # -- presented modules ------------------------------------------------------------

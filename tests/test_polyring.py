@@ -4,6 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
 from ttkit.errors import ValidationError
 from ttkit.fields import GF, QQ
 from ttkit.polyring import (
@@ -189,6 +194,94 @@ def test_normal_form_multiplicative_up_to_ideal(f, g):
     lhs = gb.normal_form(f * g)
     rhs = gb.normal_form(gb.normal_form(f) * gb.normal_form(g))
     assert lhs == rhs
+
+
+# Exact reduced bases, printed order included: the order of a basis is part
+# of the determinism contract.
+PINNED_BASES = [
+    ("Q[x,y,z]", GREVLEX, ["x^2 - y", "x^3 - z"],
+     ["x^2 - y", "x*y - z", "y^2 - x*z"]),
+    ("Q[x,y,z]", LEX, ["x^2 - y", "x^3 - z"],
+     ["x^2 - y", "x*y - z", "-y^2 + x*z", "y^3 - z^2"]),
+    ("Q[x,y,z]", GREVLEX, ["x + y + z", "x*y + y*z + x*z", "x*y*z - 1"],
+     ["z^3 - 1", "y^2 + y*z + z^2", "x + y + z"]),
+    ("Q[x,y,z]", LEX, ["x + y + z", "x*y + y*z + x*z", "x*y*z - 1"],
+     ["x + y + z", "y^2 + y*z + z^2", "z^3 - 1"]),
+    ("Q[x,y,z]", GREVLEX, ["2*x^2 + 3*y*z - 1/2", "x*y - z^2 + 1", "y^2 - x*z"],
+     ["z^4 - 1/10*x*z - 7/5*z^2 + 2/5", "x*z^2 - 2/5*x - 1/10*y",
+      "y*z^2 - 2/5*y - 1/10*z", "x^2 + 3/2*y*z - 1/4", "x*y - z^2 + 1", "y^2 - x*z"]),
+    ("Fp:7[x,y]", GREVLEX, ["x^2 + y", "x*y + 3"], ["x^2 + y", "x*y + 3", "y^2 + 4*x"]),
+    ("Fp:7[x,y]", LEX, ["x^2 + y", "x*y + 3"], ["2*y^2 + x", "y^3 + 2"]),
+    ("Fp:7[x,y,z]", GREVLEX, ["3*x^2*y + z", "y^2 - 2*x*z", "z^3 + x"],
+     ["x^4 + 6*x*y", "x^3*z + 6*y*z", "x^2*y + 5*z", "z^3 + x", "y^2 + 5*x*z"]),
+    ("Fp:7[x,y,z]", LEX, ["3*x^2*y + z", "y^2 - 2*x*z", "z^3 + x"],
+     ["z^3 + x", "2*z^4 + y^2", "z^10 + y*z", "z^15 + 2*z"]),
+    ("Q[t,x,y]", block_order(1), ["x - t^2 - t", "y - t^3"],
+     ["t^2 + t - x", "t*x + t - x - y", "-x^2 + t*y - t + x + 2*y", "x^3 - 3*x*y - y^2 - y"]),
+    ("Fp:7[t,x,y]", block_order(1), ["x - t^2 - t", "y - t^3"],
+     ["t^2 + t + 6*x", "t*x + t + 6*x + 6*y", "6*x^2 + t*y + 6*t + x + 2*y",
+      "x^3 + 4*x*y + 6*y^2 + 6*y"]),
+]
+
+
+@pytest.mark.parametrize("ring, order, gens, expected", PINNED_BASES)
+def test_reduced_bases_are_pinned(ring, order, gens, expected):
+    ring = PolyRing.parse(ring)
+    gb = buchberger([ring.parse_poly(g) for g in gens], order)
+    assert [str(g) for g in gb] == expected
+
+
+@pytest.mark.parametrize(
+    "ring, k, gens, expected",
+    [
+        ("Q[t,x,y]", 1, ["x - t^2 - t", "y - t^3"], ["x^3 - 3*x*y - y^2 - y"]),
+        ("Fp:7[t,x,y]", 1, ["x - t^2 - t", "y - t^3"], ["x^3 + 4*x*y + 6*y^2 + 6*y"]),
+        ("Q[s,t,x,y,z]", 2, ["x - s*t", "y - s^2", "z - t^2"], ["x^2 - y*z"]),
+    ],
+)
+def test_eliminated_bases_are_pinned(ring, k, gens, expected):
+    ring = PolyRing.parse(ring)
+    assert [str(g) for g in eliminate([ring.parse_poly(g) for g in gens], k)] == expected
+
+
+@st.composite
+def small_ideals(draw):
+    field = draw(st.sampled_from([QQ, GF(7), GF(101)]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        terms = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            mono = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(3))
+            terms.append((mono, field.from_int(draw(st.integers(min_value=-4, max_value=4)))))
+        gens.append(ring.from_terms(terms))
+    return ring, gens
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@given(small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_buchberger_matches_sympy_grevlex(case):
+    ring, gens = case
+    fld = ring.field
+    syms = sympy.symbols(ring.variables)
+    opts = {"domain": "QQ"} if fld.is_rational else {"modulus": fld.p}
+    exprs = [
+        sympy.Poly.from_dict({m: sympy.Rational(c) if fld.is_rational else c for m, c in g.terms},
+                             *syms, **opts).as_expr()
+        for g in gens
+    ]
+
+    def coeff(c):
+        if fld.is_rational:
+            return Fraction(int(c.p), int(c.q))
+        return int(c) % fld.p
+
+    theirs = set()
+    for g in sympy.groebner(exprs, *syms, order="grevlex", **opts).exprs:
+        terms = sympy.Poly(g, *syms, **opts).terms()
+        theirs.add(ring.from_terms((m, coeff(c)) for m, c in terms).monic(GREVLEX))
+    assert set(buchberger(gens, GREVLEX)) == theirs
 
 
 # -- radical membership --------------------------------------------------------------
