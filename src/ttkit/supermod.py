@@ -289,6 +289,11 @@ def free_supermodule(alg: SuperAlgebra, even_rank: int, odd_rank: int) -> SuperM
 # -- free-module coordinates -----------------------------------------------------------
 
 
+def _copies(shape: tuple) -> list:
+    """(copy, parity) for every copy of the free module of the shape."""
+    return [(u, 0 if u < shape[0] else 1) for u in range(shape[0] + shape[1])]
+
+
 def free_slot(alg: SuperAlgebra, shape: tuple, copy: int, subset: tuple):
     """(parity, index) of theta_subset e_copy inside the free module of the shape.
 
@@ -351,6 +356,32 @@ def free_supermap(alg: SuperAlgebra, src_shape: tuple, tgt_shape: tuple,
         parts.append(ModuleMap(src.component(parity), tgt.component(parity),
                                tuple(cols)))
     return SuperMap(src, tgt, parts[0], parts[1])
+
+
+def free_entries(f: SuperMap, src_shape: tuple, tgt_shape: tuple) -> dict:
+    """The matrix of a map of free supermodules; inverse of free_supermap.
+
+    The image of source copy u is read off the column of its generator
+    theta_() e_u and split by target copy and word.
+    """
+    alg = f.source.algebra
+    for parity, part in ((0, f.even), (1, f.odd)):
+        if (part.source.rank != free_component_rank(alg, src_shape, parity)
+                or part.target.rank != free_component_rank(alg, tgt_shape, parity)):
+            raise ValidationError("map does not match the given free shapes")
+    entries = {}
+    for u in range(sum(src_shape)):
+        parity, idx = free_slot(alg, src_shape, u, ())
+        col = (f.even if parity == 0 else f.odd).columns[idx]
+        for w, pw in _copies(tgt_shape):
+            elem = []
+            for word in alg.basis(parity + pw):
+                coeff = col[free_slot(alg, tgt_shape, w, word)[1]]
+                if not coeff.is_zero():
+                    elem.append((word, coeff))
+            if elem:
+                entries[(w, u)] = tuple(elem)
+    return entries
 
 
 def scalar_supermap(alg: SuperAlgebra, shape: tuple, f: Poly) -> SuperMap:
@@ -417,12 +448,6 @@ class SuperMap:
 
     def is_isomorphism(self) -> bool:
         return map_is_isomorphism(self.even) and map_is_isomorphism(self.odd)
-
-
-def zero_supermap(source: SuperModule, target: SuperModule) -> SuperMap:
-    return SuperMap(source, target,
-                    ModuleMap.zero(source.even, target.even),
-                    ModuleMap.zero(source.odd, target.odd))
 
 
 # -- tensor product ---------------------------------------------------------------------
@@ -595,9 +620,11 @@ def right_shift_isomorphism(m: SuperModule, n: SuperModule) -> SuperMap:
 class SuperComplex:
     """Bounded complex of supermodules with even differentials.
 
-    free_shapes, when present, witnesses that every term was produced by
-    the standard free construction; entry k is the (even, odd) rank over
-    the whole algebra of the term in degree start + k.
+    free_shapes, when present, marks the complex as perfect: entry k is the
+    (even, odd) rank over the whole algebra of the term in degree start + k,
+    and a term of shape (a, b) is free_supermodule(algebra, a, b) as a
+    value.  Sums, tensors and cones read and build differentials as
+    matrices over that layout, and reject complexes without it.
     """
 
     algebra: SuperAlgebra
@@ -614,11 +641,6 @@ class SuperComplex:
 
     def degrees(self) -> range:
         return range(self.start, self.start + len(self.terms))
-
-    def term(self, i: int) -> SuperModule:
-        if i in self.degrees():
-            return self.terms[i - self.start]
-        return zero_supermodule(self.algebra)
 
     def map_from(self, i: int) -> Optional[SuperMap]:
         k = i - self.start
@@ -674,227 +696,136 @@ def shift_supercomplex(c: SuperComplex, k: int = 1) -> SuperComplex:
     return SuperComplex(c.algebra, c.start - k, c.terms, maps, c.free_shapes)
 
 
-def _embed_cols(cols, before: int, after: int, ring: PolyRing):
-    pad_l = zero_vector(ring, before)
-    pad_r = zero_vector(ring, after)
-    return tuple(pad_l + tuple(col) + pad_r for col in cols)
+def _shape(c: SuperComplex, n: int) -> tuple:
+    return c.free_shapes[n - c.start] if n in c.degrees() else (0, 0)
+
+
+def _require_free(op: str, *complexes: SuperComplex) -> None:
+    for c in complexes:
+        if c.free_shapes is None:
+            raise ValidationError(f"{op} needs complexes with free shapes")
+
+
+def _free_complex(alg: SuperAlgebra, start: int, degrees, matrices) -> SuperComplex:
+    """Perfect complex from copy lists and the matrices of its differentials.
+
+    degrees[k] lists (key, parity) for the copies of the term in degree
+    start + k; matrices[k] maps (target key, source key) to the entry of the
+    differential out of that degree, a sequence of (word, Poly) pairs.
+    Copies are numbered stably with the even ones first, which is the
+    layout of free_supermodule.
+    """
+    numbers, shapes = [], []
+    for copies in degrees:
+        order = ([key for key, p in copies if p == 0]
+                 + [key for key, p in copies if p == 1])
+        numbers.append({key: n for n, key in enumerate(order)})
+        even = sum(1 for _, p in copies if p == 0)
+        shapes.append((even, len(copies) - even))
+    maps = []
+    for k, matrix in enumerate(matrices):
+        entries = {(numbers[k + 1][w], numbers[k][u]): elem
+                   for (w, u), elem in matrix.items()}
+        maps.append(free_supermap(alg, shapes[k], shapes[k + 1], entries))
+    terms = tuple(free_supermodule(alg, *shape) for shape in shapes)
+    return SuperComplex(alg, start, terms, tuple(maps), tuple(shapes))
+
+
+def _differential_entries(c: SuperComplex, n: int) -> dict:
+    f = c.map_from(n)
+    return {} if f is None else free_entries(f, _shape(c, n), _shape(c, n + 1))
 
 
 def direct_sum_supercomplex(a: SuperComplex, b: SuperComplex) -> SuperComplex:
+    """Termwise sum; the differential is block diagonal."""
     if a.algebra != b.algebra:
         raise DomainMismatchError("summands over different superalgebras")
-    ring = a.algebra.base
+    _require_free("direct sum", a, b)
     lo = min(a.start, b.start)
     hi = max(a.start + len(a.terms), b.start + len(b.terms))
-    terms, maps, shapes = [], [], []
+    degrees, matrices = [], []
     for n in range(lo, hi):
-        terms.append(direct_sum_super(a.term(n), b.term(n)))
-        sa = _term_shape(a, n)
-        sb = _term_shape(b, n)
-        shapes.append(None if sa is None or sb is None
-                      else (sa[0] + sb[0], sa[1] + sb[1]))
+        degrees.append([((tag, u), p) for tag, c in (("a", a), ("b", b))
+                        for u, p in _copies(_shape(c, n))])
     for n in range(lo, hi - 1):
-        fa = a.map_from(n) or zero_supermap(a.term(n), a.term(n + 1))
-        fb = b.map_from(n) or zero_supermap(b.term(n), b.term(n + 1))
-        parts = []
-        for parity in (0, 1):
-            ca = fa.even if parity == 0 else fa.odd
-            cb = fb.even if parity == 0 else fb.odd
-            cols = _embed_cols(ca.columns, 0, cb.target.rank, ring) + _embed_cols(
-                cb.columns, ca.target.rank, 0, ring)
-            parts.append(ModuleMap(
-                terms[n - lo].component(parity),
-                terms[n + 1 - lo].component(parity), cols))
-        maps.append(SuperMap(terms[n - lo], terms[n + 1 - lo], parts[0], parts[1]))
-    all_shapes = tuple(shapes) if all(s is not None for s in shapes) else None
-    return SuperComplex(a.algebra, lo, tuple(terms), tuple(maps), all_shapes)
-
-
-def _term_shape(c: SuperComplex, n: int):
-    if n not in c.degrees():
-        return (0, 0)
-    if c.free_shapes is None:
-        return None
-    return c.free_shapes[n - c.start]
-
-
-def tensor_map_left(f: SuperMap, n: SuperModule) -> SuperMap:
-    """f (x) id on the standard tensor presentations."""
-    ring = f.source.algebra.base
-    src = koszul_tensor(f.source, n)
-    tgt = koszul_tensor(f.target, n)
-    fparts = (f.even, f.odd)
-    parts = []
-    for parity in (0, 1):
-        cols = []
-        for i, j in tensor_blocks(parity):
-            fcols = fparts[i].columns
-            for p in range(f.source.component(i).rank):
-                for q in range(n.component(j).rank):
-                    col = [ring.zero()] * tgt.component(parity).rank
-                    for k, cf in enumerate(fcols[p]):
-                        if not cf.is_zero():
-                            idx = tensor_index(f.target, n, parity, i, j, k, q)
-                            col[idx] = col[idx] + cf
-                    cols.append(tuple(col))
-        parts.append(ModuleMap(src.component(parity), tgt.component(parity),
-                               tuple(cols)))
-    return SuperMap(src, tgt, parts[0], parts[1])
-
-
-def tensor_map_right(m: SuperModule, g: SuperMap) -> SuperMap:
-    """id (x) g; g is even, so no scalar sign appears."""
-    ring = m.algebra.base
-    src = koszul_tensor(m, g.source)
-    tgt = koszul_tensor(m, g.target)
-    gparts = (g.even, g.odd)
-    parts = []
-    for parity in (0, 1):
-        cols = []
-        for i, j in tensor_blocks(parity):
-            gcols = gparts[j].columns
-            for p in range(m.component(i).rank):
-                for q in range(g.source.component(j).rank):
-                    col = [ring.zero()] * tgt.component(parity).rank
-                    for l, cg in enumerate(gcols[q]):
-                        if not cg.is_zero():
-                            idx = tensor_index(m, g.target, parity, i, j, p, l)
-                            col[idx] = col[idx] + cg
-                    cols.append(tuple(col))
-        parts.append(ModuleMap(src.component(parity), tgt.component(parity),
-                               tuple(cols)))
-    return SuperMap(src, tgt, parts[0], parts[1])
+        matrices.append({((tag, w), (tag, u)): elem
+                         for tag, c in (("a", a), ("b", b))
+                         for (w, u), elem in _differential_entries(c, n).items()})
+    return _free_complex(a.algebra, lo, degrees, matrices)
 
 
 def tensor_supercomplexes(c: SuperComplex, d: SuperComplex) -> SuperComplex:
-    """Total complex of the termwise tensor; 1 (x) d picks up the sign (-1)^i."""
+    """Total complex of the termwise tensor, as a graded Kronecker product.
+
+    Copy (u, v) of C_i (x) D_j has parity |u| + |v|, where |u| is the
+    parity of the copy.  With d e_u = sum_w a_wu e_w in C and
+    d e_v = sum_x sum_s c_s theta_s e_x in D (a_wu over A (x) Lambda, c_s
+    over A), the differential is
+
+        d(e_u (x) e_v) = sum_w a_wu (e_w (x) e_v)
+            + (-1)^i sum_x sum_s (-1)^(|s| |u|) c_s theta_s (e_u (x) e_x),
+
+    the factor (-1)^(|s| |u|) moving theta_s past e_u.
+    """
     if c.algebra != d.algebra:
         raise DomainMismatchError("tensor over different superalgebras")
-    alg = c.algebra
-    ring = alg.base
+    _require_free("tensor", c, d)
     lo = c.start + d.start
     hi = (c.start + len(c.terms) - 1) + (d.start + len(d.terms) - 1)
-    pairs = {}
-    ten = {}
+    degrees, matrices = [], []
     for n in range(lo, hi + 1):
-        pairs[n] = [(i, n - i) for i in c.degrees() if (n - i) in d.degrees()]
-        for i, j in pairs[n]:
-            ten[(i, j)] = koszul_tensor(c.term(i), d.term(j))
-    terms = []
-    for n in range(lo, hi + 1):
-        t = None
-        for key in pairs[n]:
-            t = ten[key] if t is None else direct_sum_super(t, ten[key])
-        terms.append(t if t is not None else zero_supermodule(alg))
-    maps = []
+        degrees.append([((i, u, v), (pu + pv) % 2)
+                        for i in c.degrees() if n - i in d.degrees()
+                        for u, pu in _copies(_shape(c, i))
+                        for v, pv in _copies(_shape(d, n - i))])
     for n in range(lo, hi):
-        parts = []
-        for parity in (0, 1):
-            src_mod = terms[n - lo].component(parity)
-            tgt_mod = terms[n + 1 - lo].component(parity)
-            tgt_offsets = {}
-            off = 0
-            for key in pairs[n + 1]:
-                tgt_offsets[key] = off
-                off += ten[key].component(parity).rank
-            cols = []
-            for i, j in pairs[n]:
-                block_cols = [
-                    [ring.zero()] * tgt_mod.rank
-                    for _ in range(ten[(i, j)].component(parity).rank)
-                ]
-                fc = c.map_from(i)
-                if fc is not None and (i + 1, j) in tgt_offsets:
-                    left = tensor_map_left(fc, d.term(j))
-                    lcols = (left.even if parity == 0 else left.odd).columns
-                    base = tgt_offsets[(i + 1, j)]
-                    for g, col in enumerate(lcols):
-                        for k, e in enumerate(col):
-                            if not e.is_zero():
-                                block_cols[g][base + k] = block_cols[g][base + k] + e
-                fd = d.map_from(j)
-                if fd is not None and (i, j + 1) in tgt_offsets:
-                    right = tensor_map_right(c.term(i), fd)
-                    rcols = (right.even if parity == 0 else right.odd).columns
-                    sign = ring.one() if i % 2 == 0 else -ring.one()
-                    base = tgt_offsets[(i, j + 1)]
-                    for g, col in enumerate(rcols):
-                        for k, e in enumerate(col):
-                            if not e.is_zero():
-                                block_cols[g][base + k] = (
-                                    block_cols[g][base + k] + sign * e)
-                cols.extend(tuple(col) for col in block_cols)
-            parts.append(ModuleMap(src_mod, tgt_mod, tuple(cols)))
-        maps.append(SuperMap(terms[n - lo], terms[n + 1 - lo], parts[0], parts[1]))
-    shapes = []
-    for n in range(lo, hi + 1):
-        total = (0, 0)
-        for i, j in pairs[n]:
-            si, sj = _term_shape(c, i), _term_shape(d, j)
-            if si is None or sj is None:
-                total = None
-                break
-            total = (total[0] + si[0] * sj[0] + si[1] * sj[1],
-                     total[1] + si[0] * sj[1] + si[1] * sj[0])
-        shapes.append(total)
-    all_shapes = tuple(shapes) if all(s is not None for s in shapes) else None
-    return SuperComplex(alg, lo, tuple(terms), tuple(maps), all_shapes)
+        matrix = {}
+        for i in c.degrees():
+            j = n - i
+            if j not in d.degrees():
+                continue
+            for (w, u), elem in _differential_entries(c, i).items():
+                for v, _ in _copies(_shape(d, j)):
+                    matrix[((i + 1, w, v), (i, u, v))] = elem
+            for (x, v), elem in _differential_entries(d, j).items():
+                for u, pu in _copies(_shape(c, i)):
+                    matrix[((i, u, x), (i, u, v))] = tuple(
+                        (s, coeff if (i + len(s) * pu) % 2 == 0 else -coeff)
+                        for s, coeff in elem)
+        matrices.append(matrix)
+    return _free_complex(c.algebra, lo, degrees, matrices)
 
 
 def cone_supercomplex(src: SuperComplex, tgt: SuperComplex,
                       chain_maps: Sequence[SuperMap]) -> SuperComplex:
-    """Mapping cone of a termwise chain map; degree n holds src_{n+1} + tgt_n."""
+    """Mapping cone of a termwise chain map; degree n holds src_{n+1} + tgt_n.
+
+    The differential is the block matrix [[-d_src, 0], [f, d_tgt]].
+    """
     if src.algebra != tgt.algebra:
         raise DomainMismatchError("cone over different superalgebras")
     if len(chain_maps) != len(src.terms):
         raise ValidationError("one chain map per source term required")
-    alg = src.algebra
-    ring = alg.base
-    shifted = {n - 1: src.term(n) for n in src.degrees()}
-    lo = min([tgt.start] + list(shifted))
-    hi = max([tgt.start + len(tgt.terms) - 1] + list(shifted))
-    fmap = {n: chain_maps[n - src.start] for n in src.degrees()}
-    terms, shapes = [], []
+    _require_free("cone", src, tgt)
+    shifted = [n - 1 for n in src.degrees()]
+    lo = min([tgt.start] + shifted)
+    hi = max([tgt.start + len(tgt.terms) - 1] + shifted)
+    degrees, matrices = [], []
     for n in range(lo, hi + 1):
-        terms.append(direct_sum_super(shifted.get(n, zero_supermodule(alg)),
-                                      tgt.term(n)))
-        sa = _term_shape(src, n + 1)
-        sb = _term_shape(tgt, n)
-        shapes.append(None if sa is None or sb is None
-                      else (sa[0] + sb[0], sa[1] + sb[1]))
-    maps = []
+        degrees.append([(("s", u), p) for u, p in _copies(_shape(src, n + 1))]
+                       + [(("t", u), p) for u, p in _copies(_shape(tgt, n))])
     for n in range(lo, hi):
-        s_now = shifted.get(n, zero_supermodule(alg))
-        t_now = tgt.term(n)
-        s_next = shifted.get(n + 1, zero_supermodule(alg))
-        t_next = tgt.term(n + 1)
-        ds = src.map_from(n + 1)
-        dt = tgt.map_from(n)
-        f = fmap.get(n + 1)
-        parts = []
-        for parity in (0, 1):
-            cols = []
-            for p in range(s_now.component(parity).rank):
-                left = zero_vector(ring, s_next.component(parity).rank)
-                if ds is not None:
-                    dcol = (ds.even if parity == 0 else ds.odd).columns[p]
-                    left = tuple(-e for e in dcol)
-                right = zero_vector(ring, t_next.component(parity).rank)
-                if f is not None:
-                    right = (f.even if parity == 0 else f.odd).columns[p]
-                cols.append(tuple(left) + tuple(right))
-            for p in range(t_now.component(parity).rank):
-                right = zero_vector(ring, t_next.component(parity).rank)
-                if dt is not None:
-                    right = (dt.even if parity == 0 else dt.odd).columns[p]
-                cols.append(zero_vector(ring, s_next.component(parity).rank)
-                            + tuple(right))
-            parts.append(ModuleMap(terms[n - lo].component(parity),
-                                   terms[n + 1 - lo].component(parity),
-                                   tuple(cols)))
-        maps.append(SuperMap(terms[n - lo], terms[n + 1 - lo], parts[0], parts[1]))
-    all_shapes = tuple(shapes) if all(s is not None for s in shapes) else None
-    return SuperComplex(alg, lo, tuple(terms), tuple(maps), all_shapes)
+        matrix = {(("s", w), ("s", u)): tuple((word, -coeff) for word, coeff in elem)
+                  for (w, u), elem in _differential_entries(src, n + 1).items()}
+        matrix.update({(("t", w), ("t", u)): elem
+                       for (w, u), elem in _differential_entries(tgt, n).items()})
+        if n + 1 in src.degrees():
+            f = chain_maps[n + 1 - src.start]
+            chain = free_entries(f, _shape(src, n + 1), _shape(tgt, n + 1))
+            matrix.update({(("t", w), ("s", u)): elem
+                           for (w, u), elem in chain.items()})
+        matrices.append(matrix)
+    return _free_complex(src.algebra, lo, degrees, matrices)
 
 
 # -- supports ----------------------------------------------------------------------------

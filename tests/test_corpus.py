@@ -19,6 +19,7 @@ from ttkit.corpus import (
 )
 from ttkit.fields import GF, QQ
 from ttkit.polyring import GroebnerBasis
+from ttkit.supermod import direct_sum_supercomplex, free_supermodule
 
 
 def test_membership_corpus_is_twenty_small_ideals():
@@ -93,8 +94,21 @@ def test_super_corpus_is_deterministic_for_a_fixed_seed():
 def test_super_corpus_objects_are_perfect_and_sites_in_range():
     for fam in super_support_corpus(5, count=6):
         assert 4 <= len(fam.space.sites) <= 6
-        for oid, cx in fam.complexes.items():
+        complexes = dict(fam.complexes)
+        # odd copies of the first summand come before even ones of the second
+        complexes["mixed sum"] = direct_sum_supercomplex(
+            fam.complexes["unit[flip]"], fam.complexes["K[origin]"])
+        for oid, cx in complexes.items():
             assert cx.is_perfect(), oid
+            for term, shape in zip(cx.terms, cx.free_shapes):
+                assert term == free_supermodule(fam.algebra, *shape), oid
+
+
+def test_super_site_profiles_are_pinned():
+    fams = super_support_corpus(5, count=6) + (superline_spectrum_model(),)
+    got = {fam.name: tuple((p.object_id, tuple(sorted(p.sites)))
+                           for p in fam.datum.objects) for fam in fams}
+    assert got == PINNED_SUPER_PROFILES
 
 
 def test_superline_model_realizes_every_closed_subset():
@@ -115,3 +129,83 @@ def test_descent_models_cover_their_objects_with_towers():
         for down in model.pullbacks:
             assert down in set(model.datum_y.labels())
             assert model.pullbacks[down] in upstairs
+
+
+# Site profiles of super_support_corpus(5, count=6) and the odd line model;
+# how the complexes are built may change, these may not.
+PINNED_SUPER_PROFILES = {
+    'superline': (
+        ('zero', ()),
+        ('unit', ('generic', 'minus', 'one', 'origin', 'two')),
+        ('unit[flip]', ('generic', 'minus', 'one', 'origin', 'two')),
+        ('K[origin]', ('origin',)),
+        ('K[one]', ('one',)),
+        ('K[minus]', ('minus',)),
+        ('K[two]', ('two',)),
+        ('K[origin+one]', ('one', 'origin')),
+        ('K[origin+minus]', ('minus', 'origin')),
+        ('K[origin+two]', ('origin', 'two')),
+        ('K[one+minus]', ('minus', 'one')),
+        ('K[one+two]', ('one', 'two')),
+        ('K[minus+two]', ('minus', 'two')),
+        ('K[origin+one+minus]', ('minus', 'one', 'origin')),
+        ('K[origin+one+two]', ('one', 'origin', 'two')),
+        ('K[origin+minus+two]', ('minus', 'origin', 'two')),
+        ('K[one+minus+two]', ('minus', 'one', 'two')),
+        ('K[origin+one+minus+two]', ('minus', 'one', 'origin', 'two')),
+        ('rnd0[koszul]', ('minus', 'two')),
+        ('rnd1[sum]', ('minus', 'two')),
+        ('rnd2[koszul]', ('minus', 'origin')),
+        ('rnd3[koszul]', ('origin', 'two')),
+        ('rnd4[sum]', ('minus', 'origin', 'two')),
+        ('rnd5[koszul]', ('one', 'origin')),
+        ('t[origin+one|one+minus]', ('one',)),
+        ('t[origin|one]', ()),
+        ('t[unit|origin]', ('origin',)),
+        ('c[origin;one]', ()),
+    ),
+    'superplane': (
+        ('zero', ()),
+        ('unit', ('generic', 'origin', 'point', 'xline', 'yline')),
+        ('unit[flip]', ('generic', 'origin', 'point', 'xline', 'yline')),
+        ('K[x]', ('origin', 'xline')),
+        ('K[y]', ('origin', 'yline')),
+        ('K[xy]', ('origin', 'xline', 'yline')),
+        ('K[x-1]', ('point',)),
+        ('K[origin]', ('origin',)),
+        ('K[point]', ('point',)),
+        ('K[origin+point]', ('origin', 'point')),
+        ('K[x]+K[point]', ('origin', 'point', 'xline')),
+        ('K[y]+K[point]', ('origin', 'point', 'yline')),
+        ('K[xy]+K[point]', ('origin', 'point', 'xline', 'yline')),
+        ('rnd0[koszul]', ('origin', 'point')),
+        ('rnd1[freemap]', ('origin', 'xline')),
+        ('rnd2[shift]', ('origin', 'xline')),
+        ('rnd3[freemap]', ('generic', 'origin', 'point', 'xline', 'yline')),
+        ('rnd4[koszul]', ('origin', 'point')),
+        ('rnd5[src]', ('origin', 'xline')),
+        ('rnd5[cone]', ()),
+        ('t[x|y]', ('origin',)),
+        ('t[xy|x-1]', ()),
+        ('t[unit|x]', ('origin', 'xline')),
+    ),
+    'oddline': (
+        ('zero', ()),
+        ('unit', ('generic', 'minus', 'one', 'origin')),
+        ('unit[flip]', ('generic', 'minus', 'one', 'origin')),
+        ('K[origin]', ('origin',)),
+        ('K[one]', ('one',)),
+        ('K[minus]', ('minus',)),
+        ('K[origin+one]', ('one', 'origin')),
+        ('K[origin+minus]', ('minus', 'origin')),
+        ('K[one+minus]', ('minus', 'one')),
+        ('K[all]', ('minus', 'one', 'origin')),
+        ('t[origin|one]', ()),
+        ('t[origin+one|origin+minus]', ('origin',)),
+        ('t[unit|origin]', ('origin',)),
+        ('t[all|one]', ('one',)),
+        ('K[origin]+K[one]', ('one', 'origin')),
+        ('K[origin][1]', ('origin',)),
+        ('c[origin;one]', ()),
+    ),
+}

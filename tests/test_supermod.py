@@ -6,11 +6,13 @@ Koszul-type complexes are checked against the ideals they were built from.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkit.corpus import _random_free_complex
 from ttkit.errors import DomainMismatchError, ValidationError
 from ttkit.fields import GF, QQ
 from ttkit.geometry import (
@@ -18,6 +20,7 @@ from ttkit.geometry import (
     PrimeSite,
     closed_contains,
     closed_equal,
+    closed_intersection,
     closed_union,
 )
 from ttkit.polymod import PresentedModule, graded_dim, map_is_isomorphism
@@ -34,6 +37,7 @@ from ttkit.supermod import (
     direct_sum_super,
     direct_sum_supercomplex,
     free_component_rank,
+    free_entries,
     free_slot,
     free_supermap,
     free_supermodule,
@@ -408,6 +412,65 @@ def test_cone_supph_inside_union(line):
     assert closed_contains(union, supph_super(c))
 
 
+def _odd_entry_complexes(alg, pool, count):
+    """Seeded corpus complexes R^(1|1) -> R^(1|1) with both diagonal entries
+    and an odd entry, so the support is proper and theta acts nontrivially."""
+    out, seed = [], 0
+    while len(out) < count:
+        cx = _random_free_complex(alg, random.Random(seed), pool)
+        seed += 1
+        if cx.free_shapes != ((1, 1), (1, 1)):
+            continue
+        entries = free_entries(cx.maps[0], (1, 1), (1, 1))
+        if {(0, 0), (1, 1)} <= set(entries) and {(0, 1), (1, 0)} & set(entries):
+            out.append(cx)
+    return out
+
+
+def _theta_1_for_theta_0(cx):
+    """The two-term free complex with theta_1 in place of theta_0."""
+    shapes = cx.free_shapes
+    entries = {key: tuple(((1,) if word == (0,) else word, coeff) for word, coeff in elem)
+               for key, elem in free_entries(cx.maps[0], *shapes).items()}
+    f = free_supermap(cx.algebra, shapes[0], shapes[1], entries)
+    return SuperComplex(cx.algebra, cx.start, (f.source, f.target), (f,), shapes)
+
+
+@pytest.mark.parametrize("odd_rank", [1, 2])
+def test_tensor_koszul_sign_on_odd_entries(odd_rank):
+    ring = PolyRing(QQ, ("x", "y")[:odd_rank])
+    alg = SuperAlgebra(ring, odd_rank)
+    x = ring.var("x")
+    if odd_rank == 1:
+        pool = (x, x - 1, x + 1)
+    else:
+        y = ring.var("y")
+        pool = (x, y - 1, x - y)
+    a, b, c = _odd_entry_complexes(alg, pool, 3)
+    # odd copies of a come before the even copies of the Koszul summand
+    mixed = direct_sum_supercomplex(a, koszul_complex_super(alg, [x - 1]))
+    for left, right in ((a, b), (mixed, c), (c, mixed)):
+        if odd_rank == 2:
+            # products of odd entries from the two sides then survive in d^2
+            right = _theta_1_for_theta_0(right)
+        t = tensor_supercomplexes(left, right)
+        t.validate()
+        want = closed_intersection(supph_super(left), supph_super(right))
+        assert closed_equal(supph_super(t), want)
+
+
+def test_free_operations_reject_complexes_without_free_shapes(line):
+    ring, alg = line
+    bare = single_supercomplex(zero_supermodule(alg))
+    k = koszul_complex_super(alg, [ring.var("x")])
+    with pytest.raises(ValidationError, match="tensor"):
+        tensor_supercomplexes(k, bare)
+    with pytest.raises(ValidationError, match="direct sum"):
+        direct_sum_supercomplex(bare, k)
+    with pytest.raises(ValidationError, match="cone"):
+        cone_supercomplex(k, bare, [scalar_supermap(alg, (1, 0), ring.zero())] * 2)
+
+
 def test_complex_rejects_nonsquaring_differential(line):
     ring, alg = line
     x = ring.var("x")
@@ -448,6 +511,7 @@ def test_free_supermap_odd_entry(line):
     f = free_supermap(alg, (1, 0), (0, 1), {(0, 0): (((0,), ring.one()),)})
     f.validate()
     assert not f.is_zero_map()
+    assert free_entries(f, (1, 0), (0, 1)) == {(0, 0): (((0,), ring.one()),)}
 
 
 def test_free_supermap_rejects_mixed_parity_entries(line):
