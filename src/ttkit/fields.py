@@ -5,7 +5,9 @@ Scalars are plain Python values: `fractions.Fraction` over Q, `int` in
 two worlds never mix silently; pairing values from different fields raises
 `DomainMismatchError`.  Everything here is immutable and deterministic:
 row reduction picks the first nonzero pivot scanning top to bottom, left
-to right, so equal inputs give identical outputs.
+to right, so equal inputs give identical outputs.  Matrices are stored
+dense, but row reduction is sparse in the pivot row: each elimination step
+touches only the columns where the pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -270,33 +272,45 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with the pivot columns.
 
     Deterministic: for each column left to right, the pivot row is the first
-    row (top to bottom, among unused rows) with a nonzero entry.
+    row (top to bottom, among unused rows) with a nonzero entry.  Every
+    column left of the pivot is zero in the unused rows, so each step scales
+    and eliminates with the pivot row's nonzero columns only.
     """
-    f = m.field
+    p = m.field.p
+    inverse = m.field.inv
     rows = [list(m.row(i)) for i in range(m.rows)]
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
         pivot_row = None
         for i in range(r, m.rows):
-            if not f.is_zero(rows[i][c]):
+            if rows[i][c] != 0:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, a) for a in rows[r]]
-        for i in range(m.rows):
-            if i != r and not f.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = inverse(prow[c])
+        nz = [j for j in range(c, m.cols) if prow[j] != 0]
+        for j in nz:
+            prow[j] = inv * prow[j] if p == 0 else inv * prow[j] % p
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if i == r or factor == 0:
+                continue
+            if p == 0:
+                for j in nz:
+                    row[j] = row[j] - factor * prow[j]
+            else:
+                for j in nz:
+                    row[j] = (row[j] - factor * prow[j]) % p
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
     flat = tuple(a for row in rows for a in row)
-    return Matrix(f, m.rows, m.cols, flat), tuple(pivots)
+    return Matrix(m.field, m.rows, m.cols, flat), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

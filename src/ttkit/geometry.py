@@ -205,7 +205,9 @@ def check_univariate_irreducible(g: Poly) -> None:
 
 SITE_KINDS = ("rational-point", "principal-irreducible", "declared")
 
+# Specialization maps by site space; past the bound the oldest entry goes first.
 _SPEC_MAP_CACHE: dict = {}
+_SPEC_MAP_CACHE_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -309,6 +311,8 @@ class SiteSpace:
             g.label: frozenset(s.label for s in self.sites if site_specializes(s, g))
             for g in self.sites
         }
+        while len(_SPEC_MAP_CACHE) >= _SPEC_MAP_CACHE_MAX:
+            del _SPEC_MAP_CACHE[next(iter(_SPEC_MAP_CACHE))]
         _SPEC_MAP_CACHE[self] = out
         return out
 

@@ -17,10 +17,12 @@ into relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
-from .fields import Matrix, rank as matrix_rank, rref
+from .fields import Matrix, rank as matrix_rank, rref, solve
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -90,25 +92,6 @@ def vec_combination(cols: Sequence[Vector], coeffs: Sequence[Poly]) -> Vector:
     return out
 
 
-def _vec_to_dict(v: Vector) -> dict:
-    d = {}
-    for pos, p in enumerate(v):
-        for mono, c in p.terms:
-            d[(pos, mono)] = c
-    return d
-
-
-def _dict_to_vec(d: dict, ring: PolyRing, rank: int) -> Vector:
-    buckets: list = [[] for _ in range(rank)]
-    for (pos, mono), c in d.items():
-        buckets[pos].append((mono, c))
-    return tuple(ring.from_terms(b) for b in buckets)
-
-
-def _lead_term(d: dict, order: ModuleOrder):
-    return max(d.keys(), key=order.key)
-
-
 def _lead(v: Vector, order: ModuleOrder):
     """Leading (position, monomial) of a nonzero vector, and its coefficient."""
     for pos, p in enumerate(v):
@@ -128,58 +111,90 @@ def _monic(v: Vector, order: ModuleOrder):
 # -- module division and Groebner bases -----------------------------------------
 
 
-def vector_divmod(v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT):
+def vector_divmod(
+    v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT, quotients: bool = True
+):
     """v = sum(q_k basis_k) + r with no term of r divisible by a basis lead.
 
     The first basis vector whose lead divides wins, so the output is
     deterministic in the order given.  At rank 1 this is multivariate
     polynomial division (`polyring.poly_divmod`).
+
+    Heap-ordered division, after Monagan and Pearce (J. Symbolic Comput.
+    46, 2011): the terms still to divide sit in a dict, and a min-heap on
+    (position, negated ring key) yields the largest of them.  Each monomial
+    is pushed when it enters the dict; entries whose term was cancelled are
+    skipped when popped.  That is sound because each step only adds terms
+    below the one just popped.  With quotients=False the quotients are not
+    built and the first item returned is None.
     """
     if not v:
         raise ValidationError("zero-rank vector")
     ring = v[0].ring
-    fld = ring.field
+    p = ring.field.p
     rank = len(v)
-    leads = [_lead(b, order) for b in basis]  # rejects a zero basis vector
-    quots = [dict() for _ in basis]
-    rem: dict = {}
-    work = _vec_to_dict(v)
-    while work:
-        t = _lead_term(work, order)
-        c = work[t]
-        pos, mono = t
-        hit = None
-        for k, ((lp, lm), lc) in enumerate(leads):
-            if lp == pos and mono_divides(lm, mono):
-                hit = k
+    nkey = order.ring_order.neg_key
+    # per position, in index order: (k, lead monomial, 1 / lead coefficient)
+    leads_at: dict = {}
+    tails = []  # each basis vector's other terms, as (pos, mono, coeff)
+    for k, b in enumerate(basis):
+        (lp, lm), lc = _lead(b, order)  # rejects a zero basis vector
+        leads_at.setdefault(lp, []).append((k, lm, None if lc == 1 else ring.field.inv(lc)))
+        tails.append(
+            [(pos, m, c) for pos, q in enumerate(b) for m, c in q.terms if m != lm or pos != lp]
+        )
+    quots = [[] for _ in basis] if quotients else None
+    rem: list = [[] for _ in range(rank)]
+    work: dict = {}
+    heap = []
+    for pos, q in enumerate(v):
+        for mono, c in q.terms:
+            work[(pos, mono)] = c
+            heap.append((pos, nkey(mono), mono))
+    heapify(heap)
+    while heap:
+        pos, _, mono = heappop(heap)
+        c = work.pop((pos, mono), None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        for k, lm, inv in leads_at.get(pos, ()):
+            if all(map(le, lm, mono)):
                 break
-        if hit is None:
-            rem[t] = c
-            del work[t]
+        else:
+            rem[pos].append((mono, c))
             continue
-        (lp, lm), lc = leads[hit]
-        qm = mono_div(mono, lm)
-        qc = fld.div(c, lc)
-        qd = quots[hit]
-        qd[qm] = fld.add(qd.get(qm, fld.zero()), qc) if qm in qd else qc
-        for bpos, bp in enumerate(basis[hit]):
-            for bmono, bc in bp.terms:
-                key = (bpos, mono_mul(qm, bmono))
-                cur = work.get(key, fld.zero())
-                new = fld.sub(cur, fld.mul(qc, bc))
-                if fld.is_zero(new):
-                    work.pop(key, None)
+        qm = tuple(map(sub, mono, lm))
+        qc = c if inv is None else c * inv if p == 0 else c * inv % p
+        if quotients:
+            quots[k].append((qm, qc))
+        for bpos, bmono, bc in tails[k]:
+            key = (bpos, tuple(map(add, qm, bmono)))
+            cur = work.get(key)
+            if cur is None:
+                work[key] = -qc * bc if p == 0 else -qc * bc % p
+                heappush(heap, (bpos, nkey(key[1]), key[1]))
+            else:
+                new = cur - qc * bc if p == 0 else (cur - qc * bc) % p
+                if new == 0:
+                    del work[key]
                 else:
                     work[key] = new
-    qpolys = [ring.from_terms(q.items()) for q in quots]
-    return qpolys, _dict_to_vec(rem, ring, rank)
+    grevlex = order.ring_order.kind == "grevlex"
+
+    def build(terms):
+        # popped largest first, so under grevlex already in `Poly` storage order
+        return Poly(ring, tuple(terms)) if grevlex else ring.from_terms(terms)
+
+    if quotients:
+        quots = [build(q) for q in quots]
+    return quots, tuple(build(r) for r in rem)
 
 
 def vector_normal_form(v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT) -> Vector:
     basis = [b for b in basis if not vec_is_zero(b)]
     if not basis or vec_is_zero(v):
         return v
-    return vector_divmod(v, basis, order)[1]
+    return vector_divmod(v, basis, order, quotients=False)[1]
 
 
 def module_groebner(
@@ -188,10 +203,13 @@ def module_groebner(
     """Reduced monic Groebner basis of the submodule generated by gens.
 
     Pair selection: smallest lcm under the ring order (normal strategy),
-    ties by index.  A pair is discarded by the chain criterion when a third
-    lead at the same position divides the lcm and both side pairs are
-    done, and, at rank 1 only, when its leads are coprime.  Ideals run here
-    as rank-1 modules, through `polyring.buchberger`.
+    ties by index.  The open pairs sit in a min-heap keyed by (ring key of
+    the lcm, pair), pushed when a pair is made; pairs leave it only by being
+    selected, so it pops them in exactly that order.  A pair is discarded
+    by the chain criterion when a third lead at the same position divides
+    the lcm and both side pairs are done, and, at rank 1 only, when its
+    leads are coprime.  Ideals run here as rank-1 modules, through
+    `polyring.buchberger`.
 
     With track=True also returns, for each basis vector, its expression as
     a combination of the input generators.
@@ -203,6 +221,7 @@ def module_groebner(
     ring = nonzero[0][1][0].ring
     rank = len(nonzero[0][1])
     m = len(gens)
+    rkey = order.ring_order.key
 
     basis: list = []
     leads: list = []
@@ -216,24 +235,23 @@ def module_groebner(
             rep[i] = ring.const(inv)
             reps.append(rep)
 
-    pairs = {
-        (i, j)
-        for i in range(len(basis))
-        for j in range(i + 1, len(basis))
-        if leads[i][0] == leads[j][0]
-    }
+    pairs: list = []  # heap of (ring key of the lcm, (i, j), lcm)
     done = set()
 
-    def pair_lcm(p):
-        return mono_lcm(leads[p[0]][1], leads[p[1]][1])
+    def add_pair(i, j):
+        if leads[i][0] == leads[j][0]:
+            l = mono_lcm(leads[i][1], leads[j][1])
+            heappush(pairs, (rkey(l), (i, j), l))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            add_pair(i, j)
 
     while pairs:
-        pair = min(pairs, key=lambda p: (order.ring_order.key(pair_lcm(p)), p))
-        pairs.discard(pair)
+        _, pair, l = heappop(pairs)
         done.add(pair)
         i, j = pair
         pos = leads[i][0]
-        l = pair_lcm(pair)
         if rank == 1 and l == mono_mul(leads[i][1], leads[j][1]):
             continue  # coprime leading terms
         skip = False
@@ -253,7 +271,7 @@ def module_groebner(
         s = vec_sub(vec_scale(mi, basis[i]), vec_scale(mj, basis[j]))
         if vec_is_zero(s):
             continue
-        quots, r = vector_divmod(s, basis, order)
+        quots, r = vector_divmod(s, basis, order, quotients=track)
         if vec_is_zero(r):
             continue
         b, lt, inv = _monic(r, order)
@@ -264,8 +282,7 @@ def module_groebner(
         leads.append(lt)
         new = len(basis) - 1
         for k in range(new):
-            if leads[k][0] == lt[0]:
-                pairs.add((k, new))
+            add_pair(k, new)
 
     basis, reps = _module_interreduce(basis, leads, reps, order)
     return (basis, reps) if track else basis
@@ -300,7 +317,9 @@ def _module_interreduce(basis: list, leads: list, reps: Optional[list], order: M
     if reps is not None:
         reps = [reps[a] for a in keep]
     for i in range(len(basis)):
-        quots, basis[i] = vector_divmod(basis[i], basis[:i] + basis[i + 1 :], order)
+        quots, basis[i] = vector_divmod(
+            basis[i], basis[:i] + basis[i + 1 :], order, quotients=reps is not None
+        )
         if reps is not None:
             reps[i] = _rep_minus(reps[i], quots, reps[:i] + reps[i + 1 :])
     idx = sorted(range(len(basis)), key=lambda i: order.key(leads[i]), reverse=True)
@@ -392,7 +411,9 @@ class PresentedModule:
         )
 
 
+# Relation bases by presentation; past the bound the oldest entry goes first.
 _REL_GB_CACHE: dict = {}
+_REL_GB_CACHE_MAX = 1024
 
 
 def _relation_gb(mod: PresentedModule) -> list:
@@ -400,6 +421,8 @@ def _relation_gb(mod: PresentedModule) -> list:
     hit = _REL_GB_CACHE.get(key)
     if hit is None:
         hit = module_groebner(list(mod.relations), POT)
+        while len(_REL_GB_CACHE) >= _REL_GB_CACHE_MAX:
+            del _REL_GB_CACHE[next(iter(_REL_GB_CACHE))]
         _REL_GB_CACHE[key] = hit
     return hit
 
@@ -930,16 +953,13 @@ def bounded_membership(f: Poly, gens: Sequence[Poly], degree_bound: int) -> bool
     all_monos = sorted(
         {m for p in columns + [f] for m, _ in p.terms}, key=GREVLEX.key, reverse=True
     )
-    index = {m: i for i, m in enumerate(all_monos)}
     if not columns:
         return f.is_zero()
     rows = len(all_monos)
-    ent = []
-    for m in all_monos:
-        for col in columns:
-            ent.append(col.coeff_of(m))
-    mat = Matrix(fld, rows, len(columns), tuple(ent))
-    rhs = Matrix(fld, rows, 1, tuple(f.coeff_of(m) for m in all_monos))
-    from .fields import solve
-
+    zero = fld.zero()
+    col_terms = [dict(col.terms) for col in columns]
+    ent = tuple(t.get(m, zero) for m in all_monos for t in col_terms)
+    mat = Matrix(fld, rows, len(columns), ent)
+    f_terms = dict(f.terms)
+    rhs = Matrix(fld, rows, 1, tuple(f_terms.get(m, zero) for m in all_monos))
     return solve(mat, rhs) is not None

@@ -51,6 +51,10 @@ def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _neg_grevlex_key(m: Monomial):
+    return (-sum(m), m[::-1])
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """lex, grevlex, or a block elimination order.
@@ -75,6 +79,16 @@ class MonomialOrder:
             return _grevlex_key(m)
         k = self.block_size
         return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
+
+    def neg_key(self, m: Monomial):
+        """A key that sorts ascending exactly as `key` sorts descending, so
+        a min-heap on it pops the largest monomial first."""
+        if self.kind == "lex":
+            return tuple(-e for e in m)
+        if self.kind == "grevlex":
+            return _neg_grevlex_key(m)
+        k = self.block_size
+        return (_neg_grevlex_key(m[:k]), _neg_grevlex_key(m[k:]))
 
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
@@ -210,8 +224,9 @@ class Poly:
         return all(mono_deg(m) == 0 for m, _ in self.terms)
 
     def coeff_of(self, mono: Monomial):
+        mono = tuple(mono)
         for m, c in self.terms:
-            if m == tuple(mono):
+            if m == mono:
                 return c
         return self.ring.field.zero()
 
@@ -281,6 +296,8 @@ class Poly:
         """(monomial, coeff) maximal under the given order."""
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
+        if order.kind == "grevlex":
+            return self.terms[0]  # the storage order
         return max(self.terms, key=lambda t: order.key(t[0]))
 
     def monic(self, order: MonomialOrder) -> "Poly":

@@ -153,3 +153,55 @@ def test_kron_shape_and_values():
     k = a.kron(b)
     assert (k.rows, k.cols) == (2, 2)
     assert k.at(0, 0) == 3 and k.at(1, 1) == 8
+
+
+# -- sparse pivot-row elimination against the dense reference ----------------------
+
+
+def dense_rref(m):
+    """The dense elimination `rref` replaced: scale and eliminate whole rows."""
+    f = m.field
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if not f.is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, a) for a in rows[r]]
+        for i in range(m.rows):
+            if i != r and not f.is_zero(rows[i][c]):
+                factor = rows[i][c]
+                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return tuple(a for row in rows for a in row), tuple(pivots)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Tall, wide and square matrices over QQ or GF(p), mostly zeros, with
+    some columns forced to zero."""
+    fld = draw(st.sampled_from([QQ, GF(2), GF(7), GF(32003)]))
+    r = draw(st.integers(min_value=1, max_value=7))
+    c = draw(st.integers(min_value=1, max_value=7))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=c - 1), max_size=c))
+    value = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5))
+    rows = [
+        [0 if j in zero_cols else draw(value) for j in range(c)] for _ in range(r)
+    ]
+    return Matrix.from_rows(fld, rows)
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_dense_elimination(m):
+    red, pivots = rref(m)
+    entries, ref_pivots = dense_rref(m)
+    assert red.entries == entries
+    assert pivots == ref_pivots
+    assert [type(a) for a in red.entries] == [type(a) for a in entries]

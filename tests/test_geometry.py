@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkit import geometry
 from ttkit.errors import ValidationError
 from ttkit.fields import GF, QQ
 from ttkit.geometry import (
@@ -196,6 +197,27 @@ class TestSiteSpaces:
         assert sp.specializations("x-axis") == {"x-axis", "origin"}
         assert sp.specializations("parabola") == {"parabola", "origin", "(2,4)"}
         assert sp.specializations("y-axis") == {"y-axis", "origin"}
+
+    def test_specialization_map_cache_evicts_oldest_past_its_bound(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_SPEC_MAP_CACHE", {})
+        monkeypatch.setattr(geometry, "_SPEC_MAP_CACHE_MAX", 2)
+        x = A1.var("x")
+        spaces = [
+            SiteSpace(
+                A1,
+                (
+                    PrimeSite("eta", A1, (), "declared"),
+                    PrimeSite("pt", A1, (x - k,), "rational-point"),
+                ),
+            )
+            for k in range(4)
+        ]
+        for sp in spaces:
+            sp.specialization_map()
+        assert list(geometry._SPEC_MAP_CACHE) == spaces[2:]  # the two oldest are gone
+        for sp in spaces:
+            assert sp.specialization_map() == {"eta": {"eta", "pt"}, "pt": {"pt"}}
+        assert len(geometry._SPEC_MAP_CACHE) == 2
 
     def test_closed_subsets_of_line_enumerated(self):
         # closure demands: eta forces everything, points are closed

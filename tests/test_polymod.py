@@ -5,10 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkit import polymod
 from ttkit.fields import GF, QQ
-from ttkit.polyring import GREVLEX, PolyRing, radical_equal
+from ttkit.polyring import (
+    GREVLEX,
+    LEX,
+    PolyRing,
+    block_order,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    radical_equal,
+)
 from ttkit.polymod import (
     ModuleMap,
+    ModuleOrder,
     PresentedComplex,
     PresentedModule,
     annihilator,
@@ -152,6 +163,89 @@ def test_vector_divmod_reconstructs():
     assert acc == v
 
 
+def lead_of(vec, order):
+    """(position, monomial) of the first nonzero entry's largest term."""
+    for pos, p in enumerate(vec):
+        if p.terms:
+            return pos, max((m for m, _ in p.terms), key=order.ring_order.key)
+    return None
+
+
+def max_term_division(v, basis, order):
+    """Reference division: find the leading term by a full `max` each step."""
+    ring = v[0].ring
+    fld = ring.field
+    work = {(pos, m): c for pos, p in enumerate(v) for m, c in p.terms}
+    leads = [lead_of(b, order) for b in basis]
+    quots = [[] for _ in basis]
+    rem = [[] for _ in v]
+    while work:
+        pos, mono = max(work, key=order.key)
+        c = work.pop((pos, mono))
+        hit = next(
+            (k for k, (lp, lm) in enumerate(leads) if lp == pos and mono_divides(lm, mono)), None
+        )
+        if hit is None:
+            rem[pos].append((mono, c))
+            continue
+        lp, lm = leads[hit]
+        qm = mono_div(mono, lm)
+        qc = fld.div(c, basis[hit][lp].coeff_of(lm))
+        quots[hit].append((qm, qc))
+        for bpos, bp in enumerate(basis[hit]):
+            for bm, bc in bp.terms:
+                key = (bpos, mono_mul(qm, bm))
+                if key == (pos, mono):
+                    continue
+                new = fld.sub(work.get(key, fld.zero()), fld.mul(qc, bc))
+                if fld.is_zero(new):
+                    work.pop(key, None)
+                else:
+                    work[key] = new
+    return [ring.from_terms(q) for q in quots], tuple(ring.from_terms(r) for r in rem)
+
+
+DIV_RINGS = [PolyRing(QQ, ("x", "y", "z")), PolyRing(GF(7), ("x", "y", "z"))]
+DIV_ORDERS = [ModuleOrder(GREVLEX), ModuleOrder(LEX), ModuleOrder(block_order(1))]
+
+
+@st.composite
+def division_cases(draw):
+    ring = draw(st.sampled_from(DIV_RINGS))
+    order = draw(st.sampled_from(DIV_ORDERS))
+    rank = draw(st.integers(min_value=1, max_value=3))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+    term = st.tuples(mono, st.integers(min_value=-3, max_value=3))
+
+    def poly(max_terms):
+        terms = draw(st.lists(term, max_size=max_terms))
+        return ring.from_terms((m, ring.field.from_int(c)) for m, c in terms)
+
+    def vector(max_terms):
+        return tuple(poly(max_terms) for _ in range(rank))
+
+    basis = [b for b in (vector(3) for _ in range(draw(st.integers(1, 4)))) if lead_of(b, order)]
+    return vector(6), basis, order
+
+
+@given(division_cases())
+@settings(max_examples=150, deadline=None)
+def test_vector_divmod_is_a_division_with_reduced_remainder(case):
+    v, basis, order = case
+    quots, rem = vector_divmod(v, basis, order)
+    acc = rem
+    for q, b in zip(quots, basis):
+        acc = tuple(p + q * bp for p, bp in zip(acc, b))
+    assert acc == v
+    leads = [lead_of(b, order) for b in basis]
+    for pos, p in enumerate(rem):
+        for m, _ in p.terms:
+            assert not any(lp == pos and mono_divides(lm, m) for lp, lm in leads)
+    none, rem_only = vector_divmod(v, basis, order, quotients=False)
+    assert none is None and rem_only == rem
+    assert (quots, rem) == max_term_division(v, basis, order)
+
+
 # -- module Groebner bases ---------------------------------------------------------
 
 RF7 = PolyRing(GF(7), ("x", "y"))
@@ -184,6 +278,19 @@ def test_module_groebner_coprime_criterion_only_at_rank_one():
 
 
 # -- presented modules ------------------------------------------------------------
+
+
+def test_relation_gb_cache_evicts_oldest_past_its_bound(monkeypatch):
+    monkeypatch.setattr(polymod, "_REL_GB_CACHE", {})
+    monkeypatch.setattr(polymod, "_REL_GB_CACHE_MAX", 3)
+    mods = [PresentedModule.cyclic(RXY, [P(f"x^{k} - y"), P("y^2")]) for k in range(1, 6)]
+    for mod in mods:
+        mod.relation_gb()
+    keys = [(m.ring, m.rank, m.relations) for m in mods]
+    assert list(polymod._REL_GB_CACHE) == keys[2:]  # the two oldest are gone
+    for mod in mods:
+        assert mod.relation_gb() == module_groebner(list(mod.relations))
+    assert len(polymod._REL_GB_CACHE) == 3
 
 
 def test_annihilator_cyclic():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,25 @@ def test_block_order_eliminates_first_variable():
 def test_bad_order_kind_rejected():
     with pytest.raises(ValidationError):
         MonomialOrder("degrevlex")
+
+
+def all_monomials(nvars, max_deg):
+    return [
+        m
+        for m in itertools.product(range(max_deg + 1), repeat=nvars)
+        if sum(m) <= max_deg
+    ]
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+@pytest.mark.parametrize(
+    "order",
+    [LEX, GREVLEX, block_order(1), block_order(2)],
+    ids=["lex", "grevlex", "block1", "block2"],
+)
+def test_negated_key_sorts_as_reversed_key(order, nvars):
+    monos = all_monomials(nvars, 4)
+    assert sorted(monos, key=order.neg_key) == sorted(monos, key=order.key, reverse=True)
 
 
 # -- parser / printer -------------------------------------------------------------
@@ -348,3 +368,4 @@ def test_radical_containment_for_sum_products():
     inter = ideal_intersection(i1, i2)
     assert ideal_contains_radical(prod, inter)
     assert ideal_contains_radical(inter, prod)
+
