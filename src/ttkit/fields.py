@@ -116,7 +116,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return a == 0
 
     def scalar_repr(self, a) -> str:
         if self.p == 0:
@@ -161,8 +161,7 @@ class Matrix:
         for row in rows:
             if len(row) != c:
                 raise ValidationError("ragged rows")
-            for a in row:
-                flat.append(a if not isinstance(a, int) or field.p != 0 else a)
+            flat.extend(row)
         ent = tuple(field.from_int(a) if isinstance(a, int) else a for a in flat)
         return Matrix(field, r, c, ent)
 

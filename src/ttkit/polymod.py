@@ -22,7 +22,7 @@ from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
-from .fields import Matrix, rank as matrix_rank, rref, solve
+from .fields import Matrix, rank as matrix_rank, rref
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -739,7 +739,7 @@ def monomials_of_degree(ring: PolyRing, d: int, var_weights: Optional[Sequence[i
             rec(prefix + (e,), remaining - e * var_weights[slot], slot + 1)
 
     rec((), d, 0)
-    out.sort(key=lambda m: GREVLEX.key(m), reverse=True)
+    out.sort(key=GREVLEX.neg_key)
     return out
 
 
@@ -939,27 +939,58 @@ def multiplication_matrix(mod: PresentedModule, pairs, f: Poly) -> Matrix:
 
 def bounded_membership(f: Poly, gens: Sequence[Poly], degree_bound: int) -> bool:
     """Linear-algebra ideal membership: is f = sum q_i g_i with
-    deg(q_i g_i) <= degree_bound?  Independent of any Groebner machinery."""
+    deg(q_i g_i) <= degree_bound?  Independent of any Groebner machinery.
+
+    Sparse elimination on the Macaulay columns `shift * g`: monomials are
+    numbered largest first under grevlex, each column is top-reduced by the
+    pivots found so far, and a column whose lead is still new becomes a
+    monic pivot.  Then f is a member iff top-reduction drives it to zero.
+    """
     ring = f.ring
     fld = ring.field
+    p = fld.p
     columns = []
     for g in gens:
         if g.is_zero():
             continue
-        gd = g.total_degree()
-        for shift_deg in range(degree_bound - gd + 1):
+        for shift_deg in range(degree_bound - g.total_degree() + 1):
             for shift in monomials_of_degree(ring, shift_deg):
-                columns.append(ring.monomial(shift) * g)
-    all_monos = sorted(
-        {m for p in columns + [f] for m, _ in p.terms}, key=GREVLEX.key, reverse=True
-    )
+                columns.append((ring.monomial(shift) * g).terms)
     if not columns:
         return f.is_zero()
-    rows = len(all_monos)
-    zero = fld.zero()
-    col_terms = [dict(col.terms) for col in columns]
-    ent = tuple(t.get(m, zero) for m in all_monos for t in col_terms)
-    mat = Matrix(fld, rows, len(columns), ent)
-    f_terms = dict(f.terms)
-    rhs = Matrix(fld, rows, 1, tuple(f_terms.get(m, zero) for m in all_monos))
-    return solve(mat, rhs) is not None
+    monos = sorted({m for col in columns for m, _ in col}, key=GREVLEX.neg_key)
+    index = {m: i for i, m in enumerate(monos)}
+    pivots: dict = {}  # lead index -> the other terms of a monic pivot
+    for col in columns:
+        v = {index[m]: c for m, c in col}
+        lead = _top_reduce(v, pivots, p)
+        if lead is not None:
+            inv = fld.inv(v.pop(lead))
+            pivots[lead] = [(i, c * inv if p == 0 else c * inv % p) for i, c in v.items()]
+    target = {}
+    for m, c in f.terms:
+        if m not in index:
+            return False  # no column reaches this monomial
+        target[index[m]] = c
+    return _top_reduce(target, pivots, p) is None
+
+
+def _top_reduce(v: dict, pivots: dict, p: int):
+    """Subtract pivots from v (index -> coeff) while its lead, the least
+    index, is a pivot lead.  Returns the first lead that is not, or None
+    once v is zero."""
+    while v:
+        lead = min(v)
+        tail = pivots.get(lead)
+        if tail is None:
+            return lead
+        c = v.pop(lead)
+        for i, a in tail:
+            new = v.get(i, 0) - c * a
+            if p:
+                new %= p
+            if new:
+                v[i] = new
+            else:
+                v.pop(i, None)
+    return None

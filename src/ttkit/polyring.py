@@ -3,6 +3,7 @@
 Monomials are exponent tuples.  A `Poly` stores its terms sorted strictly
 descending under graded reverse lexicographic order; that is only a storage
 convention, every Groebner computation takes an explicit `MonomialOrder`.
+A product by a monomial keeps the storage order, so it is built unsorted.
 Division and Buchberger's algorithm run in the module engine of `polymod`,
 with an ideal as a rank-1 module.  Buchberger uses the two classical pair
 criteria (coprime leading terms and the chain criterion) and returns the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .errors import DomainMismatchError, ValidationError
@@ -53,6 +55,13 @@ def _grevlex_key(m: Monomial):
 
 def _neg_grevlex_key(m: Monomial):
     return (-sum(m), m[::-1])
+
+
+def _storage_terms(acc: dict) -> tuple:
+    """The nonzero terms of {monomial: coeff} in `Poly` storage order."""
+    keep = [m for m, c in acc.items() if c != 0]
+    keep.sort(key=_neg_grevlex_key)
+    return tuple((m, acc[m]) for m in keep)
 
 
 @dataclass(frozen=True)
@@ -175,12 +184,7 @@ class PolyRing:
                 raise ValidationError("monomial width does not match ring")
             prev = acc.get(mono)
             acc[mono] = f.add(prev, c) if prev is not None else c
-        cleaned = tuple(
-            (m, c)
-            for m, c in sorted(acc.items(), key=lambda t: _grevlex_key(t[0]), reverse=True)
-            if not f.is_zero(c)
-        )
-        return Poly(self, cleaned)
+        return Poly(self, _storage_terms(acc))
 
     def parse_poly(self, text: str) -> "Poly":
         return _parse_poly(self, text)
@@ -256,20 +260,27 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._match(other)
-        f = self.ring.field
+        p = self.ring.field.p
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial shift keeps the storage order, and no term cancels
+            ((mb, cb),) = b
+            if p == 0:
+                shifted = tuple((tuple(map(add, m, mb)), c * cb) for m, c in a)
+            else:
+                shifted = tuple((tuple(map(add, m, mb)), c * cb % p) for m, c in a)
+            return Poly(self.ring, shifted)
         acc: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                c = f.mul(c1, c2)
+        for m1, c1 in a:
+            for m2, c2 in b:
+                m = tuple(map(add, m1, m2))
                 prev = acc.get(m)
-                acc[m] = f.add(prev, c) if prev is not None else c
-        cleaned = tuple(
-            (m, c)
-            for m, c in sorted(acc.items(), key=lambda t: _grevlex_key(t[0]), reverse=True)
-            if not f.is_zero(c)
-        )
-        return Poly(self.ring, cleaned)
+                acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+        if p:
+            acc = {m: c % p for m, c in acc.items()}
+        return Poly(self.ring, _storage_terms(acc))
 
     __rmul__ = __mul__
 
@@ -476,10 +487,12 @@ def poly_divmod(f: Poly, divisors: Sequence[Poly], order: MonomialOrder):
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     if f.is_zero():
         return f
-    basis = [g for g in basis if not g.is_zero()]
+    from .polymod import ModuleOrder, vector_divmod
+
+    basis = [(g,) for g in basis if not g.is_zero()]
     if not basis:
         return f
-    return poly_divmod(f, basis, order)[1]
+    return vector_divmod((f,), basis, ModuleOrder(order), quotients=False)[1][0]
 
 
 def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:

@@ -36,6 +36,37 @@ def test_scalar_domain_checks():
         GF(5).check(7)  # out of range residue
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        (GF(5), True, "expected residue mod 5, got True"),
+        (QQ, 3, "expected rational scalar, got 3"),
+        (GF(5), 5, "expected residue mod 5, got 5"),
+        (GF(5), -1, "expected residue mod 5, got -1"),
+        (GF(5), Fraction(1, 2), "expected residue mod 5, got Fraction(1, 2)"),
+    ],
+)
+def test_matrix_rejects_each_bad_entry_kind(field, bad, message):
+    good = field.one()
+    for entries in ((bad, good, good, good), (good, good, good, bad)):
+        with pytest.raises(DomainMismatchError) as err:
+            Matrix(field, 2, 2, entries)
+        assert str(err.value) == message
+
+
+def test_matrix_from_rows_rejects_entries_outside_the_field():
+    # from_rows maps plain ints (and so bools) into the field first; what
+    # is left to reject is a scalar of the wrong kind.
+    with pytest.raises(DomainMismatchError) as err:
+        Matrix.from_rows(GF(5), [[1, Fraction(1, 2)], [0, 1]])
+    assert str(err.value) == "expected residue mod 5, got Fraction(1, 2)"
+    with pytest.raises(DomainMismatchError) as err:
+        Matrix.from_rows(QQ, [[Fraction(1), 0.5]])
+    assert str(err.value) == "expected rational scalar, got 0.5"
+    assert Matrix.from_rows(GF(5), [[True, 7, -1]]).entries == (1, 2, 4)
+    assert Matrix.from_rows(QQ, [[3]]).entries == (Fraction(3),)
+
+
 def test_mixed_field_matrix_ops_rejected():
     a = mat_q([[1]])
     b = Matrix.from_rows(GF(5), [[1]])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttkit import polymod
-from ttkit.fields import GF, QQ
+from ttkit.fields import GF, QQ, Matrix, solve
 from ttkit.polyring import (
     GREVLEX,
     LEX,
@@ -482,3 +482,98 @@ def test_bounded_membership_examples():
     assert bounded_membership(P("x^2 - y"), gens, 4)
     assert bounded_membership(P("x^2*y + x^2 - y^2 - y"), gens, 5)
     assert not bounded_membership(P("x"), gens, 6)
+
+
+def dense_bounded_membership(f, gens, degree_bound):
+    """The reference oracle: one dense `solve` on the whole Macaulay matrix,
+    rows the monomials (grevlex-descending), columns the products shift * g."""
+    ring = f.ring
+    fld = ring.field
+    columns = []
+    for g in gens:
+        if g.is_zero():
+            continue
+        gd = g.total_degree()
+        for shift_deg in range(degree_bound - gd + 1):
+            for shift in monomials_of_degree(ring, shift_deg):
+                columns.append(ring.monomial(shift) * g)
+    all_monos = sorted(
+        {m for p in columns + [f] for m, _ in p.terms}, key=GREVLEX.key, reverse=True
+    )
+    if not columns:
+        return f.is_zero()
+    rows = len(all_monos)
+    zero = fld.zero()
+    col_terms = [dict(col.terms) for col in columns]
+    ent = tuple(t.get(m, zero) for m in all_monos for t in col_terms)
+    mat = Matrix(fld, rows, len(columns), ent)
+    f_terms = dict(f.terms)
+    rhs = Matrix(fld, rows, 1, tuple(f_terms.get(m, zero) for m in all_monos))
+    return solve(mat, rhs) is not None
+
+
+@st.composite
+def membership_cases(draw):
+    """(f, gens, degree bound, kind) over QQ, GF(7) or GF(32003) in x, y, z.
+    A "member" f is sum(q_i g_i) with every deg(q_i g_i) <= the bound."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    if field.is_rational:
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Fraction)
+    else:
+        coeffs = st.integers(min_value=0, max_value=field.p - 1)
+
+    def poly(max_deg, max_terms, min_deg=0):
+        terms = []
+        for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+            d = draw(st.integers(min_value=min_deg, max_value=max_deg))
+            mono = draw(st.sampled_from(monomials_of_degree(ring, d)))
+            terms.append((mono, draw(coeffs)))
+        return ring.from_terms(terms)
+
+    bound = draw(st.integers(min_value=2, max_value=6))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        gens = [ring.zero()] * draw(st.integers(min_value=0, max_value=2))
+    else:
+        # no constant terms, so the ideal is proper and nonmembers are common
+        gens = [poly(3, 3, 1) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    kind = draw(st.sampled_from(["member", "perturbed", "random", "zero"]))
+    f = ring.zero()
+    if kind in ("member", "perturbed"):
+        for g in gens:
+            if not g.is_zero() and g.total_degree() <= bound:
+                f = f + poly(bound - g.total_degree(), 3) * g
+    if kind == "perturbed":
+        f = f + poly(bound, 1)
+    elif kind == "random":
+        f = poly(bound + 1, 4)
+    return f, gens, bound, kind
+
+
+@given(membership_cases())
+@settings(max_examples=200, deadline=None)
+def test_bounded_membership_matches_dense_oracle(case):
+    f, gens, bound, kind = case
+    verdict = bounded_membership(f, gens, bound)
+    assert verdict == dense_bounded_membership(f, gens, bound)
+    if kind in ("member", "zero"):
+        assert verdict
+
+
+def test_bounded_membership_bounds_on_the_twisted_cubic():
+    # (x^2 - y, x^3 - z) is the ideal of t -> (t, t^2, t^3); x*y - z needs
+    # q_i g_i up to degree 3, and y^3 - z^2 up to degree 5.
+    probes = [
+        ("x*y - z", 2, False), ("x*y - z", 3, True),
+        ("y^3 - z^2", 4, False), ("y^3 - z^2", 5, True),
+        ("x", 6, False), ("y - z", 6, False), ("z^2 - x*y", 6, False),
+    ]
+    for field in (QQ, GF(7), GF(32003)):
+        ring = PolyRing(field, ("x", "y", "z"))
+        gens = [ring.parse_poly("x^2 - y"), ring.parse_poly("x^3 - z")]
+        for text, bound, expected in probes:
+            f = ring.parse_poly(text)
+            assert bounded_membership(f, gens, bound) == expected
+            assert dense_bounded_membership(f, gens, bound) == expected
+        assert bounded_membership(ring.zero(), [ring.zero()], 2)
+        assert not bounded_membership(ring.one(), [ring.zero()], 2)

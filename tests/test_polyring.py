@@ -28,8 +28,10 @@ from ttkit.polyring import (
     ideal_quotient,
     normal_form,
     poly_divmod,
+    mono_mul,
     radical_equal,
     radical_member,
+    s_poly,
 )
 
 RXYZ = PolyRing(QQ, ("x", "y", "z"))
@@ -145,6 +147,61 @@ def test_ring_axioms_spotchecks(p, q):
     assert p + q == q + p
     assert p * q == q * p
     assert (p - q) + q == p
+
+
+@st.composite
+def products_with_a_monomial(draw):
+    """(one-term Poly, Poly, Poly) over QQ, GF(7) or GF(32003) in x, y, z."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    if field.is_rational:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(Fraction)
+    else:
+        coeffs = st.integers(min_value=0, max_value=field.p - 1)
+    monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+
+    def poly():
+        n = draw(st.integers(min_value=0, max_value=6))
+        return ring.from_terms([(draw(monos), draw(coeffs)) for _ in range(n)])
+
+    c = draw(coeffs.filter(lambda a: a != 0))
+    return ring.monomial(draw(monos), c), poly(), poly()
+
+
+@given(products_with_a_monomial())
+@settings(max_examples=150, deadline=None)
+def test_products_match_sorted_pairwise_products(case):
+    mono, p, q = case
+    ring = p.ring
+    f = ring.field
+
+    def pairwise(a, b):
+        return ring.from_terms(
+            (mono_mul(m1, m2), f.mul(c1, c2)) for m1, c1 in a.terms for m2, c2 in b.terms
+        )
+
+    for product, expected in (
+        (mono * p, pairwise(mono, p)),
+        (p * mono, pairwise(p, mono)),
+        (p * q, pairwise(p, q)),
+    ):
+        assert product == expected
+        keys = [GREVLEX.key(m) for m, _ in product.terms]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert all(not f.is_zero(c) for _, c in product.terms)
+
+
+def test_s_poly_pinned_values():
+    # lcm(x^2, xy) = x^2 y: y (x^2 - y) - x (xy - 1) = x - y^2.
+    assert s_poly(P("x^2 - y", RXY), P("x*y - 1", RXY), GREVLEX) == P("-y^2 + x", RXY)
+    # Over GF(7) with leads 3 and 2: 5y (3x^2 + y) - 4x (2xy + 1) = 5y^2 - 4x.
+    r7 = PolyRing(GF(7), ("x", "y"))
+    f, g = r7.parse_poly("3*x^2 + y"), r7.parse_poly("2*x*y + 1")
+    assert str(s_poly(f, g, GREVLEX)) == "5*y^2 + 3*x"
+    # Under lex the lead of x*z - y^2 is x*z: z (x^2 - y) - x (x*z - y^2).
+    h = s_poly(P("x^2 - y"), P("x*z - y^2"), LEX)
+    assert h == P("x*y^2 - y*z")
+    assert h.terms == (((1, 2, 0), 1), ((0, 1, 1), -1))
 
 
 # -- division and normal forms ------------------------------------------------------
