@@ -1,4 +1,4 @@
-"""Support data, the ideal lattice at support level, and the prime spectrum.
+"""Support data, thick-ideal classification at support level, and the prime spectrum.
 
 Objects live here only through their support profiles and the registered
 operation witnesses (sums, shifts, triangles, tensors).  The classification
@@ -183,82 +183,6 @@ def verify_support_datum(datum: SupportDatum) -> SupportReport:
     return SupportReport(tuple(verdicts))
 
 
-# -- thick tensor-ideal closure at support level ------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosureStage:
-    added: tuple
-    witnesses: tuple
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    subset: frozenset
-    members: tuple
-    stages: tuple
-
-    def describe(self) -> str:
-        lines = [f"closure sites: {sorted(self.subset)}"]
-        for n, stage in enumerate(self.stages):
-            for obj, why in zip(stage.added, stage.witnesses):
-                lines.append(f"  stage {n}: {obj} via {why}")
-        return "\n".join(lines)
-
-
-def tt_closure(datum: SupportDatum, seed_ids: Sequence[str]) -> ClosureResult:
-    """Support shadow of the thick tensor ideal generated by the seeds.
-
-    The resulting subset is the specialization closure of the union of the
-    seed supports; the stages record which registered witnesses were
-    absorbed while saturating, so the trace doubles as a certificate.
-    """
-    datum.validate()
-    for obj in seed_ids:
-        datum.profile(obj)
-    space = datum.space
-    members = []
-    for obj in seed_ids:
-        if obj not in members:
-            members.append(obj)
-    stages = [ClosureStage(tuple(members),
-                           tuple("seed" for _ in members))]
-    target = space.closure_of(
-        frozenset().union(*[datum.profile(o) for o in members])
-        if members else frozenset())
-    while True:
-        added, why = [], []
-
-        def absorb(obj, reason):
-            if obj not in members and obj not in added:
-                added.append(obj)
-                why.append(reason)
-
-        have = set(members)
-        for a, b, c in datum.sums:
-            if a in have and b in have:
-                absorb(c, f"sum({a}, {b})")
-            if c in have:
-                absorb(a, f"summand of {c}")
-                absorb(b, f"summand of {c}")
-        for a, shifted in datum.shifts:
-            if a in have:
-                absorb(shifted, f"shift of {a}")
-            if shifted in have:
-                absorb(a, f"unshift of {shifted}")
-        for a, b, c in datum.triangles:
-            if a in have and b in have:
-                absorb(c, f"cone over ({a}, {b})")
-        for a, b, c in datum.tensors:
-            if a in have or b in have:
-                absorb(c, f"tensor({a}, {b})")
-        if not added:
-            break
-        members.extend(added)
-        stages.append(ClosureStage(tuple(added), tuple(why)))
-    return ClosureResult(target, tuple(members), tuple(stages))
-
-
 # -- classification -------------------------------------------------------------------------
 
 
@@ -330,18 +254,6 @@ def check_classification(datum: SupportDatum) -> ClassificationReport:
         if theta(datum, eta(datum, shadow)) != shadow:
             match = False
     return ClassificationReport(tuple(rows), match)
-
-
-def ideal_lattice(datum: SupportDatum) -> tuple:
-    """The realized lattice: every specialization-closed subset with its shadow.
-
-    Closed under union and intersection by construction; listed smallest
-    first so inclusions run down the page.
-    """
-    out = []
-    for subset in datum.space.all_specialization_closed_subsets():
-        out.append((_ordered(datum.space, subset), theta(datum, subset)))
-    return tuple(out)
 
 
 # -- the spectrum ----------------------------------------------------------------------------

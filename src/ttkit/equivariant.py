@@ -131,16 +131,6 @@ def fixed_locus(act: RingAction, h_indices: Sequence[int]) -> ClosedSet:
     return ClosedSet(act.ring, tuple(gens))
 
 
-def free_locus(act: RingAction) -> list:
-    """Excluded closed sets: the fixed locus of each nonidentity element."""
-    out = []
-    for a in range(act.group.order):
-        if a == act.group.identity:
-            continue
-        out.append(fixed_locus(act, _closure_of_element(act.group, a)))
-    return out
-
-
 def _closure_of_element(group: FiniteGroup, a: int) -> tuple:
     seen = [group.identity]
     cur = a
@@ -517,22 +507,6 @@ def cyclic_equivariant(act: RingAction, ideal_gens: Sequence[Poly]) -> Equivaria
     return em
 
 
-def equivariant_from_matrices(act: RingAction, mod: PresentedModule,
-                              mats: Sequence[Matrix]) -> EquivariantModule:
-    """Constant action matrices on generators (a representation twist)."""
-    rho = []
-    for a in range(act.group.order):
-        m = mats[a]
-        cols = tuple(
-            tuple(act.ring.const(m.at(i, j)) for i in range(mod.rank))
-            for j in range(mod.rank)
-        )
-        rho.append(cols)
-    em = EquivariantModule(act, mod, tuple(rho))
-    em.validate()
-    return em
-
-
 def twist_by_character(em: EquivariantModule, values: Sequence) -> EquivariantModule:
     """Scale the action of each group element by a degree-one character."""
     fld = em.action.ring.field
@@ -657,15 +631,6 @@ def complex_to_module(ec: EquivariantComplex) -> EquivariantModule:
 def module_support(mod: PresentedModule) -> ClosedSet:
     ann = annihilator(mod)
     return ClosedSet(mod.ring, tuple(ann))
-
-
-def support_is_stable(em: EquivariantModule) -> bool:
-    ann = annihilator(em.module)
-    for a in range(em.action.group.order):
-        moved = [em.action.apply(a, f) for f in ann]
-        if not radical_equal(moved, ann):
-            return False
-    return True
 
 
 # -- pullback and invariants ------------------------------------------------------------

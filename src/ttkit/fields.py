@@ -219,10 +219,6 @@ class Matrix:
                 out.append(acc)
         return Matrix(f, self.rows, other.cols, tuple(out))
 
-    def transpose(self) -> "Matrix":
-        ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, ent)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         self._match(other)
         if self.rows != other.rows:
@@ -248,23 +244,6 @@ class Matrix:
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.entries == other.entries
         )
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, blocks ordered by this matrix's entries."""
-        self._match(other)
-        f = self.field
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        ent = [f.zero()] * (rows * cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.at(i, j)
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        ent[(i * other.rows + k) * cols + j * other.cols + l] = f.mul(
-                            a, other.at(k, l)
-                        )
-        return Matrix(f, rows, cols, tuple(ent))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -23,7 +23,6 @@ from .polyring import (
     ideal_contains_radical,
     ideal_is_proper,
     ideal_product,
-    ideal_sum,
     radical_equal,
     radical_member,
     ring_with_prefix,
@@ -79,10 +78,6 @@ def closed_union(c: ClosedSet, d: ClosedSet) -> ClosedSet:
     if c.is_whole() or d.is_whole():
         return ClosedSet.whole(c.ring)
     return ClosedSet(c.ring, tuple(ideal_product(list(c.generators), list(d.generators))))
-
-
-def closed_intersection(c: ClosedSet, d: ClosedSet) -> ClosedSet:
-    return ClosedSet(c.ring, tuple(ideal_sum(list(c.generators), list(d.generators))))
 
 
 def closed_union_all(ring: PolyRing, parts: Iterable[ClosedSet]) -> ClosedSet:
@@ -349,11 +344,6 @@ class SiteSpace:
                 out.append(subset)
         out.sort(key=lambda s: (len(s), tuple(sorted(s))))
         return out
-
-
-def specialization_closure(space: SiteSpace, labels: Iterable[str]) -> frozenset:
-    """Smallest specialization-closed set of sites containing the input."""
-    return space.closure_of(labels)
 
 
 # -- images of closed sets under ring maps ---------------------------------------------

@@ -10,8 +10,9 @@ degree-one irreducibles get theirs from the character values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
@@ -244,13 +245,6 @@ class CharacterTable:
         except ValueError:
             raise ValidationError(f"unknown irreducible {name!r}") from None
 
-    def trivial_name(self) -> str:
-        one = self.field.one()
-        for k, chi in enumerate(self.values):
-            if all(v == one for v in chi):
-                return self.names[k]
-        raise ValidationError("table has no trivial character")
-
     def forms_for(self, name: str) -> tuple:
         """Matrix realization of an irreducible; degree-one ones are derived
         from the character values."""
@@ -314,15 +308,6 @@ def _inv_order(fld: Field, n: int):
     return fld.inv(fld.from_int(n))
 
 
-def reynolds(rep: Representation) -> Matrix:
-    """Averaging projector onto the fixed subspace."""
-    fld = rep.field
-    acc = Matrix.zero(fld, rep.dim, rep.dim)
-    for m in rep.matrices:
-        acc = acc.add(m)
-    return acc.scale(_inv_order(fld, rep.group.order))
-
-
 def isotypic_projector(rep: Representation, table: CharacterTable, name: str) -> Matrix:
     if table.group is not rep.group and table.group != rep.group:
         raise DomainMismatchError("character table for a different group")
@@ -336,17 +321,6 @@ def isotypic_projector(rep: Representation, table: CharacterTable, name: str) ->
         acc = acc.add(rep.matrices[a].scale(coeff))
     scale = fld.mul(fld.from_int(table.degrees[k]), _inv_order(fld, g.order))
     return acc.scale(scale)
-
-
-def fixed_space_basis(rep: Representation) -> list:
-    """Basis vectors of the common fixed space, as column tuples."""
-    fld = rep.field
-    blocks = [m.sub(Matrix.identity(fld, rep.dim)) for m in rep.matrices]
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.vstack(b)
-    ker = kernel_basis(stacked)
-    return [tuple(ker.at(i, j) for i in range(rep.dim)) for j in range(ker.cols)]
 
 
 @dataclass(frozen=True)
@@ -421,13 +395,6 @@ def _hom_fixed_basis(rep: Representation, forms: tuple, fld: Field) -> list:
     return out
 
 
-def _vector_kron(fld: Field, vecs: Sequence[Sequence]) -> list:
-    out = [fld.one()]
-    for v in vecs:
-        out = [fld.mul(a, b) for a in out for b in v]
-    return out
-
-
 def trivial_summand_witness(rep: Representation, v: Sequence) -> tuple:
     """Fixed nonzero tensor in the |G|-th tensor power built from v.
 
@@ -467,16 +434,17 @@ def trivial_summand_witness(rep: Representation, v: Sequence) -> tuple:
             f"tensor power dimension {n}^{k} exceeds the desk-scale bound"
         )
 
-    total = [fld.zero()] * (n ** k)
-    count = 0
-    for sigma in permutations(range(k)):
-        term = _vector_kron(fld, [orbit[sigma[j]] for j in range(k)])
-        total = [fld.add(a, b) for a, b in zip(total, term)]
-        count += 1
-    inv = fld.inv(fld.from_int(count))
-    w = tuple(fld.mul(inv, c) for c in total)
-    if all(fld.is_zero(c) for c in w):
-        raise PreconditionError("symmetrized tensor vanished unexpectedly")
+    # At an index tuple with multiset alpha the symmetrization is
+    # alpha!/k! [t^alpha] prod: as sigma runs over S_k, each rearrangement
+    # of the tuple occurs alpha! times.
+    inv = fld.inv(fld.from_int(math.factorial(k)))
+    coeffs = dict(prod.terms)
+    w = []
+    for idx in product(range(n), repeat=k):
+        alpha = tuple(idx.count(i) for i in range(n))
+        weight = fld.mul(fld.from_int(math.prod(map(math.factorial, alpha))), inv)
+        w.append(fld.mul(weight, coeffs.get(alpha, fld.zero())))
+    w = tuple(w)
     for a in range(g.order):
         if _apply_tensor_power(rep, a, w) != w:
             raise ValidationError("witness is not fixed by the group")

@@ -82,16 +82,6 @@ def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero() for x in a)
 
 
-def vec_combination(cols: Sequence[Vector], coeffs: Sequence[Poly]) -> Vector:
-    if not cols:
-        raise ValidationError("empty column list in combination")
-    out = zero_vector(cols[0][0].ring, len(cols[0]))
-    for c, col in zip(coeffs, cols):
-        if not c.is_zero():
-            out = vec_add(out, vec_scale(c, col))
-    return out
-
-
 def _lead(v: Vector, order: ModuleOrder):
     """Leading (position, monomial) of a nonzero vector, and its coefficient."""
     for pos, p in enumerate(v):
@@ -118,7 +108,7 @@ def vector_divmod(
 
     The first basis vector whose lead divides wins, so the output is
     deterministic in the order given.  At rank 1 this is multivariate
-    polynomial division (`polyring.poly_divmod`).
+    polynomial division.
 
     Heap-ordered division, after Monagan and Pearce (J. Symbolic Comput.
     46, 2011): the terms still to divide sit in a dict, and a min-heap on

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, ValidationError
-from .geometry import ClosedSet, closed_union, closed_union_all
+from .geometry import ClosedSet, closed_union_all
 from .polyring import Poly, PolyRing
 from .polymod import (
     ModuleMap,
@@ -26,15 +26,12 @@ from .polymod import (
     annihilator,
     cohomology,
     direct_sum,
-    map_is_isomorphism,
-    module_tensor,
     submodule_lift,
     submodule_presentation,
     unit_vector,
     vec_add,
     vec_scale,
     vec_sub,
-    vec_is_zero,
     zero_vector,
 )
 
@@ -205,21 +202,6 @@ def zero_supermodule(alg: SuperAlgebra) -> SuperModule:
     z = PresentedModule.zero(alg.base)
     actions = tuple((i, s, ()) for i in (0, 1) for s in alg.nonempty_subsets())
     return SuperModule(alg, z, z, actions)
-
-
-def i_rd(alg: SuperAlgebra, n: PresentedModule) -> SuperModule:
-    """The even-concentrated module (N, 0) with all odd scalars acting by zero."""
-    if n.ring != alg.base:
-        raise DomainMismatchError("module must live over the base ring")
-    z = PresentedModule.zero(alg.base)
-    actions = []
-    for i in (0, 1):
-        for s in alg.nonempty_subsets():
-            src = n if i == 0 else z
-            tgt = n if (i + len(s)) % 2 == 0 else z
-            cols = tuple(zero_vector(alg.base, tgt.rank) for _ in range(src.rank))
-            actions.append((i, s, cols))
-    return SuperModule(alg, n, z, tuple(actions))
 
 
 def ring_supermodule(alg: SuperAlgebra) -> SuperModule:
@@ -446,172 +428,6 @@ class SuperMap:
     def is_zero_map(self) -> bool:
         return self.even.is_zero_map() and self.odd.is_zero_map()
 
-    def is_isomorphism(self) -> bool:
-        return map_is_isomorphism(self.even) and map_is_isomorphism(self.odd)
-
-
-# -- tensor product ---------------------------------------------------------------------
-
-
-def tensor_blocks(parity: int) -> tuple:
-    """Component pairs feeding the given parity, in fixed order."""
-    return ((0, 0), (1, 1)) if parity == 0 else ((0, 1), (1, 0))
-
-
-def _block_layout(m: SuperModule, n: SuperModule, parity: int):
-    """(block list, offsets, total rank) for the tensor component."""
-    blocks = tensor_blocks(parity)
-    offsets = []
-    total = 0
-    for i, j in blocks:
-        offsets.append(total)
-        total += m.component(i).rank * n.component(j).rank
-    return blocks, offsets, total
-
-
-def tensor_index(m: SuperModule, n: SuperModule, parity: int,
-                 i: int, j: int, p: int, q: int) -> int:
-    blocks, offsets, _ = _block_layout(m, n, parity)
-    for b, (bi, bj) in enumerate(blocks):
-        if (bi, bj) == (i % 2, j % 2):
-            return offsets[b] + p * n.component(j).rank + q
-    raise ValidationError("component pair does not land in this parity")
-
-
-def koszul_tensor(m: SuperModule, n: SuperModule) -> SuperModule:
-    """M (x) N over the superalgebra, with odd scalars moved by the sign rule.
-
-    Components are direct sums of componentwise tensors; relations add the
-    moves (theta u) (x) v = (-1)^{|u|} u (x) (theta v) for each single odd
-    generator, which generate all scalar moves.  Actions go through the
-    left factor.
-    """
-    if m.algebra != n.algebra:
-        raise DomainMismatchError("tensor over different superalgebras")
-    alg = m.algebra
-    ring = alg.base
-
-    comps = {}
-    for parity in (0, 1):
-        blocks, offsets, total = _block_layout(m, n, parity)
-        base = None
-        for i, j in blocks:
-            piece = module_tensor(m.component(i), n.component(j))
-            base = piece if base is None else direct_sum(base, piece)
-        if base is None:
-            base = PresentedModule.zero(ring)
-        rels = list(base.relations)
-        for i, j in tensor_blocks(1 - parity):
-            sign = ring.one() if i % 2 == 0 else -ring.one()
-            for t in range(alg.odd_rank):
-                mcols = m.action_columns(i, (t,))
-                ncols = n.action_columns(j, (t,))
-                for p in range(m.component(i).rank):
-                    for q in range(n.component(j).rank):
-                        rel = [ring.zero()] * total
-                        for k, c in enumerate(mcols[p]):
-                            if not c.is_zero():
-                                idx = tensor_index(m, n, parity, i + 1, j, k, q)
-                                rel[idx] = rel[idx] + c
-                        for l, c in enumerate(ncols[q]):
-                            if not c.is_zero():
-                                idx = tensor_index(m, n, parity, i, j + 1, p, l)
-                                rel[idx] = rel[idx] - sign * c
-                        if not vec_is_zero(rel):
-                            rels.append(tuple(rel))
-        comps[parity] = PresentedModule(ring, total, tuple(rels))
-
-    actions = []
-    for parity in (0, 1):
-        blocks, offsets, total = _block_layout(m, n, parity)
-        for s in alg.nonempty_subsets():
-            tparity = (parity + len(s)) % 2
-            _, _, ttotal = _block_layout(m, n, tparity)
-            cols = []
-            for i, j in blocks:
-                mcols = m.action_columns(i, s)
-                for p in range(m.component(i).rank):
-                    for q in range(n.component(j).rank):
-                        col = [ring.zero()] * ttotal
-                        for k, c in enumerate(mcols[p]):
-                            if not c.is_zero():
-                                idx = tensor_index(m, n, tparity, i + len(s), j, k, q)
-                                col[idx] = col[idx] + c
-                        cols.append(tuple(col))
-            actions.append((parity, s, tuple(cols)))
-    return SuperModule(alg, comps[0], comps[1], tuple(actions))
-
-
-def unit_isomorphism(m: SuperModule) -> SuperMap:
-    """M (x) R -> M sending u (x) theta_S to (-1)^{|u| |S|} theta_S u."""
-    alg = m.algebra
-    ring = alg.base
-    r = ring_supermodule(alg)
-    src = koszul_tensor(m, r)
-    bases = (alg.basis(0), alg.basis(1))
-    parts = []
-    for parity in (0, 1):
-        blocks, _, _ = _block_layout(m, r, parity)
-        tgt = m.component(parity)
-        cols = []
-        for i, j in blocks:
-            for p in range(m.component(i).rank):
-                for s in bases[j]:
-                    img = m.apply_word(i, s, unit_vector(ring, m.component(i).rank, p))
-                    if (i % 2) * (len(s) % 2) == 1:
-                        img = tuple(-q for q in img)
-                    cols.append(img)
-        parts.append(ModuleMap(src.component(parity), tgt, tuple(cols)))
-    return SuperMap(src, m, parts[0], parts[1])
-
-
-def parity_shift_isomorphism(m: SuperModule, n: SuperModule) -> SuperMap:
-    """(Pi M) (x) N -> Pi(M (x) N); the sign tracks the right-factor parity."""
-    alg = m.algebra
-    ring = alg.base
-    src = koszul_tensor(parity_change(m), n)
-    tgt = parity_change(koszul_tensor(m, n))
-    pm = parity_change(m)
-    parts = []
-    for parity in (0, 1):
-        blocks, _, _ = _block_layout(pm, n, parity)
-        cols = []
-        for i, j in blocks:
-            # generator (p, q) of (Pi M)^i (x) N^j is (p, q) of M^{1-i} (x) N^j,
-            # which sits in (M (x) N)^{1 - parity} = target parity component
-            for p in range(pm.component(i).rank):
-                for q in range(n.component(j).rank):
-                    col = [ring.zero()] * tgt.component(parity).rank
-                    idx = tensor_index(m, n, 1 - parity, i + 1, j, p, q)
-                    col[idx] = -ring.one() if j % 2 == 1 else ring.one()
-                    cols.append(tuple(col))
-        parts.append(ModuleMap(src.component(parity), tgt.component(parity),
-                               tuple(cols)))
-    return SuperMap(src, tgt, parts[0], parts[1])
-
-
-def right_shift_isomorphism(m: SuperModule, n: SuperModule) -> SuperMap:
-    """M (x) (Pi N) -> Pi(M (x) N); no sign is needed on this side."""
-    alg = m.algebra
-    ring = alg.base
-    pn = parity_change(n)
-    src = koszul_tensor(m, pn)
-    tgt = parity_change(koszul_tensor(m, n))
-    parts = []
-    for parity in (0, 1):
-        blocks, _, _ = _block_layout(m, pn, parity)
-        cols = []
-        for i, j in blocks:
-            for p in range(m.component(i).rank):
-                for q in range(pn.component(j).rank):
-                    col = [ring.zero()] * tgt.component(parity).rank
-                    idx = tensor_index(m, n, 1 - parity, i, j + 1, p, q)
-                    col[idx] = ring.one()
-                    cols.append(tuple(col))
-        parts.append(ModuleMap(src.component(parity), tgt.component(parity),
-                               tuple(cols)))
-    return SuperMap(src, tgt, parts[0], parts[1])
-
 
 # -- complexes ----------------------------------------------------------------------------
 
@@ -831,14 +647,6 @@ def cone_supercomplex(src: SuperComplex, tgt: SuperComplex,
 # -- supports ----------------------------------------------------------------------------
 
 
-def support_super(m: SuperModule) -> ClosedSet:
-    """Union of the component supports; V of the intersected annihilators."""
-    ring = m.algebra.base
-    se = ClosedSet(ring, tuple(annihilator(m.even)))
-    so = ClosedSet(ring, tuple(annihilator(m.odd)))
-    return closed_union(se, so)
-
-
 def supph_super(c: SuperComplex) -> ClosedSet:
     """Union over degrees and parities of the cohomology supports."""
     ring = c.algebra.base
@@ -849,17 +657,6 @@ def supph_super(c: SuperComplex) -> ClosedSet:
             h = cohomology(pc, i)
             parts.append(ClosedSet(ring, tuple(annihilator(h))))
     return closed_union_all(ring, parts)
-
-
-def vanishes_at_site(m: SuperModule, site) -> bool:
-    from .geometry import site_in_closed
-
-    ring = m.algebra.base
-    if site.ring != ring:
-        raise DomainMismatchError("site over a different ring")
-    se = ClosedSet(ring, tuple(annihilator(m.even)))
-    so = ClosedSet(ring, tuple(annihilator(m.odd)))
-    return not site_in_closed(site, se) and not site_in_closed(site, so)
 
 
 # -- the odd-generator filtration ---------------------------------------------------------

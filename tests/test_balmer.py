@@ -6,31 +6,24 @@ computed from Koszul complexes through the same machinery.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ttkit.balmer import (
-    ClosureResult,
-    SpcSpace,
     SupportDatum,
     SupportProfile,
     build_spc,
     check_classification,
     check_homeomorphism,
     eta,
-    ideal_lattice,
     induced_site_map,
     induced_spc_map,
     realize_subset,
     theta,
-    tt_closure,
     verify_support_datum,
 )
 from ttkit.errors import DomainMismatchError, PreconditionError, ValidationError
 from ttkit.fields import QQ
-from ttkit.geometry import PrimeSite, SiteSpace, closed_equal
+from ttkit.geometry import PrimeSite, SiteSpace
 from ttkit.polyring import PolyRing
-from ttkit.polymod import PresentedModule
 from ttkit.supermod import (
     SuperAlgebra,
     koszul_complex_super,
@@ -39,7 +32,6 @@ from ttkit.supermod import (
     supph_super,
     tensor_supercomplexes,
     direct_sum_supercomplex,
-    ring_supermodule,
     zero_supermodule,
 )
 
@@ -185,70 +177,6 @@ def test_duplicate_registration_rejected():
         SupportDatum(space, "unit", "zero", objs).validate()
 
 
-# -- closure -----------------------------------------------------------------------------
-
-
-def test_closure_of_zero_is_empty():
-    result = tt_closure(sierpinski_datum(), ["zero"])
-    assert result.subset == frozenset()
-
-
-def test_closure_of_unit_is_everything():
-    datum = sierpinski_datum()
-    result = tt_closure(datum, ["unit"])
-    assert result.subset == frozenset(datum.space.labels())
-    # the unit absorbs sky through the registered tensor witness
-    assert "sky" in result.members
-
-
-def test_closure_of_skyscraper_is_its_point():
-    result = tt_closure(sierpinski_datum(), ["sky"])
-    assert result.subset == frozenset({"closed"})
-
-
-def test_closure_trace_names_witnesses():
-    space = sierpinski()
-    objs = (SupportProfile("zero", frozenset()),
-            SupportProfile("unit", frozenset(space.labels())),
-            SupportProfile("sky", frozenset({"closed"})))
-    datum = SupportDatum(space, "unit", "zero", objs,
-                         tensors=(("unit", "sky", "sky"),))
-    result = tt_closure(datum, ["unit"])
-    text = result.describe()
-    assert "tensor(unit, sky)" in text
-    assert "seed" in text
-    assert "sky" in result.members
-
-
-def test_closure_absorbs_summands_and_shifts():
-    datum = sierpinski_datum()
-    result = tt_closure(datum, ["sky"])
-    # shift witness (sky, sky1) pulls in sky1; sum (zero, sky, sky) frees zero
-    assert "sky1" in result.members
-    assert "zero" in result.members
-
-
-@given(st.data())
-@settings(max_examples=25, deadline=None)
-def test_closure_laws(data):
-    datum = line_datum()
-    ids = list(datum.labels())
-    seed = data.draw(st.sets(st.sampled_from(ids), max_size=4))
-    extra = data.draw(st.sets(st.sampled_from(ids), max_size=2))
-    small = tt_closure(datum, sorted(seed))
-    union = frozenset()
-    for obj in seed:
-        union |= datum.profile(obj)
-    # extensive at support level
-    assert union <= small.subset
-    # monotone
-    big = tt_closure(datum, sorted(seed | extra))
-    assert small.subset <= big.subset
-    # idempotent: closing the members again adds no sites
-    again = tt_closure(datum, list(small.members))
-    assert again.subset == small.subset
-
-
 # -- classification ------------------------------------------------------------------------
 
 
@@ -290,13 +218,6 @@ def test_classification_exhaustive_on_the_line():
     assert report.passed
     # 8 subsets of the closed points plus the whole space
     assert len(report.rows) == 9
-
-
-def test_ideal_lattice_is_ordered_smallest_first():
-    rows = ideal_lattice(line_datum())
-    sizes = [len(subset) for subset, _ in rows]
-    assert sizes == sorted(sizes)
-    assert rows[0][1] == ("zero",)
 
 
 def test_realize_subset_returns_the_witness():

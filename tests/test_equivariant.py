@@ -16,7 +16,7 @@ from ttkit.errors import (
     ValidationError,
 )
 from ttkit.fields import GF, QQ, Matrix, kernel_basis
-from ttkit.geometry import ClosedSet, closed_contains, closed_equal
+from ttkit.geometry import ClosedSet, closed_equal
 from ttkit.grouprep import (
     c2_character_table,
     c3_character_table,
@@ -29,10 +29,11 @@ from ttkit.polymod import (
     ModuleMap,
     PresentedComplex,
     PresentedModule,
+    annihilator,
     graded_dim,
     monomials_of_degree,
 )
-from ttkit.polyring import PolyRing
+from ttkit.polyring import PolyRing, radical_equal
 from ttkit.equivariant import (
     EquivariantComplex,
     EquivariantModule,
@@ -42,9 +43,7 @@ from ttkit.equivariant import (
     cyclic_equivariant,
     direct_sum_equivariant,
     equivariant_cohomology,
-    equivariant_from_matrices,
     fixed_locus,
-    free_locus,
     identity_rho,
     invariant_generators,
     invariant_space_basis,
@@ -57,7 +56,6 @@ from ttkit.equivariant import (
     restrict_to_trivial_group,
     restriction_of_scalars,
     ring_as_equivariant,
-    support_is_stable,
     support_reduction,
     tower,
     trivial_action,
@@ -99,6 +97,18 @@ def scaled_line_action():
     act = RingAction(grp, ring, mats)
     act.validate()
     return act
+
+
+def equivariant_from_matrices(act, mod, mats):
+    """Constant action matrices on generators (a representation twist)."""
+    rho = tuple(
+        tuple(tuple(act.ring.const(m.at(i, j)) for i in range(mod.rank))
+              for j in range(mod.rank))
+        for m in mats
+    )
+    em = EquivariantModule(act, mod, rho)
+    em.validate()
+    return em
 
 
 def fixed_dim_oracle(act, d):
@@ -193,15 +203,6 @@ def test_fixed_locus_of_the_swap_is_the_diagonal():
     x, y = act.ring.var("x"), act.ring.var("y")
     fl = fixed_locus(act, (0, 1))
     assert closed_equal(fl, ClosedSet(act.ring, (x - y,)))
-
-
-def test_free_locus_lists_one_stratum_per_nonidentity_element():
-    act = scaled_line_action()
-    strata = free_locus(act)
-    assert len(strata) == 2
-    x = act.ring.var("x")
-    for c in strata:
-        assert closed_equal(c, ClosedSet(act.ring, (x,)))
 
 
 def test_pointwise_stabilizer_on_the_plane():
@@ -306,7 +307,10 @@ def test_stable_ideal_produces_a_valid_module():
     x = act.ring.var("x")
     em = cyclic_equivariant(act, [x**3 - act.ring.one()])
     em.validate()
-    assert support_is_stable(em)
+    # every group element moves the annihilator to an ideal with the same radical
+    ann = annihilator(em.module)
+    for a in range(act.group.order):
+        assert radical_equal([act.apply(a, f) for f in ann], ann)
 
 
 def test_character_twist_keeps_the_cocycle():

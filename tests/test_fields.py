@@ -178,14 +178,6 @@ def test_fp_rank_against_row_span_enumeration(pm):
     assert len(vectors) == p ** rank(m)
 
 
-def test_kron_shape_and_values():
-    a = mat_q([[1, 2]])
-    b = mat_q([[3], [4]])
-    k = a.kron(b)
-    assert (k.rows, k.cols) == (2, 2)
-    assert k.at(0, 0) == 3 and k.at(1, 1) == 8
-
-
 # -- sparse pivot-row elimination against the dense reference ----------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ttkit import geometry
 from ttkit.errors import ValidationError
-from ttkit.fields import GF, QQ
+from ttkit.fields import GF
 from ttkit.geometry import (
     ClosedSet,
     PrimeSite,
@@ -19,12 +19,10 @@ from ttkit.geometry import (
     check_univariate_irreducible,
     closed_contains,
     closed_equal,
-    closed_intersection,
     closed_union,
     image_closed_under_map,
     site_in_closed,
     site_specializes,
-    specialization_closure,
 )
 from ttkit.polyring import PolyRing, radical_equal
 
@@ -49,11 +47,6 @@ class TestClosedSets:
         x, y = A2.gens()
         u = closed_union(ClosedSet(A2, (x,)), ClosedSet(A2, (y,)))
         assert closed_equal(u, ClosedSet(A2, (x * y,)))
-
-    def test_intersection_is_sum(self):
-        x, y = A2.gens()
-        i = closed_intersection(ClosedSet(A2, (x,)), ClosedSet(A2, (y,)))
-        assert closed_equal(i, ClosedSet(A2, (x, y)))
 
     def test_whole_and_empty(self):
         assert ClosedSet.whole(A1).is_whole()
@@ -241,9 +234,9 @@ class TestSiteSpaces:
     @settings(max_examples=25, deadline=None)
     def test_closure_operator_laws(self, labels):
         sp = a2_space()
-        cl = specialization_closure(sp, labels)
+        cl = sp.closure_of(labels)
         assert labels <= cl
-        assert specialization_closure(sp, cl) == cl
+        assert sp.closure_of(cl) == cl
         assert sp.is_specialization_closed(cl)
 
 

@@ -4,11 +4,14 @@ Derived expectations and their oracles:
   - fixed spaces are brute-forced by enumerating all vectors over F_7
   - isotypic ranks come from the character inner product
     m = (1/|G|) sum chi(g^{-1}) trace rho(g), rank = degree * m
-  - witness tensors for C2 are small enough to freeze entry by entry
+  - witness tensors for C2 are small enough to freeze entry by entry, and
+    every witness is checked against the sum over all k! orderings of the
+    orbit's Kronecker product
 """
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,14 +28,13 @@ from ttkit.grouprep import (
     canonical_decompose,
     cyclic_group,
     find_cube_root,
-    fixed_space_basis,
     isotypic_projector,
     perm_cycle_name,
     regular_representation,
     representation_from_forms,
-    reynolds,
     s3_character_table,
     s3_group,
+    _inv_order,
     trivial_summand_witness,
 )
 
@@ -133,6 +135,15 @@ def c2_sign_rep(fld):
         g, fld,
         [Matrix.identity(fld, 1), Matrix.from_rows(fld, [[fld.neg(fld.one())]])],
     )
+
+
+def reynolds(rep):
+    """Averaging projector onto the fixed subspace: the trivial isotypic projector."""
+    fld = rep.field
+    acc = Matrix.zero(fld, rep.dim, rep.dim)
+    for m in rep.matrices:
+        acc = acc.add(m)
+    return acc.scale(_inv_order(fld, rep.group.order))
 
 
 class TestReynolds:
@@ -324,6 +335,44 @@ class TestTrivialSummandWitness:
         with pytest.raises(DomainMismatchError):
             trivial_summand_witness(rep, (f.one(),) * 6)
 
-    def test_fixed_space_basis_matches_reynolds_rank(self):
-        rep = regular_representation(s3_group(), QQ)
-        assert len(fixed_space_basis(rep)) == rank(reynolds(rep))
+
+def symmetrized_orbit_oracle(rep, v):
+    """The witness as a permutation sum: (1/k!) sum over sigma in S_k of the
+    Kronecker product of the orbit vectors taken in the order sigma."""
+    fld, k = rep.field, rep.group.order
+    orbit = [rep.apply(a, v) for a in range(k)]
+    total = [fld.zero()] * (rep.dim ** k)
+    for sigma in permutations(range(k)):
+        term = [fld.one()]
+        for j in sigma:
+            term = [fld.mul(a, b) for a in term for b in orbit[j]]
+        total = [fld.add(a, b) for a, b in zip(total, term)]
+    inv = fld.inv(fld.from_int(math.factorial(k)))
+    return tuple(fld.mul(inv, c) for c in total)
+
+
+WITNESS_REPS = (
+    ("c2-sign", c2_sign_rep),
+    ("c2-regular", lambda f: regular_representation(cyclic_group(2), f)),
+    ("c3-regular", lambda f: regular_representation(cyclic_group(3), f)),
+    ("c4-regular", lambda f: regular_representation(cyclic_group(4), f)),
+    ("s3-standard", lambda f: representation_from_forms(
+        s3_group(), f, list(s3_character_table(f).forms_for("std")))),
+)
+
+
+@given(st.sampled_from(WITNESS_REPS), st.sampled_from([QQ, GF(7), GF(11)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_witness_matches_the_permutation_sum(case, fld, data):
+    _, build = case
+    rep = build(fld)
+    v = tuple(fld.from_int(c) for c in data.draw(
+        st.lists(st.integers(-3, 3), min_size=rep.dim, max_size=rep.dim)))
+    if all(fld.is_zero(c) for c in v):
+        with pytest.raises(PreconditionError):
+            trivial_summand_witness(rep, v)
+        return
+    w = trivial_summand_witness(rep, v)
+    want = symmetrized_orbit_oracle(rep, v)
+    assert w == want
+    assert [type(c) for c in w] == [type(c) for c in want]

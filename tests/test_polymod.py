@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +38,9 @@ from ttkit.polymod import (
     submodule_presentation,
     syzygy_basis,
     unit_vector,
-    vec_combination,
+    vec_add,
     vec_is_zero,
+    vec_scale,
     vector_divmod,
     vector_normal_form,
     zero_vector,
@@ -56,6 +56,14 @@ def P(t, ring=RXY):
 
 def V(*texts, ring=RXY):
     return tuple(ring.parse_poly(t) for t in texts)
+
+
+def vec_combination(cols, coeffs):
+    """sum_k coeffs[k] * cols[k]: what a syzygy kills and a lift rebuilds."""
+    out = zero_vector(cols[0][0].ring, len(cols[0]))
+    for c, col in zip(coeffs, cols):
+        out = vec_add(out, vec_scale(c, col))
+    return out
 
 
 # -- syzygies ------------------------------------------------------------------

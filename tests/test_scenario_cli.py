@@ -149,6 +149,33 @@ def test_bad_polynomial_carries_its_json_path():
     assert "$.queries[0].args.generators[0]" in str(info.value)
 
 
+def _c2_line_with(edit):
+    from importlib import resources
+
+    doc = json.loads(resources.files("ttkit").joinpath(
+        "scenarios", "c2_line.json").read_text())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, field, path", [
+    (lambda d: d["queries"][0]["args"].update(generators=["x^2 - 1/0"]),
+     None, "$.queries[0].args.generators[0]"),
+    (lambda d: d["action"].update(generator_matrices=[[["1/0"]]]),
+     None, "$.action.generator_matrices[0][0][0]"),
+    (lambda d: d["queries"][0]["args"].update(generators=["x^2 - 1/7"]),
+     "Fp:7", "$.queries[0].args.generators[0]"),
+], ids=["generator-over-Q", "matrix-entry-over-Q", "generator-over-F7"])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, edit, field, path):
+    p = tmp_path / "zero_denominator.json"
+    p.write_text(json.dumps(_c2_line_with(edit)))
+    argv = ["run", str(p)] + (["--field", field] if field else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert path in err and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def load_scenario_text(doc):
     from ttkit.scenario import parse_scenario
 
