@@ -36,6 +36,18 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+def _degree_bound(text: str) -> int:
+    """A degree bound of at least 1; 0 and below would read as unset in some
+    queries and as a real bound in others."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("scenario",
                      help="scenario file path or bundled scenario name")
@@ -43,8 +55,9 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
                      help="override the scenario field ('Q' or 'Fp:<p>')")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed recorded in the report (default 0)")
-    sub.add_argument("--degree-bound", type=int, default=None,
-                     help="default degree bound for bounded computations")
+    sub.add_argument("--degree-bound", type=_degree_bound, default=None,
+                     help="default degree bound for bounded computations "
+                          "(at least 1)")
     sub.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                      help="also write the machine report to PATH")
     sub.add_argument("--strict", action="store_true",

@@ -50,7 +50,8 @@ from .supermod import (
     scalar_supermap,
     shift_supercomplex,
     single_supercomplex,
-    supph_super,
+    supph_sites,
+    supph_super,  # unused here; the benchmark's tracer self-test checks this binding
     tensor_supercomplexes,
     zero_supermodule,
 )
@@ -532,8 +533,7 @@ class _DatumRegistry:
         if not cx.is_perfect():
             raise ValidationError(f"corpus object {cid!r} lost its free shapes")
         self.complexes[cid] = cx
-        sites = self.space.sites_in_closed(supph_super(cx))
-        self.profiles.append(SupportProfile(cid, frozenset(sites)))
+        self.profiles.append(SupportProfile(cid, supph_sites(cx, self.space)))
         return cid
 
     def add_sum(self, cid: str, a: str, b: str) -> str:

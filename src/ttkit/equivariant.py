@@ -578,12 +578,6 @@ class EquivariantComplex:
         idx = i - self.complex.start
         return EquivariantModule(self.action, self.complex.modules[idx], self.rhos[idx])
 
-    @staticmethod
-    def single(em: EquivariantModule, degree: int = 0) -> "EquivariantComplex":
-        return EquivariantComplex(
-            em.action, PresentedComplex.single(em.module, degree), (em.rho,)
-        )
-
 
 def equivariant_cohomology(ec: EquivariantComplex, i: int) -> EquivariantModule:
     """H^i with the induced action, via lifting cocycle generators."""

@@ -5,7 +5,9 @@ radical.  A site is a chosen prime with a label; site spaces are finite,
 explicitly declared collections of sites carrying the specialization
 order q below p iff I_p lies in rad(I_q).  Sites of kind `declared` carry
 their primality as an input assumption (the equivariant examples use
-orbit ideals there); the two checkable kinds are validated.
+orbit ideals there); the two checkable kinds are validated.  Whatever the
+kind, `is_certified_prime` proves primality from the generators in the
+cheap cases, which is what lets supports be read off fibre ranks.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class ClosedSet:
 
     def is_whole(self) -> bool:
         return all(g.is_zero() for g in self.generators)
-
-    def is_empty(self) -> bool:
-        """Whether the defining ideal is the unit ideal."""
-        return not ideal_is_proper(list(self.generators))
 
     def describe(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "0"
@@ -253,6 +251,26 @@ class PrimeSite:
         return ClosedSet(self.ring, self.generators)
 
 
+def is_certified_prime(site: PrimeSite) -> bool:
+    """Whether the site's ideal is prime by a check on its generators.
+
+    Certified are the zero ideal, a proper ideal generated in total degree
+    at most 1 (its quotient is a polynomial ring), and a
+    `principal-irreducible` site whose generator passes
+    `check_univariate_irreducible`.  The kind alone certifies nothing.
+    """
+    gens = [g for g in site.generators if not g.is_zero()]
+    if all(g.total_degree() <= 1 for g in gens):
+        return ideal_is_proper(gens)
+    if site.kind != "principal-irreducible" or len(gens) != 1:
+        return False
+    try:
+        check_univariate_irreducible(gens[0])
+    except ValidationError:
+        return False
+    return True
+
+
 def site_in_closed(site: PrimeSite, c: ClosedSet) -> bool:
     """Whether the site's point lies in V(I_c): I_c inside rad(I_site)."""
     if site.ring != c.ring:
@@ -310,11 +328,6 @@ class SiteSpace:
             del _SPEC_MAP_CACHE[next(iter(_SPEC_MAP_CACHE))]
         _SPEC_MAP_CACHE[self] = out
         return out
-
-    def specializations(self, label: str) -> frozenset:
-        """Labels of sites in the closure of the given site."""
-        self.site(label)
-        return self.specialization_map()[label]
 
     def closure_of(self, labels: Iterable[str]) -> frozenset:
         spec = self.specialization_map()

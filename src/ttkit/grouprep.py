@@ -103,9 +103,6 @@ class FiniteGroup:
             if not any(self.table[a][b] == self.identity for b in range(n)):
                 raise ValidationError(f"{self.names[a]} has no inverse")
 
-    def multiply(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inverse(self, a: int) -> int:
         for b in range(self.order):
             if self.table[a][b] == self.identity:

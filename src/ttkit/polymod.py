@@ -644,10 +644,6 @@ class PresentedComplex:
             return self.maps[k]
         return None
 
-    @staticmethod
-    def single(mod: PresentedModule, degree: int = 0) -> "PresentedComplex":
-        return PresentedComplex(mod.ring, degree, (mod,), ())
-
 
 def cohomology_with_lifts(c: PresentedComplex, i: int):
     """H^i(c) as (module, kernel generator lifts in the degree-i free)."""

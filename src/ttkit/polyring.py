@@ -99,9 +99,6 @@ class MonomialOrder:
         k = self.block_size
         return (_neg_grevlex_key(m[:k]), _neg_grevlex_key(m[k:]))
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
@@ -213,13 +210,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(mono_deg(m) == 0 for m, _ in self.terms)
 
-    def coeff_of(self, mono: Monomial):
-        mono = tuple(mono)
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return self.ring.field.zero()
-
     def __add__(self, other):
         if isinstance(other, int):
             other = self.ring.from_int(other)
@@ -296,12 +286,6 @@ class Poly:
         if order.kind == "grevlex":
             return self.terms[0]  # the storage order
         return max(self.terms, key=lambda t: order.key(t[0]))
-
-    def monic(self, order: MonomialOrder) -> "Poly":
-        if not self.terms:
-            return self
-        _, c = self.leading(order)
-        return self.scale(self.ring.field.inv(c))
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Evaluate at variable images, which live in the images' ring."""

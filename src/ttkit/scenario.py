@@ -67,6 +67,7 @@ from .supermod import (
     koszul_complex_super,
     shift_supercomplex,
     single_supercomplex,
+    supph_sites,
     supph_super,
     tensor_supercomplexes,
     zero_supermodule,
@@ -769,7 +770,7 @@ def _run_spc(scn: Scenario, q: Query, options: RunOptions) -> QueryResult:
         if not cx.is_perfect():
             return QueryResult(q.label, q.op, "error",
                                (f"object {oid!r} is not visibly perfect",))
-        profiles.append(SupportProfile(oid, space.sites_in_closed(supph_super(cx))))
+        profiles.append(SupportProfile(oid, supph_sites(cx, space)))
     datum = SupportDatum(
         space, a["unit"], a["zero"], tuple(profiles),
         tensors=tuple(tuple(t) for t in a.get("tensors", ())),

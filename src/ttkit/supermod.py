@@ -17,8 +17,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, ValidationError
-from .geometry import ClosedSet, closed_union_all
-from .polyring import Poly, PolyRing
+from .geometry import (
+    ClosedSet,
+    PrimeSite,
+    SiteSpace,
+    closed_union_all,
+    is_certified_prime,
+    site_in_closed,
+)
+from .polyring import GREVLEX, GroebnerBasis, Poly, PolyRing, buchberger
 from .polymod import (
     ModuleMap,
     PresentedComplex,
@@ -657,6 +664,100 @@ def supph_super(c: SuperComplex) -> ClosedSet:
             h = cohomology(pc, i)
             parts.append(ClosedSet(ring, tuple(annihilator(h))))
     return closed_union_all(ring, parts)
+
+
+# Groebner bases of certified prime sites, None for every other site; past
+# the bound the oldest entry goes first.
+_SITE_GB_CACHE: dict = {}
+_SITE_GB_CACHE_MAX = 1024
+
+
+def _site_basis(site: PrimeSite) -> Optional[GroebnerBasis]:
+    if site in _SITE_GB_CACHE:
+        return _SITE_GB_CACHE[site]
+    basis = None
+    if is_certified_prime(site):
+        gens = [g for g in site.generators if not g.is_zero()]
+        basis = GroebnerBasis(site.ring, GREVLEX, tuple(buchberger(gens)))
+    while len(_SITE_GB_CACHE) >= _SITE_GB_CACHE_MAX:
+        del _SITE_GB_CACHE[next(iter(_SITE_GB_CACHE))]
+    _SITE_GB_CACHE[site] = basis
+    return basis
+
+
+def _fibre_rank(columns, basis: GroebnerBasis) -> int:
+    """Rank over Frac(A/p), p the ideal of the basis, of the matrix with
+    these columns.
+
+    Fraction-free elimination on normal forms modulo p: A/p is a domain, so
+    scaling a row by a nonzero pivot keeps its span over the fraction field.
+    The pivot of least degree is made monic first, which keeps a constant
+    pivot from growing the other rows at all.
+    """
+    nf = basis.normal_form
+    rows = [row for row in ([nf(e) for e in col] for col in columns)
+            if any(not e.is_zero() for e in row)]
+    rank = 0
+    while rows:
+        _, _, i, j = min((e.total_degree(), len(e.terms), i, j)
+                         for i, row in enumerate(rows)
+                         for j, e in enumerate(row) if not e.is_zero())
+        pivot_row = rows.pop(i)
+        _, lead = pivot_row[j].leading(GREVLEX)
+        inv = pivot_row[j].ring.field.inv(lead)
+        pivot_row = [e.scale(inv) for e in pivot_row]
+        pivot = pivot_row[j]
+        rest = []
+        for row in rows:
+            a = row[j]
+            if not a.is_zero():
+                row = [nf(pivot * e - a * f) for e, f in zip(row, pivot_row)]
+            if any(not e.is_zero() for e in row):
+                rest.append(row)
+        rows = rest
+        rank += 1
+    return rank
+
+
+def _fibre_is_exact(c: SuperComplex, basis: GroebnerBasis) -> bool:
+    """Whether rank C_i = rank d_i + rank d_(i-1) over Frac(A/p) for every
+    parity and degree i."""
+    for parity in (0, 1):
+        ranks = [_fibre_rank((f.even if parity == 0 else f.odd).columns, basis)
+                 for f in c.maps]
+        for k, term in enumerate(c.terms):
+            out_rank = ranks[k] if k < len(ranks) else 0
+            in_rank = ranks[k - 1] if k > 0 else 0
+            if term.component(parity).rank != out_rank + in_rank:
+                return False
+    return True
+
+
+def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
+    """Labels of the sites of the space that lie in supph_super(c).
+
+    A bounded complex of free A-modules is exact at a prime p iff its fibre
+    C (x) k(p) is exact (Buchsbaum-Eisenbud, J. Algebra 25, 1973).  So at a
+    certified prime site of a perfect complex, membership means some parity
+    and degree i with rank C_i - rank d_i - rank d_(i-1) nonzero over
+    Frac(A/p).  Every other site falls back on site_in_closed with
+    supph_super(c), computed at most once.
+    """
+    if space.ring != c.algebra.base:
+        raise DomainMismatchError("site space and complex over different rings")
+    supp = None
+    out = set()
+    for site in space.sites:
+        basis = _site_basis(site) if c.is_perfect() else None
+        if basis is None:
+            if supp is None:
+                supp = supph_super(c)
+            inside = site_in_closed(site, supp)
+        else:
+            inside = not _fibre_is_exact(c, basis)
+        if inside:
+            out.add(site.label)
+    return frozenset(out)
 
 
 # -- the odd-generator filtration ---------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Every public top-level definition in `src/ttkit` has a caller outside the tests.
+"""Every public top-level definition and public method in `src/ttkit` has a
+caller outside the tests.
 
 The roots are the command line (`cli`), the module-level statements of
 every ttkit module (imports aside), and the `scripts/*.py` and `bench/*.py`
-programs (`bench/test_bench.py` aside).  A top-level `def` or `class` is
-reachable when a root or the body of a reachable definition uses its name,
-as a bare name or as an attribute.  Names are matched by spelling alone,
-so the walk can only over-approximate what is reachable: a name it reports
-is used by nothing that the roots reach.
+programs (`bench/test_bench.py` aside).  A top-level `def` or `class`, or a
+method other than a dunder, is reachable when a root or the body of a
+reachable definition uses its name, as a bare name or as an attribute.
+Names are matched by spelling alone, so the walk can only over-approximate
+what is reachable: a name it reports is used by nothing that the roots
+reach.
 """
 
 import ast
@@ -15,7 +17,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ttkit"
 
-# Public definitions kept although no root reaches them, with the reason.
+# Public definitions kept although no root reaches them, with the reason;
+# a method is keyed as "Class.method".
 KEEP = {
     "s_poly": "the benchmark's per-layer metric polyring.s_poly.calls needs "
               "a public function to wrap",
@@ -38,20 +41,46 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_method(node: ast.AST) -> bool:
+    return (isinstance(node, FUNCTIONS)
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
 def _reachability():
-    """(module, name) of every public top-level definition, and the names reached."""
+    """(module, qualified name, name) of every public definition, and the names reached.
+
+    A method is reached by its own name, like a function; the rest of its
+    class (bases, decorators, fields and dunder methods, which run
+    implicitly) is reached with the class.
+    """
     bodies = {}      # name -> names its definitions use
-    defined = []     # (module, name) of every public top-level definition
+    defined = []     # (module, qualified name, name) of every public definition
     roots = set()
     for path in sorted(SRC.glob("*.py")):
         tree = _parse(path)
         if path.stem == "cli":
             roots |= _used_names(tree)
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bodies.setdefault(stmt.name, set()).update(_used_names(stmt))
+            if isinstance(stmt, FUNCTIONS + (ast.ClassDef,)):
+                parts = [stmt]
+                if isinstance(stmt, ast.ClassDef):
+                    parts = stmt.bases + stmt.keywords + stmt.decorator_list
+                    for item in stmt.body:
+                        if not _is_method(item):
+                            parts.append(item)
+                            continue
+                        bodies.setdefault(item.name, set()).update(_used_names(item))
+                        if not item.name.startswith("_"):
+                            defined.append((path.stem, f"{stmt.name}.{item.name}",
+                                            item.name))
+                used = bodies.setdefault(stmt.name, set())
+                for part in parts:
+                    used.update(_used_names(part))
                 if not stmt.name.startswith("_"):
-                    defined.append((path.stem, stmt.name))
+                    defined.append((path.stem, stmt.name, stmt.name))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _used_names(stmt)
     programs = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("bench/*.py"))
@@ -71,12 +100,13 @@ def _reachability():
 
 def test_every_public_definition_is_reachable_or_kept():
     defined, reached = _reachability()
-    assert [(mod, name) for mod, name in defined
-            if name not in reached and name not in KEEP] == []
+    assert [(mod, qualname) for mod, qualname, name in defined
+            if name not in reached and qualname not in KEEP] == []
 
 
 def test_every_kept_name_is_defined_and_unreached():
     # A kept name that gains a caller, or loses its definition, leaves the list.
     defined, reached = _reachability()
-    assert set(KEEP) <= {name for _, name in defined}
-    assert not set(KEEP) & reached
+    kept = {qualname: name for _, qualname, name in defined if qualname in KEEP}
+    assert set(kept) == set(KEEP)
+    assert not set(kept.values()) & reached

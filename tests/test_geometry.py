@@ -21,6 +21,7 @@ from ttkit.geometry import (
     closed_equal,
     closed_union,
     image_closed_under_map,
+    is_certified_prime,
     site_in_closed,
     site_specializes,
 )
@@ -49,13 +50,13 @@ class TestClosedSets:
         assert closed_equal(u, ClosedSet(A2, (x * y,)))
 
     def test_whole_and_empty(self):
+        empty = ClosedSet.empty(A1)
         assert ClosedSet.whole(A1).is_whole()
-        assert ClosedSet.empty(A1).is_empty()
-        assert not ClosedSet.empty(A1).is_whole()
+        assert not empty.is_whole()
         x = A1.var("x")
         # V(x) cup V(x-1) neither whole nor empty
         u = closed_union(ClosedSet(A1, (x,)), ClosedSet(A1, (x - 1,)))
-        assert not u.is_whole() and not u.is_empty()
+        assert not u.is_whole() and not closed_contains(empty, u)
 
     def test_union_against_point_oracle(self):
         x, y = A2.gens()
@@ -130,6 +131,26 @@ class TestPrimeSites:
         with pytest.raises(ValidationError):
             PrimeSite("p", A1, (), "open")
 
+    @pytest.mark.parametrize("ring, text, kind, certified", [
+        (A1, "", "declared", True),                      # the zero ideal
+        (A1, "0", "declared", True),
+        (A1, "x - 2", "declared", True),
+        (A2, "x, y", "declared", True),
+        (A2, "x + y - 2", "declared", True),
+        (A2, "x - 1, y - 1", "rational-point", True),
+        (A1, "x^2 + 1", "principal-irreducible", True),
+        (PolyRing.parse("Fp:7[x,y]"), "x^2 + 1", "principal-irreducible", True),
+        (A1, "x^2 + 1", "declared", False),              # not principal-irreducible
+        (A1, "x^2 - 1", "principal-irreducible", False),  # reducible
+        (A2, "x*y - 1", "principal-irreducible", False),  # no certificate
+        (A1, "x, x - 1", "declared", False),             # linear but the unit ideal
+        (A1, "1", "declared", False),
+    ])
+    def test_certified_primes_are_read_off_the_generators(self, ring, text, kind,
+                                                           certified):
+        gens = tuple(ring.parse_poly(t) for t in text.split(",")) if text else ()
+        assert is_certified_prime(PrimeSite("p", ring, gens, kind)) == certified
+
     def test_membership_matches_evaluation(self):
         x, y = A2.gens()
         site = PrimeSite("p", A2, (x - 1, y - 2), "rational-point")
@@ -180,16 +201,18 @@ class TestSiteSpaces:
     def test_specialization_order_on_line(self):
         sp = a1_space()
         sp.validate()
-        assert sp.specializations("eta") == {"eta", "origin", "one"}
-        assert sp.specializations("origin") == {"origin"}
+        spec = sp.specialization_map()
+        assert spec["eta"] == {"eta", "origin", "one"}
+        assert spec["origin"] == {"origin"}
         assert not site_specializes(sp.site("origin"), sp.site("one"))
 
     def test_specialization_order_on_plane(self):
         sp = a2_space()
         sp.validate()
-        assert sp.specializations("x-axis") == {"x-axis", "origin"}
-        assert sp.specializations("parabola") == {"parabola", "origin", "(2,4)"}
-        assert sp.specializations("y-axis") == {"y-axis", "origin"}
+        spec = sp.specialization_map()
+        assert spec["x-axis"] == {"x-axis", "origin"}
+        assert spec["parabola"] == {"parabola", "origin", "(2,4)"}
+        assert spec["y-axis"] == {"y-axis", "origin"}
 
     def test_specialization_map_cache_evicts_oldest_past_its_bound(self, monkeypatch):
         monkeypatch.setattr(geometry, "_SPEC_MAP_CACHE", {})

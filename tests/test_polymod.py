@@ -108,8 +108,8 @@ def _bounded_kernel_vectors(cols, rank, ring, degree_bound):
         for em in eq_monos:
             row = []
             for (j, m) in unknowns:
-                prod = ring.monomial(m) * cols[j][pos]
-                row.append(prod.coeff_of(em))
+                prod = dict((ring.monomial(m) * cols[j][pos]).terms)
+                row.append(prod.get(em, ring.field.zero()))
             rows.append(row)
     mat = Matrix.from_rows(ring.field, rows)
     kb = kernel_basis(mat)
@@ -198,7 +198,7 @@ def max_term_division(v, basis, order):
             continue
         lp, lm = leads[hit]
         qm = mono_div(mono, lm)
-        qc = fld.div(c, basis[hit][lp].coeff_of(lm))
+        qc = fld.mul(c, fld.inv(dict(basis[hit][lp].terms)[lm]))
         quots[hit].append((qm, qc))
         for bpos, bp in enumerate(basis[hit]):
             for bm, bc in bp.terms:

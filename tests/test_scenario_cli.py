@@ -138,6 +138,20 @@ def test_unknown_scenario_name_is_an_input_error(capsys):
     assert "no_such_scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_degree_bound_below_one_is_an_input_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "c2_line", f"--degree-bound={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--degree-bound" in captured.err and captured.out == ""
+
+
+def test_a_positive_degree_bound_is_used(capsys):
+    assert main(["run", "c2_line", "--degree-bound=3"]) == 0
+    assert "result: PASS (7/7 queries)" in capsys.readouterr().out
+
+
 def test_bad_polynomial_carries_its_json_path():
     with pytest.raises(ScenarioError) as info:
         load_scenario_text({

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkit import supermod
 from ttkit.corpus import _random_free_complex
 from ttkit.errors import ValidationError
 from ttkit.fields import GF, QQ
 from ttkit.geometry import (
     ClosedSet,
+    PrimeSite,
+    SiteSpace,
     closed_contains,
     closed_equal,
     closed_union,
@@ -46,6 +49,7 @@ from ttkit.supermod import (
     scalar_supermap,
     shift_supercomplex,
     single_supercomplex,
+    supph_sites,
     supph_super,
     tensor_supercomplexes,
     wedge,
@@ -249,7 +253,7 @@ def test_koszul_on_a_unit_is_exact(line):
     ring, alg = line
     k = koszul_complex_super(alg, [ring.one()])
     k.validate()
-    assert supph_super(k).is_empty()
+    assert closed_equal(supph_super(k), ClosedSet.empty(ring))
 
 
 def test_supph_is_shift_invariant(plane2):
@@ -294,7 +298,7 @@ def test_tensor_of_disjoint_supports_is_exact(line):
         koszul_complex_super(alg, [x - ring.one()]),
     )
     t.validate()
-    assert supph_super(t).is_empty()
+    assert closed_equal(supph_super(t), ClosedSet.empty(ring))
 
 
 def test_cone_of_identity_is_exact(line):
@@ -304,7 +308,7 @@ def test_cone_of_identity_is_exact(line):
     ident = [scalar_supermap(alg, (1, 0), ring.one()) for _ in k.terms]
     c = cone_supercomplex(k, k, ident)
     c.validate()
-    assert supph_super(c).is_empty()
+    assert closed_equal(supph_super(c), ClosedSet.empty(ring))
 
 
 def test_cone_supph_inside_union(line):
@@ -502,3 +506,146 @@ def test_everything_over_a_finite_field():
     k.validate()
     assert closed_equal(supph_super(k),
                         ClosedSet(ring, (x * x * x - ring.one(),)))
+
+
+# -- fibre ranks against the cohomology path ---------------------------------------------------
+
+
+def _line_setting(fld):
+    ring = PolyRing(fld, ("x",))
+    x = ring.var("x")
+    sites = (PrimeSite("origin", ring, (x,)), PrimeSite("one", ring, (x - 1,)),
+             PrimeSite("minus", ring, (x + 1,)), PrimeSite("two", ring, (x - 2,)),
+             PrimeSite("i", ring, (x * x + 1,), "principal-irreducible"),
+             PrimeSite("generic", ring, ()))
+    pool = (x, x - 1, x + 1, x - 2, x * x + 1)
+    return SuperAlgebra(ring, 1), SiteSpace(ring, sites), pool, (x, x - 1, x + 1)
+
+
+def _plane_setting(fld):
+    ring = PolyRing(fld, ("x", "y"))
+    x, y = ring.gens()
+    sites = (PrimeSite("xline", ring, (x,)), PrimeSite("yline", ring, (y,)),
+             PrimeSite("diagonal", ring, (x - y,)),
+             PrimeSite("origin", ring, (x, y)), PrimeSite("point", ring, (x - 1, y - 1)),
+             PrimeSite("i", ring, (x * x + 1,), "principal-irreducible"),
+             PrimeSite("generic", ring, ()))
+    pool = (x, y, x - 1, y - 1, x - y, x * x + 1)
+    return SuperAlgebra(ring, 2), SiteSpace(ring, sites), pool, (x, y, x - y)
+
+
+def _random_perfect_complex(alg, pool, free_pool, rng, depth):
+    """A seeded perfect complex: a random free map, a Koszul complex of
+    products of pool elements, or a sum, shift, cone or tensor of such."""
+    kinds = ("free", "koszul") + (("sum", "shift", "cone", "tensor") if depth else ())
+    kind = rng.choice(kinds)
+    if kind == "free":
+        return _random_free_complex(alg, rng, free_pool)
+    if kind == "koszul":
+        elements = []
+        for _ in range(rng.choice((1, 1, 2))):
+            f = rng.choice(pool)
+            if rng.random() < 0.4:
+                f = f * rng.choice(pool)
+            elements.append(f)
+        return koszul_complex_super(alg, elements)
+    a = _random_perfect_complex(alg, pool, free_pool, rng, depth - 1)
+    if kind == "shift":
+        return shift_supercomplex(a, rng.choice((-1, 1, 2)))
+    if kind == "cone":
+        g = rng.choice(pool + (alg.base.one(),))
+        maps = [scalar_supermap(alg, shape, g) for shape in a.free_shapes]
+        return cone_supercomplex(a, a, maps)
+    b = _random_perfect_complex(alg, pool, free_pool, rng, depth - 1)
+    if kind == "sum":
+        return direct_sum_supercomplex(a, b)
+    return tensor_supercomplexes(a, b)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("setting", [_line_setting, _plane_setting],
+                         ids=["line", "plane"])
+@given(seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=15, deadline=None)
+def test_fibre_ranks_match_the_cohomology_support(fld, setting, seed):
+    alg, space, pool, free_pool = setting(fld)
+    cx = _random_perfect_complex(alg, pool, free_pool, random.Random(seed), 2)
+    assert supph_sites(cx, space) == space.sites_in_closed(supph_super(cx))
+
+
+def test_fibre_ranks_see_odd_entries(line):
+    ring, alg = line
+    x = ring.var("x")
+    space = SiteSpace(ring, (PrimeSite("origin", ring, (x,)),
+                             PrimeSite("one", ring, (x - 1,)),
+                             PrimeSite("generic", ring, ())))
+    for cx in _odd_entry_complexes(alg, (x, x - 1, x + 1), 6):
+        assert supph_sites(cx, space) == space.sites_in_closed(supph_super(cx))
+
+
+@pytest.fixture
+def supph_spy(monkeypatch):
+    """Counts the calls of supph_super made through the supermod module."""
+    calls = []
+    real = supermod.supph_super
+
+    def spy(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(supermod, "supph_super", spy)
+    return calls
+
+
+def test_uncertified_sites_fall_back_on_cohomology_once_per_complex(line, supph_spy):
+    ring, alg = line
+    x = ring.var("x")
+    space = SiteSpace(ring, (PrimeSite("origin", ring, (x,)),
+                             PrimeSite("i", ring, (x * x + 1,)),  # declared: uncertified
+                             PrimeSite("i2", ring, (x * x + 4,)),
+                             PrimeSite("generic", ring, ())))
+    complexes = [koszul_complex_super(alg, [f])
+                 for f in (x, x * x + 1, x * (x * x + 4), ring.one())]
+    complexes.append(direct_sum_supercomplex(complexes[1], complexes[2]))
+    for cx in complexes:
+        want = space.sites_in_closed(supph_super(cx))
+        supph_spy.clear()
+        assert supph_sites(cx, space) == want
+        assert len(supph_spy) == 1
+
+
+def test_certified_sites_never_build_cohomology(line, supph_spy):
+    ring, alg = line
+    x = ring.var("x")
+    space = SiteSpace(ring, (PrimeSite("origin", ring, (x,)),
+                             PrimeSite("i", ring, (x * x + 1,), "principal-irreducible"),
+                             PrimeSite("generic", ring, ())))
+    k = koszul_complex_super(alg, [x * (x * x + 1)])
+    assert supph_sites(k, space) == {"origin", "i"}
+    assert supph_sites(shift_supercomplex(k, 1), space) == {"origin", "i"}
+    assert supph_sites(koszul_complex_super(alg, []), space) == set(space.labels())
+    assert supph_spy == []
+
+
+def test_complexes_without_free_shapes_use_cohomology(line, supph_spy):
+    ring, alg = line
+    x = ring.var("x")
+    space = SiteSpace(ring, (PrimeSite("origin", ring, (x,)),
+                             PrimeSite("one", ring, (x - 1,)),
+                             PrimeSite("generic", ring, ())))
+    m = i_rd(alg, PresentedModule(ring, 1, ((x - 1,),)))
+    assert supph_sites(single_supercomplex(m), space) == {"one"}
+    assert len(supph_spy) == 1
+
+
+def test_site_basis_cache_evicts_oldest_past_its_bound(line, monkeypatch):
+    ring, alg = line
+    x = ring.var("x")
+    monkeypatch.setattr(supermod, "_SITE_GB_CACHE", {})
+    monkeypatch.setattr(supermod, "_SITE_GB_CACHE_MAX", 2)
+    sites = [PrimeSite(f"p{k}", ring, (x - k,)) for k in range(4)]
+    k2 = koszul_complex_super(alg, [x - 2])
+    for site in sites:
+        assert supph_sites(k2, SiteSpace(ring, (site,))) == (
+            {"p2"} if site.label == "p2" else set())
+    assert list(supermod._SITE_GB_CACHE) == sites[2:]  # the two oldest are gone
