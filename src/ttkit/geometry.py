@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
@@ -133,40 +133,82 @@ def _gcd(a: int, b: int) -> int:
 
 
 def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+# Dense polynomials over F_p as coefficient lists, constant term first and
+# no trailing zero; [] is the zero polynomial.
+
+
+def _fp_trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_rem(a: list, m: list, p: int) -> list:
+    """a mod m, for m nonzero."""
+    a = _fp_trim([c % p for c in a])
+    inv = pow(m[-1], p - 2, p)
+    dm = len(m) - 1
+    while len(a) > dm:
+        factor = a[-1] * inv % p
+        shift = len(a) - 1 - dm
+        for i, c in enumerate(m):
+            a[shift + i] = (a[shift + i] - factor * c) % p
+        _fp_trim(a)
+    return a
+
+
+def _fp_mulmod(a: list, b: list, m: list, p: int) -> list:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _fp_rem(prod, m, p)
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+    return a
 
 
 def _fp_irreducible(coeffs, p: int) -> bool:
-    """Trial division by all monic polynomials of degree up to deg/2."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] % p == 0:
-        coeffs.pop()
-    deg = len(coeffs) - 1
+    """Distinct-degree test: f of degree d over F_p is irreducible iff
+    gcd(f, x^(p^k) - x) = 1 for every k <= d/2, since x^(p^k) - x is the
+    product of the monic irreducibles of degree dividing k.  Each
+    x^(p^k) mod f is the p-th power of the last, by repeated squaring."""
+    f = _fp_trim([c % p for c in coeffs])
+    deg = len(f) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-
-    def poly_mod(num, den):
-        num = list(num)
-        dd = len(den) - 1
-        inv = pow(den[-1], p - 2, p)
-        while len(num) - 1 >= dd and any(num):
-            shift = len(num) - 1 - dd
-            factor = num[-1] * inv % p
-            for i, c in enumerate(den):
-                num[shift + i] = (num[shift + i] - factor * c) % p
-            while num and num[-1] == 0:
-                num.pop()
-            if not num:
-                return []
-        return num
-
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            den = list(tail) + [1]
-            if not poly_mod(coeffs, den):
-                return False
+    x = [0, 1]  # x mod f, as deg f >= 2
+    h = x
+    for _ in range(deg // 2):
+        power, e, h = h, p, [1]
+        while e:  # h = power^p mod f
+            if e & 1:
+                h = _fp_mulmod(h, power, f, p)
+            power = _fp_mulmod(power, power, f, p)
+            e >>= 1
+        diff = _fp_trim([(u - v) % p for u, v in zip_longest(h, x, fillvalue=0)])
+        if len(_fp_gcd(f, diff, p)) > 1:
+            return False
     return True
 
 

@@ -9,6 +9,14 @@ engine: `polyring.buchberger` runs an ideal through it as a rank-1 module.
 The chain criterion prunes S-pairs at every rank; the coprime-lead
 criterion holds only for ideals, so it is applied at rank 1 alone.
 
+Division is done by reducers: vectors prepared once, with their lead
+found, and run through the one division loop that S-vectors,
+interreduction and `vector_divmod` share.  The loop has two scalar modes,
+chosen by the reducer.  A monic reducer takes field steps in the field's
+arithmetic.  Over QQ, untracked Groebner runs keep primitive integer
+reducers and take pseudo-steps, so only integers occur (Becker and
+Weispfenning, Groebner Bases, GTM 141, 1993, section 10.1).
+
 Conventions: a `PresentedModule` is coker of its relation columns; maps of
 presented modules are matrices on generators, validated to send relations
 into relations.
@@ -17,7 +25,9 @@ into relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Optional, Sequence
 
@@ -82,23 +92,178 @@ def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero() for x in a)
 
 
-def _lead(v: Vector, order: ModuleOrder):
-    """Leading (position, monomial) of a nonzero vector, and its coefficient."""
-    for pos, p in enumerate(v):
-        if p.terms:
-            mono, c = p.leading(order.ring_order)
-            return (pos, mono), c
-    raise ValidationError("zero vector has no leading term")
-
-
-def _monic(v: Vector, order: ModuleOrder):
-    """(v scaled to lead coefficient 1, its lead term, the scale factor)."""
-    lt, lc = _lead(v, order)
-    inv = v[0].ring.field.inv(lc)
-    return tuple(p.scale(inv) for p in v), lt, inv
-
-
 # -- module division and Groebner bases -----------------------------------------
+
+
+def _lead_first(v: Vector, order: ModuleOrder) -> list:
+    """The (pos, mono, c) terms of a vector, its leading term first."""
+    terms = [(pos, m, c) for pos, q in enumerate(v) for m, c in q.terms]
+    if terms and order.ring_order.kind != "grevlex":  # else the storage order has it first
+        lpos, nkey = terms[0][0], order.ring_order.neg_key
+        k = min((nkey(m), i) for i, (pos, m, _) in enumerate(terms) if pos == lpos)[1]
+        terms.insert(0, terms.pop(k))
+    return terms
+
+
+class _Reducers:
+    """Vectors prepared once for division, and the one division loop.
+
+    A reducer is (lead (pos, mono), tail [(pos, mono, c)], lc): the lead,
+    found once, the other terms, and the lead coefficient.  Field reducers
+    are monic (lc == 1).  Integral reducers, which untracked
+    `module_groebner` uses over QQ, are primitive integer vectors with
+    lc > 0.  `leads_at` maps a position to the (lead monomial, index) of
+    the reducers leading there, in index order.
+    """
+
+    def __init__(self, order: ModuleOrder, field, integral: bool):
+        self.nkey = order.ring_order.neg_key
+        self.field = field
+        self.integral = integral
+        self.reducers: list = []
+        self.leads_at: dict = {}
+
+    def add(self, terms: list):
+        """Prepare the nonzero vector with these (pos, mono, c) terms, its
+        leading one first, as the next reducer; return the scalar the
+        reducer is that vector times.
+
+        Field reducers divide by the lead coefficient.  Integral ones clear
+        the denominators, `numerator * (L // denominator)`, then divide out
+        the content, signed so that the lead is positive.
+        """
+        if not terms:
+            raise ValidationError("zero vector has no leading term")
+        pos, mono, c = terms[0]
+        if self.integral:
+            coeffs = [c for _, _, c in terms]
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+            content = gcd(*coeffs)
+            if coeffs[0] < 0:
+                content = -content
+            coeffs = [c // content for c in coeffs]
+            lc, scale = coeffs[0], Fraction(den, content)
+            tail = [(pos, m, c) for (pos, m, _), c in zip(terms[1:], coeffs[1:])]
+        elif c == 1:
+            lc, scale, tail = 1, c, terms[1:]
+        else:
+            mul, scale = self.field.mul, self.field.inv(c)
+            lc, tail = 1, [(pos, m, mul(c, scale)) for pos, m, c in terms[1:]]
+        self.append(((pos, mono), tail, lc))
+        return scale
+
+    def append(self, reducer) -> None:
+        (pos, mono), _, _ = reducer
+        self.leads_at.setdefault(pos, []).append((mono, len(self.reducers)))
+        self.reducers.append(reducer)
+
+    def divide(self, work: dict, quots: Optional[list] = None):
+        """Divide the vector `work` ({(pos, mono): c}, consumed) by the reducers.
+
+        The first reducer whose lead divides the largest pending term wins.
+        A monic reducer takes a field step: subtract c times it.  Any other
+        takes a pseudo-step: with g = gcd(c, lc), scale every pending term
+        by lc / g and subtract c / g times it, so integral reducers keep the
+        work in integers.
+
+        Heap-ordered, after Monagan and Pearce (J. Symbolic Comput. 46,
+        2011): a min-heap on (position, negated ring key) yields the largest
+        pending term.  Each monomial is pushed when it enters the dict;
+        entries whose term was cancelled are skipped when popped.  That is
+        sound because each step only adds terms below the one just popped.
+
+        Returns the remainder as (pos, mono, c) in descending order, and the
+        product of the pseudo-step scales: the remainder is that multiple of
+        the remainder of field division, each term brought from the scale at
+        which it was emitted to the final one.  With `quots`, a list per
+        reducer, each step appends its (monomial, coefficient); those are
+        the quotients when every step is a field step.
+        """
+        nkey, p, reducers, leads_at = self.nkey, self.field.p, self.reducers, self.leads_at
+        heap = [(pos, nkey(mono), mono) for pos, mono in work]
+        heapify(heap)
+        rem, emitted_at = [], []  # remainder terms, and the scale of each
+        scale = 1
+        while heap:
+            pos, _, mono = heappop(heap)
+            c = work.pop((pos, mono), None)
+            if c is None:
+                continue  # cancelled after it was pushed
+            for lm, k in leads_at.get(pos, ()):
+                if all(map(le, lm, mono)):
+                    break
+            else:
+                rem.append((pos, mono, c))
+                emitted_at.append(scale)
+                continue
+            _, tail, lc = reducers[k]
+            if lc != 1:
+                g = gcd(c, lc)
+                c //= g
+                if g != lc:
+                    mult = lc // g
+                    scale *= mult
+                    for key in work:
+                        work[key] *= mult
+            qm = tuple(map(sub, mono, lm))
+            if quots is not None:
+                quots[k].append((qm, c))
+            for bpos, bmono, bc in tail:
+                key = (bpos, tuple(map(add, qm, bmono)))
+                cur = work.get(key)
+                if cur is None:
+                    work[key] = -c * bc if p == 0 else -c * bc % p
+                    heappush(heap, (bpos, nkey(key[1]), key[1]))
+                else:
+                    new = cur - c * bc if p == 0 else (cur - c * bc) % p
+                    if new == 0:
+                        del work[key]
+                    else:
+                        work[key] = new
+        if scale != 1:
+            rem = [(pos, m, c if s == scale else c * (scale // s))
+                   for (pos, m, c), s in zip(rem, emitted_at)]
+        return rem, scale
+
+    def s_vector(self, i: int, j: int, l) -> dict:
+        """(lc_j/g) m_i r_i - (lc_i/g) m_j r_j, g = gcd(lc_i, lc_j), for
+        the multiples m_i r_i, m_j r_j leading at the monomial l, as a work
+        dict; their leads cancel."""
+        p = self.field.p
+        (_, li), ti, ci = self.reducers[i]
+        (_, lj), tj, cj = self.reducers[j]
+        g = gcd(ci, cj)
+        a, b = cj // g, ci // g
+        mi = tuple(map(sub, l, li))
+        mj = tuple(map(sub, l, lj))
+        work = {(pos, tuple(map(add, mi, m))): a * c for pos, m, c in ti}
+        for pos, m, c in tj:
+            key = (pos, tuple(map(add, mj, m)))
+            new = work.get(key, 0) - b * c
+            if p:
+                new %= p
+            if new:
+                work[key] = new
+            else:
+                work.pop(key, None)
+        return work
+
+
+def _polys(ring: PolyRing, rank: int, terms, grevlex: bool) -> Vector:
+    """The vector with these (pos, mono, c) terms, each position's terms
+    distinct and in descending order."""
+    at: list = [[] for _ in range(rank)]
+    for pos, m, c in terms:
+        at[pos].append((m, c))
+    if grevlex:  # descending is already the `Poly` storage order
+        return tuple(Poly(ring, tuple(t)) for t in at)
+    return tuple(ring.from_terms(t) for t in at)
+
+
+def _poly(ring: PolyRing, terms: list, grevlex: bool) -> Poly:
+    # descending under grevlex is already the `Poly` storage order
+    return Poly(ring, tuple(terms)) if grevlex else ring.from_terms(terms)
 
 
 def vector_divmod(
@@ -108,76 +273,25 @@ def vector_divmod(
 
     The first basis vector whose lead divides wins, so the output is
     deterministic in the order given.  At rank 1 this is multivariate
-    polynomial division.
-
-    Heap-ordered division, after Monagan and Pearce (J. Symbolic Comput.
-    46, 2011): the terms still to divide sit in a dict, and a min-heap on
-    (position, negated ring key) yields the largest of them.  Each monomial
-    is pushed when it enters the dict; entries whose term was cancelled are
-    skipped when popped.  That is sound because each step only adds terms
-    below the one just popped.  With quotients=False the quotients are not
-    built and the first item returned is None.
+    polynomial division.  Each basis vector is prepared as a monic reducer
+    and the division runs in the loop that `module_groebner` uses, in field
+    arithmetic, so remainder and quotients are exact.  With
+    quotients=False the quotients are not built and the first item
+    returned is None.
     """
     if not v:
         raise ValidationError("zero-rank vector")
     ring = v[0].ring
-    p = ring.field.p
-    rank = len(v)
-    nkey = order.ring_order.neg_key
-    # per position, in index order: (k, lead monomial, 1 / lead coefficient)
-    leads_at: dict = {}
-    tails = []  # each basis vector's other terms, as (pos, mono, coeff)
-    for k, b in enumerate(basis):
-        (lp, lm), lc = _lead(b, order)  # rejects a zero basis vector
-        leads_at.setdefault(lp, []).append((k, lm, None if lc == 1 else ring.field.inv(lc)))
-        tails.append(
-            [(pos, m, c) for pos, q in enumerate(b) for m, c in q.terms if m != lm or pos != lp]
-        )
+    red = _Reducers(order, ring.field, integral=False)
+    scales = [red.add(_lead_first(b, order)) for b in basis]
     quots = [[] for _ in basis] if quotients else None
-    rem: list = [[] for _ in range(rank)]
-    work: dict = {}
-    heap = []
-    for pos, q in enumerate(v):
-        for mono, c in q.terms:
-            work[(pos, mono)] = c
-            heap.append((pos, nkey(mono), mono))
-    heapify(heap)
-    while heap:
-        pos, _, mono = heappop(heap)
-        c = work.pop((pos, mono), None)
-        if c is None:
-            continue  # cancelled after it was pushed
-        for k, lm, inv in leads_at.get(pos, ()):
-            if all(map(le, lm, mono)):
-                break
-        else:
-            rem[pos].append((mono, c))
-            continue
-        qm = tuple(map(sub, mono, lm))
-        qc = c if inv is None else c * inv if p == 0 else c * inv % p
-        if quotients:
-            quots[k].append((qm, qc))
-        for bpos, bmono, bc in tails[k]:
-            key = (bpos, tuple(map(add, qm, bmono)))
-            cur = work.get(key)
-            if cur is None:
-                work[key] = -qc * bc if p == 0 else -qc * bc % p
-                heappush(heap, (bpos, nkey(key[1]), key[1]))
-            else:
-                new = cur - qc * bc if p == 0 else (cur - qc * bc) % p
-                if new == 0:
-                    del work[key]
-                else:
-                    work[key] = new
+    rem, _ = red.divide({(pos, m): c for pos, q in enumerate(v) for m, c in q.terms}, quots)
     grevlex = order.ring_order.kind == "grevlex"
-
-    def build(terms):
-        # popped largest first, so under grevlex already in `Poly` storage order
-        return Poly(ring, tuple(terms)) if grevlex else ring.from_terms(terms)
-
     if quotients:
-        quots = [build(q) for q in quots]
-    return quots, tuple(build(r) for r in rem)
+        mul = ring.field.mul
+        quots = [_poly(ring, [(m, mul(c, s)) for m, c in q], grevlex)
+                 for q, s in zip(quots, scales)]
+    return quots, _polys(ring, len(v), rem, grevlex)
 
 
 def vector_normal_form(v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT) -> Vector:
@@ -191,6 +305,14 @@ def module_groebner(
     gens: Sequence[Vector], order: ModuleOrder = POT, track: bool = False
 ):
     """Reduced monic Groebner basis of the submodule generated by gens.
+
+    Each vector is prepared once, as a reducer, when it joins the basis;
+    S-vectors, their reduction and the final interreduction all run in one
+    division loop over those reducers.  Over QQ an untracked run keeps
+    every reducer as a primitive integer vector and divides by
+    pseudo-steps, so only integers occur in the loop, and makes the basis
+    monic in `Fraction`s on output.  Otherwise the reducers are monic and
+    the arithmetic is the field's.  Both give the same basis.
 
     Pair selection: smallest lcm under the ring order (normal strategy),
     ties by index.  The open pairs sit in a min-heap keyed by (ring key of
@@ -209,21 +331,21 @@ def module_groebner(
     if not nonzero:
         return ([], []) if track else []
     ring = nonzero[0][1][0].ring
+    integral = ring.field.p == 0 and not track
     rank = len(nonzero[0][1])
     m = len(gens)
     rkey = order.ring_order.key
+    grevlex = order.ring_order.kind == "grevlex"
 
-    basis: list = []
-    leads: list = []
+    red = _Reducers(order, ring.field, integral)
     reps: Optional[list] = [] if track else None
     for i, g in nonzero:
-        b, lt, inv = _monic(g, order)
-        basis.append(b)
-        leads.append(lt)
+        scale = red.add(_lead_first(g, order))
         if track:
             rep = [ring.zero()] * m
-            rep[i] = ring.const(inv)
+            rep[i] = ring.const(scale)
             reps.append(rep)
+    leads = [r[0] for r in red.reducers]
 
     pairs: list = []  # heap of (ring key of the lcm, (i, j), lcm)
     done = set()
@@ -233,7 +355,7 @@ def module_groebner(
             l = mono_lcm(leads[i][1], leads[j][1])
             heappush(pairs, (rkey(l), (i, j), l))
 
-    for j in range(len(basis)):
+    for j in range(len(leads)):
         for i in range(j):
             add_pair(i, j)
 
@@ -245,10 +367,8 @@ def module_groebner(
         if rank == 1 and l == mono_mul(leads[i][1], leads[j][1]):
             continue  # coprime leading terms
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or leads[k][0] != pos:
-                continue
-            if mono_divides(leads[k][1], l):
+        for lk, k in red.leads_at[pos]:
+            if k != i and k != j and all(map(le, lk, l)):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -256,25 +376,29 @@ def module_groebner(
                     break
         if skip:
             continue
-        mi = ring.monomial(mono_div(l, leads[i][1]))
-        mj = ring.monomial(mono_div(l, leads[j][1]))
-        s = vec_sub(vec_scale(mi, basis[i]), vec_scale(mj, basis[j]))
-        if vec_is_zero(s):
+        quots = [[] for _ in leads] if track else None
+        rem, _ = red.divide(red.s_vector(i, j, l), quots)
+        if not rem:
             continue
-        quots, r = vector_divmod(s, basis, order, quotients=track)
-        if vec_is_zero(r):
-            continue
-        b, lt, inv = _monic(r, order)
+        scale = red.add(rem)
         if track:
+            mi = ring.monomial(mono_div(l, leads[i][1]))
+            mj = ring.monomial(mono_div(l, leads[j][1]))
             s_rep = [mi * a - mj * c for a, c in zip(reps[i], reps[j])]
-            reps.append([a.scale(inv) for a in _rep_minus(s_rep, quots, reps)])
-        basis.append(b)
-        leads.append(lt)
-        new = len(basis) - 1
+            rep = _rep_minus(s_rep, [_poly(ring, q, grevlex) for q in quots], reps)
+            reps.append([a.scale(scale) for a in rep])
+        leads.append(red.reducers[-1][0])
+        new = len(leads) - 1
         for k in range(new):
             add_pair(k, new)
 
-    basis, reps = _module_interreduce(basis, leads, reps, order)
+    reduced, reps = _module_interreduce(red, reps, order, ring)
+    one = ring.field.one()
+    basis = []
+    for (lpos, lmono), tail, lc in reduced:
+        if integral:
+            tail = [(pos, mono, Fraction(c, lc)) for pos, mono, c in tail]
+        basis.append(_polys(ring, rank, [(lpos, lmono, one)] + tail, grevlex))
     return (basis, reps) if track else basis
 
 
@@ -286,14 +410,18 @@ def _rep_minus(rep: list, quots: Sequence[Poly], reps: Sequence[list]) -> list:
     return rep
 
 
-def _module_interreduce(basis: list, leads: list, reps: Optional[list], order: ModuleOrder):
-    """The reduced basis of a monic Groebner basis, by descending lead.
+def _module_interreduce(red: _Reducers, reps: Optional[list], order: ModuleOrder,
+                        ring: PolyRing):
+    """The reducers of the reduced basis, by descending lead, from those of
+    a Groebner basis.
 
-    Drops each vector whose lead another lead divides (of equal leads the
-    first stays), then reduces each survivor by the others.  Reducing never
-    moves a lead, so one pass leaves every vector reduced.  `reps` is None
-    when untracked, else it follows the vectors.
+    Drops each reducer whose lead another lead divides (of equal leads the
+    first stays), then reduces each survivor's tail by all of them, those
+    already reduced included.  No term below a lead is divisible by it, and
+    reducing never moves a lead, so one pass leaves every vector reduced.
+    `reps` is None when untracked, else it follows the reducers.
     """
+    leads = [r[0] for r in red.reducers]
     keep = [
         a
         for a, la in enumerate(leads)
@@ -302,18 +430,25 @@ def _module_interreduce(basis: list, leads: list, reps: Optional[list], order: M
             for b, lb in enumerate(leads)
         )
     ]
-    basis = [basis[a] for a in keep]
-    leads = [leads[a] for a in keep]
+    kept = _Reducers(order, ring.field, red.integral)
+    for a in keep:
+        kept.append(red.reducers[a])
     if reps is not None:
         reps = [reps[a] for a in keep]
-    for i in range(len(basis)):
-        quots, basis[i] = vector_divmod(
-            basis[i], basis[:i] + basis[i + 1 :], order, quotients=reps is not None
-        )
+    grevlex = order.ring_order.kind == "grevlex"
+    for i, (lead, tail, lc) in enumerate(kept.reducers):
+        quots = None if reps is None else [[] for _ in keep]
+        rem, scale = kept.divide({(pos, m): c for pos, m, c in tail}, quots)
+        lc *= scale
+        if lc != 1:  # integral: take the content out again
+            g = gcd(lc, *(c for _, _, c in rem))
+            lc //= g
+            rem = [(pos, m, c // g) for pos, m, c in rem]
+        kept.reducers[i] = (lead, rem, lc)
         if reps is not None:
-            reps[i] = _rep_minus(reps[i], quots, reps[:i] + reps[i + 1 :])
-    idx = sorted(range(len(basis)), key=lambda i: order.key(leads[i]), reverse=True)
-    return [basis[i] for i in idx], (None if reps is None else [reps[i] for i in idx])
+            reps[i] = _rep_minus(reps[i], [_poly(ring, q, grevlex) for q in quots], reps)
+    idx = sorted(range(len(keep)), key=lambda i: order.key(kept.reducers[i][0]), reverse=True)
+    return [kept.reducers[i] for i in idx], (None if reps is None else [reps[i] for i in idx])
 
 
 # -- syzygies --------------------------------------------------------------------
@@ -863,7 +998,7 @@ def standard_pairs(mod: PresentedModule, cap: int = 4096) -> Optional[list]:
     """
     gb = mod.relation_gb()
     by_pos: dict = {}
-    for pos, mono in (_lead(v, POT)[0] for v in gb):
+    for pos, mono, _ in (_lead_first(v, POT)[0] for v in gb):
         by_pos.setdefault(pos, []).append(mono)
     ring = mod.ring
     n = ring.nvars

@@ -64,6 +64,45 @@ def _storage_terms(acc: dict) -> tuple:
     return tuple((m, acc[m]) for m in keep)
 
 
+def _merge_terms(a: tuple, b: tuple, p: int) -> tuple:
+    """The terms of a sum, merged in one pass from the summands' terms, both
+    in storage order; monomials whose coefficients cancel are dropped."""
+    if not a or not b:
+        return a or b
+    out = []
+    i = j = 0
+    (ma, ca), (mb, cb) = a[0], b[0]
+    ka, kb = _neg_grevlex_key(ma), _neg_grevlex_key(mb)
+    while True:
+        if ka < kb:
+            out.append((ma, ca))
+            i += 1
+            if i == len(a):
+                break
+            ma, ca = a[i]
+            ka = _neg_grevlex_key(ma)
+        elif kb < ka:
+            out.append((mb, cb))
+            j += 1
+            if j == len(b):
+                break
+            mb, cb = b[j]
+            kb = _neg_grevlex_key(mb)
+        else:
+            c = (ca + cb) % p if p else ca + cb
+            if c != 0:
+                out.append((ma, c))
+            i += 1
+            j += 1
+            if i == len(a) or j == len(b):
+                break
+            (ma, ca), (mb, cb) = a[i], b[j]
+            ka, kb = _neg_grevlex_key(ma), _neg_grevlex_key(mb)
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """lex, grevlex, or a block elimination order.
@@ -214,7 +253,7 @@ class Poly:
         if isinstance(other, int):
             other = self.ring.from_int(other)
         self._match(other)
-        return self.ring.from_terms(self.terms + other.terms)
+        return Poly(self.ring, _merge_terms(self.terms, other.terms, self.ring.field.p))
 
     __radd__ = __add__
 

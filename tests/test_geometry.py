@@ -5,6 +5,9 @@ point lies in V(I) iff every generator vanishes at it.  Images of closed
 sets under invariant maps are cross-checked against hand-derived ideals.
 """
 
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,35 @@ from ttkit.polyring import PolyRing, radical_equal
 
 A1 = PolyRing.parse("Q[x]")
 A2 = PolyRing.parse("Q[x,y]")
+
+
+def trial_division_irreducible(coeffs, p):
+    """Oracle: no monic polynomial of degree 1..deg/2 divides f over GF(p)."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] % p == 0:
+        coeffs.pop()
+    deg = len(coeffs) - 1
+    if deg <= 0:
+        return False
+
+    def rem(num, den):
+        num = list(num)
+        while len(num) >= len(den):
+            factor = num[-1]
+            shift = len(num) - len(den)
+            for i, c in enumerate(den):
+                num[shift + i] = (num[shift + i] - factor * c) % p
+            while num and num[-1] == 0:
+                num.pop()
+        return num
+
+    inv = pow(coeffs[-1], p - 2, p)
+    monic = [c * inv % p for c in coeffs]
+    return not any(
+        not rem(monic, list(tail) + [1])
+        for d in range(1, deg // 2 + 1)
+        for tail in product(range(p), repeat=d)
+    )
 
 
 def point_in_closed(c, values):
@@ -101,6 +133,51 @@ class TestIrreducibilityCertificates:
     def test_multivariate_rejected(self):
         with pytest.raises(ValidationError):
             check_univariate_irreducible(A2.parse_poly("x*y - 1"))
+
+    @given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_degree_test_matches_trial_division(self, p, data):
+        coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                                    min_size=2, max_size=5))
+        assert geometry._fp_irreducible(coeffs, p) == trial_division_irreducible(coeffs, p)
+
+    def test_distinct_degree_test_on_every_small_polynomial(self):
+        for p, deg in ((2, 4), (3, 4), (5, 3)):
+            for coeffs in product(range(p), repeat=deg + 1):
+                assert geometry._fp_irreducible(coeffs, p) == trial_division_irreducible(
+                    coeffs, p), (p, coeffs)
+
+    @pytest.mark.parametrize("p, irreducible", [(1009, True), (32003, False)])
+    def test_large_primes_are_decided_quickly(self, p, irreducible):
+        # x^4 + 11 is irreducible mod 1009; mod 32003 it is
+        # (x + 183)(x - 183)(x^2 + 1486).  Trial division needs p^2 candidates.
+        g = PolyRing(GF(p), ("x",)).parse_poly("x^4 + 11")
+        start = time.perf_counter()
+        if irreducible:
+            check_univariate_irreducible(g)
+        else:
+            with pytest.raises(ValidationError):
+                check_univariate_irreducible(g)
+        assert time.perf_counter() - start < 1.0
+
+    def test_divisors_match_a_full_scan(self):
+        for n in range(1, 600):
+            assert geometry._divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    @pytest.mark.parametrize("text, irreducible", [
+        ("x^2 + 10000019", True),
+        ("x^2 + 1000000000000", True),
+        ("x^2 - 1000000000000", False),
+        ("4*x^2 - 1000000000000", False),
+    ])
+    def test_large_constant_terms_are_decided_quickly(self, text, irreducible):
+        start = time.perf_counter()
+        if irreducible:
+            check_univariate_irreducible(A1.parse_poly(text))
+        else:
+            with pytest.raises(ValidationError):
+                check_univariate_irreducible(A1.parse_poly(text))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPrimeSites:

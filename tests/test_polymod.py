@@ -1,7 +1,9 @@
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttkit import polymod
@@ -13,6 +15,7 @@ from ttkit.polyring import (
     block_order,
     mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
     radical_equal,
 )
@@ -41,6 +44,7 @@ from ttkit.polymod import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     vector_divmod,
     vector_normal_form,
     zero_vector,
@@ -283,6 +287,275 @@ def test_module_groebner_coprime_criterion_only_at_rank_one():
     # does not reduce to zero: the coprime shortcut is wrong above rank 1.
     basis = module_groebner([V("x", "1"), V("y", "1")])
     assert V("0", "x - y") in basis
+
+
+# -- reference engine: Fraction arithmetic, basis prepared on every call ------------
+#
+# The engine before reducers were prepared once per basis vector and QQ
+# bases were computed on primitive integer vectors.  Kept as the oracle.
+
+
+def ref_lead(v, order):
+    for pos, p in enumerate(v):
+        if p.terms:
+            mono, c = p.leading(order.ring_order)
+            return (pos, mono), c
+    raise ValueError("zero vector has no leading term")
+
+
+def ref_monic(v, order):
+    lt, lc = ref_lead(v, order)
+    inv = v[0].ring.field.inv(lc)
+    return tuple(p.scale(inv) for p in v), lt, inv
+
+
+def ref_vector_divmod(v, basis, order, quotients=True):
+    ring = v[0].ring
+    p = ring.field.p
+    nkey = order.ring_order.neg_key
+    leads_at = {}
+    tails = []
+    for k, b in enumerate(basis):
+        (lp, lm), lc = ref_lead(b, order)
+        leads_at.setdefault(lp, []).append((k, lm, None if lc == 1 else ring.field.inv(lc)))
+        tails.append(
+            [(pos, m, c) for pos, q in enumerate(b) for m, c in q.terms if m != lm or pos != lp]
+        )
+    quots = [[] for _ in basis] if quotients else None
+    rem = [[] for _ in v]
+    work = {}
+    heap = []
+    for pos, q in enumerate(v):
+        for mono, c in q.terms:
+            work[(pos, mono)] = c
+            heap.append((pos, nkey(mono), mono))
+    heapify(heap)
+    while heap:
+        pos, _, mono = heappop(heap)
+        c = work.pop((pos, mono), None)
+        if c is None:
+            continue
+        for k, lm, inv in leads_at.get(pos, ()):
+            if mono_divides(lm, mono):
+                break
+        else:
+            rem[pos].append((mono, c))
+            continue
+        qm = mono_div(mono, lm)
+        qc = c if inv is None else c * inv if p == 0 else c * inv % p
+        if quotients:
+            quots[k].append((qm, qc))
+        for bpos, bmono, bc in tails[k]:
+            key = (bpos, mono_mul(qm, bmono))
+            cur = work.get(key)
+            if cur is None:
+                work[key] = -qc * bc if p == 0 else -qc * bc % p
+                heappush(heap, (bpos, nkey(key[1]), key[1]))
+            else:
+                new = cur - qc * bc if p == 0 else (cur - qc * bc) % p
+                if new == 0:
+                    del work[key]
+                else:
+                    work[key] = new
+    if quotients:
+        quots = [ring.from_terms(q) for q in quots]
+    return quots, tuple(ring.from_terms(r) for r in rem)
+
+
+def ref_rep_minus(rep, quots, reps):
+    for q, other in zip(quots, reps):
+        if not q.is_zero():
+            rep = [a - q * b for a, b in zip(rep, other)]
+    return rep
+
+
+def ref_module_interreduce(basis, leads, reps, order):
+    keep = [
+        a
+        for a, la in enumerate(leads)
+        if not any(
+            b != a and lb[0] == la[0] and mono_divides(lb[1], la[1]) and (lb[1] != la[1] or b < a)
+            for b, lb in enumerate(leads)
+        )
+    ]
+    basis = [basis[a] for a in keep]
+    leads = [leads[a] for a in keep]
+    if reps is not None:
+        reps = [reps[a] for a in keep]
+    for i in range(len(basis)):
+        quots, basis[i] = ref_vector_divmod(
+            basis[i], basis[:i] + basis[i + 1:], order, quotients=reps is not None
+        )
+        if reps is not None:
+            reps[i] = ref_rep_minus(reps[i], quots, reps[:i] + reps[i + 1:])
+    idx = sorted(range(len(basis)), key=lambda i: order.key(leads[i]), reverse=True)
+    return [basis[i] for i in idx], (None if reps is None else [reps[i] for i in idx])
+
+
+def ref_module_groebner(gens, order, track=False):
+    gens = list(gens)
+    nonzero = [(i, g) for i, g in enumerate(gens) if not vec_is_zero(g)]
+    if not nonzero:
+        return ([], []) if track else []
+    ring = nonzero[0][1][0].ring
+    rank = len(nonzero[0][1])
+    rkey = order.ring_order.key
+    basis, leads, reps = [], [], [] if track else None
+    for i, g in nonzero:
+        b, lt, inv = ref_monic(g, order)
+        basis.append(b)
+        leads.append(lt)
+        if track:
+            rep = [ring.zero()] * len(gens)
+            rep[i] = ring.const(inv)
+            reps.append(rep)
+    pairs, done = [], set()
+
+    def add_pair(i, j):
+        if leads[i][0] == leads[j][0]:
+            l = mono_lcm(leads[i][1], leads[j][1])
+            heappush(pairs, (rkey(l), (i, j), l))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            add_pair(i, j)
+    while pairs:
+        _, pair, l = heappop(pairs)
+        done.add(pair)
+        i, j = pair
+        pos = leads[i][0]
+        if rank == 1 and l == mono_mul(leads[i][1], leads[j][1]):
+            continue
+        if any(
+            k not in (i, j) and leads[k][0] == pos and mono_divides(leads[k][1], l)
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        ):
+            continue
+        mi = ring.monomial(mono_div(l, leads[i][1]))
+        mj = ring.monomial(mono_div(l, leads[j][1]))
+        s = vec_sub(vec_scale(mi, basis[i]), vec_scale(mj, basis[j]))
+        if vec_is_zero(s):
+            continue
+        quots, r = ref_vector_divmod(s, basis, order, quotients=track)
+        if vec_is_zero(r):
+            continue
+        b, lt, inv = ref_monic(r, order)
+        if track:
+            s_rep = [mi * a - mj * c for a, c in zip(reps[i], reps[j])]
+            reps.append([a.scale(inv) for a in ref_rep_minus(s_rep, quots, reps)])
+        basis.append(b)
+        leads.append(lt)
+        new = len(basis) - 1
+        for k in range(new):
+            add_pair(k, new)
+    basis, reps = ref_module_interreduce(basis, leads, reps, order)
+    return (basis, reps) if track else basis
+
+
+# Two variables: under LEX, random inputs in three already grow bases that
+# take minutes.
+ENGINE_RINGS = [PolyRing(QQ, ("x", "y")), PolyRing(GF(7), ("x", "y")), PolyRing(GF(32003), ("x", "y"))]
+
+
+@st.composite
+def engine_cases(draw):
+    """Generators at ranks 1-3 under GREVLEX, LEX and block_order(1), over
+    QQ (integers up to 10^6 and fractions), GF(7) and GF(32003)."""
+    ring = draw(st.sampled_from(ENGINE_RINGS))
+    order = draw(st.sampled_from(DIV_ORDERS))
+    rank = draw(st.integers(min_value=1, max_value=3))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 2)
+    big = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
+    if ring.field.is_rational:
+        coeff = st.one_of(
+            st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction),
+            big.map(Fraction),
+            st.builds(Fraction, big, st.integers(min_value=1, max_value=10**3)),
+        )
+    else:
+        coeff = big.map(ring.field.from_int)
+
+    def vector(max_terms):
+        return tuple(
+            ring.from_terms(draw(st.lists(st.tuples(mono, coeff), max_size=max_terms)))
+            for _ in range(rank)
+        )
+
+    gens = [vector(3) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return ring, order, gens, vector(4)
+
+
+def integral_remainder(v, divisors, order):
+    """Pseudo-division of v, its denominators cleared, by integral
+    reducers: the remainder as {(pos, mono): c} over that scale."""
+    ring = v[0].ring
+    reducers = polymod._Reducers(order, ring.field, integral=True)
+    for d in divisors:
+        reducers.add(polymod._lead_first(d, order))
+    den = lcm(1, *(c.denominator for q in v for _, c in q.terms))
+    work = {(pos, m): c.numerator * (den // c.denominator)
+            for pos, q in enumerate(v) for m, c in q.terms}
+    rem, scale = reducers.divide(work)
+    assert scale > 0 and all(type(c) is int for _, _, c in rem)
+    return {(pos, m): Fraction(c, scale * den) for pos, m, c in rem}
+
+
+RQ2 = ENGINE_RINGS[0]
+
+
+# (y^2 + 6x + y) by 4x + 1: y^2 is emitted, then 6x takes a pseudo-step
+# with gcd(6, 4) = 2, which scales the pending y and the terms after it by 2.
+@example((RQ2, ModuleOrder(GREVLEX), [V("4*x + 1", ring=RQ2)], V("y^2 + 6*x + y", ring=RQ2)))
+@given(engine_cases())
+@settings(max_examples=200, deadline=None)
+def test_division_matches_the_reference_division(case):
+    ring, order, gens, v = case
+    divisors = [g for g in gens if not vec_is_zero(g)]
+    if not divisors:
+        return
+    quots, rem = vector_divmod(v, divisors, order)
+    assert (quots, rem) == ref_vector_divmod(v, divisors, order)
+    if ring.field.is_rational:
+        assert integral_remainder(v, divisors, order) == {
+            (pos, m): c for pos, q in enumerate(rem) for m, c in q.terms}
+
+
+@given(engine_cases())
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_the_reference_engine(case):
+    ring, order, gens, v = case
+    basis = module_groebner(gens, order)
+    assert basis == ref_module_groebner(gens, order)
+    tracked, reps = module_groebner(gens, order, track=True)
+    assert (tracked, reps) == ref_module_groebner(gens, order, track=True)
+    assert tracked == basis
+    for b, rep in zip(tracked, reps):
+        assert vec_combination(gens, rep) == b
+    if basis:
+        assert vector_divmod(v, basis, order) == ref_vector_divmod(v, basis, order)
+
+
+@example((RQ2, ModuleOrder(LEX), [V("-6*x - 4*y^2", "3/5*y", ring=RQ2)], None))
+@given(engine_cases())
+@settings(max_examples=80, deadline=None)
+def test_integral_reducers_are_primitive_with_a_positive_lead(case):
+    ring, order, gens, _ = case
+    reducers = polymod._Reducers(order, ring.field, integral=ring.field.is_rational)
+    for g in gens:
+        if vec_is_zero(g):
+            continue
+        terms = polymod._lead_first(g, order)
+        scale = reducers.add(terms)
+        lead, tail, lc = reducers.reducers[-1]
+        assert lead == terms[0][:2]
+        got = [(lead[0], lead[1], lc)] + tail
+        assert [(pos, m, ring.field.mul(c, scale)) for pos, m, c in terms] == got
+        if ring.field.is_rational:
+            coeffs = [c for _, _, c in got]
+            assert all(type(c) is int for c in coeffs) and lc > 0 and gcd(*coeffs) == 1
+        else:
+            assert lc == 1
 
 
 # -- presented modules ------------------------------------------------------------

@@ -195,6 +195,38 @@ def test_products_match_sorted_pairwise_products(case):
         assert all(not f.is_zero(c) for _, c in product.terms)
 
 
+
+@st.composite
+def summands(draw):
+    """Two Polys over QQ or GF(7) in x, y, z; the second cancels a drawn
+    subset of the first's terms, up to all of them."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    if field.is_rational:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(Fraction)
+    else:
+        coeffs = st.integers(min_value=0, max_value=field.p - 1)
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3), coeffs),
+                     max_size=6)
+    a = ring.from_terms(draw(terms))
+    cancel = draw(st.lists(st.sampled_from(a.terms), unique=True)) if a.terms else []
+    b = ring.from_terms(draw(terms) + [(m, field.neg(c)) for m, c in cancel])
+    return a, b
+
+
+@given(summands())
+@settings(max_examples=150, deadline=None)
+def test_sums_match_accumulated_terms(case):
+    a, b = case
+    ring = a.ring
+    for x, y in ((a, b), (b, a), (a, -b), (a, -a)):
+        total = x + y
+        assert total == ring.from_terms(x.terms + y.terms)
+        keys = [GREVLEX.key(m) for m, _ in total.terms]
+        assert all(u > v for u, v in zip(keys, keys[1:]))
+        assert all(not ring.field.is_zero(c) for _, c in total.terms)
+    assert (a - a).is_zero()
+
 def test_s_poly_pinned_values():
     # lcm(x^2, xy) = x^2 y: y (x^2 - y) - x (xy - 1) = x - y^2.
     assert s_poly(P("x^2 - y", RXY), P("x*y - 1", RXY), GREVLEX) == P("-y^2 + x", RXY)
