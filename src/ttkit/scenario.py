@@ -17,6 +17,7 @@ generator; element matrices are composed along the Cayley table.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -66,11 +67,9 @@ from .supermod import (
     direct_sum_supercomplex,
     koszul_complex_super,
     shift_supercomplex,
-    single_supercomplex,
     supph_sites,
     supph_super,
     tensor_supercomplexes,
-    zero_supermodule,
 )
 
 
@@ -377,41 +376,35 @@ def _build_object(scn: Scenario, oid: str, kind: str, entry: dict, here: str):
         em = cyclic_equivariant(scn.action, gens)
         return _maybe_twist(scn, em, entry, here)
     if kind == "equivariant-sum":
-        refs = entry["of"]
-        parts = [_resolve(scn, r, _EQUIVARIANT_KINDS, f"{here}.of[{i}]")
-                 for i, r in enumerate(refs)]
-        out = parts[0]
-        for p in parts[1:]:
-            out = direct_sum_equivariant(out, p)
-        return out
+        return _fold(scn, entry, _EQUIVARIANT_KINDS, direct_sum_equivariant, here)
     if kind == "super-unit":
         return koszul_complex_super(alg, [])
     if kind == "super-zero":
-        return single_supercomplex(zero_supermodule(alg), 0, (0, 0))
+        return SuperComplex(alg, 0, ((0, 0),), ())
     if kind == "super-koszul":
         cuts = [_parse_poly(ring, p, f"{here}.cuts[{i}]")
                 for i, p in enumerate(entry["cuts"])]
         return koszul_complex_super(alg, cuts)
     if kind == "super-sum":
-        refs = entry["of"]
-        parts = [_resolve(scn, r, _SUPER_KINDS, f"{here}.of[{i}]")
-                 for i, r in enumerate(refs)]
-        out = parts[0]
-        for p in parts[1:]:
-            out = direct_sum_supercomplex(out, p)
-        return out
+        return _fold(scn, entry, _SUPER_KINDS, direct_sum_supercomplex, here)
     if kind == "super-shift":
-        base = _resolve(scn, entry["of"], _SUPER_KINDS, f"{here}.of")
-        return shift_supercomplex(base, entry.get("by", 1))
+        ref = entry.get("of")
+        if not isinstance(ref, str):
+            _fail(f"{here}.of", "a shift takes one object label")
+        return shift_supercomplex(_resolve(scn, ref, _SUPER_KINDS, f"{here}.of"),
+                                  entry.get("by", 1))
     if kind == "super-tensor":
-        refs = entry["of"]
-        parts = [_resolve(scn, r, _SUPER_KINDS, f"{here}.of[{i}]")
-                 for i, r in enumerate(refs)]
-        out = parts[0]
-        for p in parts[1:]:
-            out = tensor_supercomplexes(out, p)
-        return out
+        return _fold(scn, entry, _SUPER_KINDS, tensor_supercomplexes, here)
     raise AssertionError(kind)
+
+
+def _fold(scn: Scenario, entry: dict, kinds, join, here: str):
+    """join, left to right, over the objects named by the array under "of"."""
+    refs = entry.get("of")
+    if not isinstance(refs, list):
+        _fail(f"{here}.of", "a sum or tensor takes an array of object labels")
+    parts = [_resolve(scn, r, kinds, f"{here}.of[{i}]") for i, r in enumerate(refs)]
+    return functools.reduce(join, parts)
 
 
 def _maybe_twist(scn: Scenario, em: EquivariantModule, entry: dict, here: str):
@@ -764,15 +757,10 @@ def _run_spc(scn: Scenario, q: Query, options: RunOptions) -> QueryResult:
     space = scn.space
     ids = a.get("objects") or [oid for oid, o in scn.objects.items()
                                if o.kind in _SUPER_KINDS]
-    profiles = []
-    for oid in ids:
-        cx: SuperComplex = scn.objects[oid].value
-        if not cx.is_perfect():
-            return QueryResult(q.label, q.op, "error",
-                               (f"object {oid!r} is not visibly perfect",))
-        profiles.append(SupportProfile(oid, supph_sites(cx, space)))
+    profiles = tuple(SupportProfile(oid, supph_sites(scn.objects[oid].value, space))
+                     for oid in ids)
     datum = SupportDatum(
-        space, a["unit"], a["zero"], tuple(profiles),
+        space, a["unit"], a["zero"], profiles,
         tensors=tuple(tuple(t) for t in a.get("tensors", ())),
         triangles=tuple(tuple(t) for t in a.get("triangles", ())),
         sums=tuple(tuple(t) for t in a.get("sums", ())),

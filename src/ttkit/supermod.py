@@ -9,6 +9,10 @@ commuting-diagram datum that reconstructs the one-object picture.
 Basis order is graded lexicographic in the odd indices: shorter products
 first, ties broken by index tuples.  The empty product always acts as the
 identity and is never stored.
+
+Complexes are perfect: free terms given by their shapes and differentials
+given by matrices over the whole algebra (SuperComplex).  The supermodules
+of their terms and the maps between them are built only to validate one.
 """
 
 from __future__ import annotations
@@ -304,93 +308,43 @@ def free_component_rank(alg: SuperAlgebra, shape: tuple, parity: int) -> int:
     return a * len(alg.basis(parity)) + b * len(alg.basis((parity + 1) % 2))
 
 
-def free_supermap(alg: SuperAlgebra, src_shape: tuple, tgt_shape: tuple,
-                  entries) -> SuperMap:
-    """Map of free supermodules from a matrix over the whole algebra.
+def free_columns(alg: SuperAlgebra, src_shape: tuple, tgt_shape: tuple,
+                 matrix: dict) -> tuple:
+    """(even columns, odd columns) over A of the map with this matrix.
 
-    entries[(w, u)] is the coefficient of target copy w in the image of
-    source copy u, a sequence of (word, Poly) pairs whose parities must
-    all equal parity(u) + parity(w).
+    The column of theta_word e_u is theta_word times the image of e_u:
+    entry word s of target copy w lands on theta_(word s) e_w with the sign
+    of the wedge product.
     """
     ring = alg.base
-    src = free_supermodule(alg, *src_shape)
-    tgt = free_supermodule(alg, *tgt_shape)
-    sa, sb = src_shape
-    for (w, u), elem in entries.items():
-        want = ((0 if u < sa else 1) + (0 if w < tgt_shape[0] else 1)) % 2
-        for word, _ in elem:
-            if len(word) % 2 != want:
-                raise ValidationError(
-                    f"entry ({w}, {u}) mixes parities in the free map")
-    parts = []
-    for parity in (0, 1):
-        cols = []
-        for u in range(sa + sb):
-            copy_parity = 0 if u < sa else 1
-            for word in alg.basis((parity + copy_parity) % 2):
-                col = [ring.zero()] * free_component_rank(alg, tgt_shape, parity)
-                for (w, uu), elem in entries.items():
-                    if uu != u:
-                        continue
+    by_source: dict = {}
+    for (w, u), elem in matrix.items():
+        by_source.setdefault(u, []).append((w, elem))
+    heights = [free_component_rank(alg, tgt_shape, parity) for parity in (0, 1)]
+    parts = ([], [])
+    for u, pu in _copies(src_shape):
+        for parity in (0, 1):
+            for word in alg.basis(parity + pu):
+                col = [ring.zero()] * heights[parity]
+                for w, elem in by_source.get(u, ()):
                     for s, coeff in elem:
                         sign, combined = wedge(word, s)
-                        if sign == 0 or coeff.is_zero():
-                            continue
-                        p2, idx = free_slot(alg, tgt_shape, w, combined)
-                        if p2 != parity:
-                            raise ValidationError("free map is not even")
-                        scaled = coeff if sign > 0 else -coeff
-                        col[idx] = col[idx] + scaled
-                cols.append(tuple(col))
-        parts.append(ModuleMap(src.component(parity), tgt.component(parity),
-                               tuple(cols)))
-    return SuperMap(src, tgt, parts[0], parts[1])
+                        if sign != 0:
+                            idx = free_slot(alg, tgt_shape, w, combined)[1]
+                            col[idx] = col[idx] + (coeff if sign > 0 else -coeff)
+                parts[parity].append(tuple(col))
+    return tuple(parts[0]), tuple(parts[1])
 
 
-def free_entries(f: SuperMap, src_shape: tuple, tgt_shape: tuple) -> dict:
-    """The matrix of a map of free supermodules; inverse of free_supermap.
-
-    The image of source copy u is read off the column of its generator
-    theta_() e_u and split by target copy and word.
-    """
-    alg = f.source.algebra
-    for parity, part in ((0, f.even), (1, f.odd)):
-        if (part.source.rank != free_component_rank(alg, src_shape, parity)
-                or part.target.rank != free_component_rank(alg, tgt_shape, parity)):
-            raise ValidationError("map does not match the given free shapes")
-    entries = {}
-    for u in range(sum(src_shape)):
-        parity, idx = free_slot(alg, src_shape, u, ())
-        col = (f.even if parity == 0 else f.odd).columns[idx]
-        for w, pw in _copies(tgt_shape):
-            elem = []
-            for word in alg.basis(parity + pw):
-                coeff = col[free_slot(alg, tgt_shape, w, word)[1]]
-                if not coeff.is_zero():
-                    elem.append((word, coeff))
-            if elem:
-                entries[(w, u)] = tuple(elem)
-    return entries
-
-
-def scalar_supermap(alg: SuperAlgebra, shape: tuple, f: Poly) -> SuperMap:
-    """Multiplication by an even base element on the free module of the shape."""
-    copies = shape[0] + shape[1]
-    entries = {(u, u): (((), f),) for u in range(copies)}
-    return free_supermap(alg, shape, shape, entries)
-
-
-def koszul_complex_super(alg: SuperAlgebra, elements: Sequence[Poly]) -> SuperComplex:
-    """Tensor of the two-term complexes R -f-> R; realizes V(elements)."""
-    if not elements:
-        return single_supercomplex(ring_supermodule(alg), 0, (1, 0))
-    out = None
-    for f in elements:
-        f_map = scalar_supermap(alg, (1, 0), f)
-        step = SuperComplex(alg, 0, (f_map.source, f_map.target), (f_map,),
-                            ((1, 0), (1, 0)))
-        out = step if out is None else tensor_supercomplexes(out, step)
-    return out
+def free_supermap(alg: SuperAlgebra, src_shape: tuple, tgt_shape: tuple,
+                  matrix: dict) -> SuperMap:
+    """The map of free supermodules with this matrix, terms and all."""
+    src = free_supermodule(alg, *src_shape)
+    tgt = free_supermodule(alg, *tgt_shape)
+    even, odd = free_columns(alg, src_shape, tgt_shape,
+                             _normal_matrix(src_shape, tgt_shape, matrix))
+    return SuperMap(src, tgt, ModuleMap(src.even, tgt.even, even),
+                    ModuleMap(src.odd, tgt.odd, odd))
 
 
 # -- maps of supermodules --------------------------------------------------------------
@@ -441,92 +395,102 @@ class SuperMap:
 
 @dataclass(frozen=True)
 class SuperComplex:
-    """Bounded complex of supermodules with even differentials.
+    """Bounded complex of free A (x) Lambda-modules with even differentials.
 
-    free_shapes, when present, marks the complex as perfect: entry k is the
-    (even, odd) rank over the whole algebra of the term in degree start + k,
-    and a term of shape (a, b) is free_supermodule(algebra, a, b) as a
-    value.  Sums, tensors and cones read and build differentials as
-    matrices over that layout, and reject complexes without it.
+    shapes[k] = (even, odd) counts the copies of the algebra, the odd ones
+    parity-shifted, in the term of degree start + k; copies are numbered
+    with the even ones first.  matrices[k] is the differential out of that
+    degree: it maps (target copy, source copy) to the entry, a tuple of
+    (word, Poly) pairs, and d e_u = sum_w entry(w, u) e_w.  Entries are
+    normalised on construction: words of parity |u| + |w| only, in basis
+    order, with no zero coefficients and no empty entries.  free_columns
+    expands a matrix into its component maps over A; validate() checks
+    those against the exterior action and d^2 = 0.
     """
 
     algebra: SuperAlgebra
     start: int
-    terms: tuple
-    maps: tuple
-    free_shapes: Optional[tuple] = None
+    shapes: tuple
+    matrices: tuple
 
     def __post_init__(self) -> None:
-        if len(self.maps) != max(len(self.terms) - 1, 0):
+        if len(self.matrices) != len(self.shapes) - 1:
             raise ValidationError("need one differential between consecutive terms")
-        if self.free_shapes is not None and len(self.free_shapes) != len(self.terms):
-            raise ValidationError("one free shape per term required")
+        object.__setattr__(self, "matrices", tuple(
+            _normal_matrix(self.shapes[k], self.shapes[k + 1], m)
+            for k, m in enumerate(self.matrices)))
 
     def degrees(self) -> range:
-        return range(self.start, self.start + len(self.terms))
-
-    def map_from(self, i: int) -> Optional[SuperMap]:
-        k = i - self.start
-        if 0 <= k < len(self.maps):
-            return self.maps[k]
-        return None
-
-    def is_perfect(self) -> bool:
-        return self.free_shapes is not None
+        return range(self.start, self.start + len(self.shapes))
 
     def validate(self) -> None:
-        for t in self.terms:
-            if t.algebra != self.algebra:
-                raise DomainMismatchError("term over a different superalgebra")
-        for k, f in enumerate(self.maps):
-            if f.source != self.terms[k] or f.target != self.terms[k + 1]:
-                raise ValidationError(f"differential {k} does not match its terms")
+        maps = [free_supermap(self.algebra, self.shapes[k], self.shapes[k + 1], m)
+                for k, m in enumerate(self.matrices)]
+        for f in maps:
             f.validate()
-        for k in range(len(self.maps) - 1):
-            if not self.maps[k + 1].compose(self.maps[k]).is_zero_map():
+        for k in range(len(maps) - 1):
+            if not maps[k + 1].compose(maps[k]).is_zero_map():
                 raise ValidationError(f"d^2 is nonzero starting in slot {k}")
 
 
-def single_supercomplex(m: SuperModule, degree: int = 0,
-                        free_shape: Optional[tuple] = None) -> SuperComplex:
-    shapes = (free_shape,) if free_shape is not None else None
-    return SuperComplex(m.algebra, degree, (m,), (), shapes)
+def _normal_matrix(src_shape: tuple, tgt_shape: tuple, matrix: dict) -> dict:
+    """The matrix with zero coefficients and empty entries dropped and words
+    in basis order; an entry with a word of the wrong parity is rejected."""
+    out = {}
+    for (w, u), elem in matrix.items():
+        want = ((0 if u < src_shape[0] else 1) + (0 if w < tgt_shape[0] else 1)) % 2
+        if any(len(word) % 2 != want for word, _ in elem):
+            raise ValidationError(f"entry ({w}, {u}) mixes parities in the free map")
+        entry = tuple(sorted(((word, c) for word, c in elem if not c.is_zero()),
+                             key=lambda t: (len(t[0]), t[0])))
+        if entry:
+            out[(w, u)] = entry
+    return out
+
+
+def scalar_matrix(shape: tuple, f: Poly) -> dict:
+    """Multiplication by an even base element on the free module of the shape."""
+    return {(u, u): (((), f),) for u in range(shape[0] + shape[1])}
+
+
+def koszul_complex_super(alg: SuperAlgebra, elements: Sequence[Poly]) -> SuperComplex:
+    """Tensor of the two-term complexes R -f-> R; realizes V(elements)."""
+    if not elements:
+        return SuperComplex(alg, 0, ((1, 0),), ())
+    out = None
+    for f in elements:
+        step = SuperComplex(alg, 0, ((1, 0), (1, 0)), (scalar_matrix((1, 0), f),))
+        out = step if out is None else tensor_supercomplexes(out, step)
+    return out
 
 
 def component_complex(c: SuperComplex, parity: int) -> PresentedComplex:
     ring = c.algebra.base
-    mods = tuple(t.component(parity) for t in c.terms)
-    maps = tuple((f.even if parity % 2 == 0 else f.odd) for f in c.maps)
-    if not mods:
-        mods = (PresentedModule.zero(ring),)
-        maps = ()
+    mods = tuple(PresentedModule.free(ring, free_component_rank(c.algebra, s, parity))
+                 for s in c.shapes)
+    maps = tuple(
+        ModuleMap(mods[k], mods[k + 1],
+                  free_columns(c.algebra, c.shapes[k], c.shapes[k + 1], m)[parity % 2])
+        for k, m in enumerate(c.matrices))
     return PresentedComplex(ring, c.start, mods, maps)
 
 
 def shift_supercomplex(c: SuperComplex, k: int = 1) -> SuperComplex:
     """c[k]: degree n picks up the old degree n + k; odd k flips the signs."""
-    if k % 2 == 0:
-        maps = c.maps
-    else:
-        maps = tuple(
-            SuperMap(f.source, f.target,
-                     ModuleMap(f.even.source, f.even.target,
-                               tuple(tuple(-e for e in col) for col in f.even.columns)),
-                     ModuleMap(f.odd.source, f.odd.target,
-                               tuple(tuple(-e for e in col) for col in f.odd.columns)))
-            for f in c.maps
-        )
-    return SuperComplex(c.algebra, c.start - k, c.terms, maps, c.free_shapes)
+    matrices = c.matrices
+    if k % 2 != 0:
+        matrices = tuple({key: tuple((word, -coeff) for word, coeff in elem)
+                          for key, elem in m.items()} for m in matrices)
+    return SuperComplex(c.algebra, c.start - k, c.shapes, matrices)
 
 
 def _shape(c: SuperComplex, n: int) -> tuple:
-    return c.free_shapes[n - c.start] if n in c.degrees() else (0, 0)
+    return c.shapes[n - c.start] if n in c.degrees() else (0, 0)
 
 
-def _require_free(op: str, *complexes: SuperComplex) -> None:
-    for c in complexes:
-        if c.free_shapes is None:
-            raise ValidationError(f"{op} needs complexes with free shapes")
+def _matrix(c: SuperComplex, n: int) -> dict:
+    k = n - c.start
+    return c.matrices[k] if 0 <= k < len(c.matrices) else {}
 
 
 def _free_complex(alg: SuperAlgebra, start: int, degrees, matrices) -> SuperComplex:
@@ -534,9 +498,8 @@ def _free_complex(alg: SuperAlgebra, start: int, degrees, matrices) -> SuperComp
 
     degrees[k] lists (key, parity) for the copies of the term in degree
     start + k; matrices[k] maps (target key, source key) to the entry of the
-    differential out of that degree, a sequence of (word, Poly) pairs.
-    Copies are numbered stably with the even ones first, which is the
-    layout of free_supermodule.
+    differential out of that degree.  Copies are numbered stably with the
+    even ones first.
     """
     numbers, shapes = [], []
     for copies in degrees:
@@ -545,27 +508,18 @@ def _free_complex(alg: SuperAlgebra, start: int, degrees, matrices) -> SuperComp
         numbers.append({key: n for n, key in enumerate(order)})
         even = sum(1 for _, p in copies if p == 0)
         shapes.append((even, len(copies) - even))
-    maps = []
-    for k, matrix in enumerate(matrices):
-        entries = {(numbers[k + 1][w], numbers[k][u]): elem
-                   for (w, u), elem in matrix.items()}
-        maps.append(free_supermap(alg, shapes[k], shapes[k + 1], entries))
-    terms = tuple(free_supermodule(alg, *shape) for shape in shapes)
-    return SuperComplex(alg, start, terms, tuple(maps), tuple(shapes))
-
-
-def _differential_entries(c: SuperComplex, n: int) -> dict:
-    f = c.map_from(n)
-    return {} if f is None else free_entries(f, _shape(c, n), _shape(c, n + 1))
+    renumbered = tuple({(numbers[k + 1][w], numbers[k][u]): elem
+                        for (w, u), elem in matrix.items()}
+                       for k, matrix in enumerate(matrices))
+    return SuperComplex(alg, start, tuple(shapes), renumbered)
 
 
 def direct_sum_supercomplex(a: SuperComplex, b: SuperComplex) -> SuperComplex:
     """Termwise sum; the differential is block diagonal."""
     if a.algebra != b.algebra:
         raise DomainMismatchError("summands over different superalgebras")
-    _require_free("direct sum", a, b)
     lo = min(a.start, b.start)
-    hi = max(a.start + len(a.terms), b.start + len(b.terms))
+    hi = max(a.start + len(a.shapes), b.start + len(b.shapes))
     degrees, matrices = [], []
     for n in range(lo, hi):
         degrees.append([((tag, u), p) for tag, c in (("a", a), ("b", b))
@@ -573,7 +527,7 @@ def direct_sum_supercomplex(a: SuperComplex, b: SuperComplex) -> SuperComplex:
     for n in range(lo, hi - 1):
         matrices.append({((tag, w), (tag, u)): elem
                          for tag, c in (("a", a), ("b", b))
-                         for (w, u), elem in _differential_entries(c, n).items()})
+                         for (w, u), elem in _matrix(c, n).items()})
     return _free_complex(a.algebra, lo, degrees, matrices)
 
 
@@ -592,9 +546,8 @@ def tensor_supercomplexes(c: SuperComplex, d: SuperComplex) -> SuperComplex:
     """
     if c.algebra != d.algebra:
         raise DomainMismatchError("tensor over different superalgebras")
-    _require_free("tensor", c, d)
     lo = c.start + d.start
-    hi = (c.start + len(c.terms) - 1) + (d.start + len(d.terms) - 1)
+    hi = (c.start + len(c.shapes) - 1) + (d.start + len(d.shapes) - 1)
     degrees, matrices = [], []
     for n in range(lo, hi + 1):
         degrees.append([((i, u, v), (pu + pv) % 2)
@@ -607,10 +560,10 @@ def tensor_supercomplexes(c: SuperComplex, d: SuperComplex) -> SuperComplex:
             j = n - i
             if j not in d.degrees():
                 continue
-            for (w, u), elem in _differential_entries(c, i).items():
+            for (w, u), elem in _matrix(c, i).items():
                 for v, _ in _copies(_shape(d, j)):
                     matrix[((i + 1, w, v), (i, u, v))] = elem
-            for (x, v), elem in _differential_entries(d, j).items():
+            for (x, v), elem in _matrix(d, j).items():
                 for u, pu in _copies(_shape(c, i)):
                     matrix[((i, u, x), (i, u, v))] = tuple(
                         (s, coeff if (i + len(s) * pu) % 2 == 0 else -coeff)
@@ -620,33 +573,32 @@ def tensor_supercomplexes(c: SuperComplex, d: SuperComplex) -> SuperComplex:
 
 
 def cone_supercomplex(src: SuperComplex, tgt: SuperComplex,
-                      chain_maps: Sequence[SuperMap]) -> SuperComplex:
+                      chain_maps: Sequence[dict]) -> SuperComplex:
     """Mapping cone of a termwise chain map; degree n holds src_{n+1} + tgt_n.
 
-    The differential is the block matrix [[-d_src, 0], [f, d_tgt]].
+    chain_maps[k] is the matrix of the chain map on the source term of
+    degree src.start + k.  The differential is the block matrix
+    [[-d_src, 0], [f, d_tgt]].
     """
     if src.algebra != tgt.algebra:
         raise DomainMismatchError("cone over different superalgebras")
-    if len(chain_maps) != len(src.terms):
+    if len(chain_maps) != len(src.shapes):
         raise ValidationError("one chain map per source term required")
-    _require_free("cone", src, tgt)
     shifted = [n - 1 for n in src.degrees()]
     lo = min([tgt.start] + shifted)
-    hi = max([tgt.start + len(tgt.terms) - 1] + shifted)
+    hi = max([tgt.start + len(tgt.shapes) - 1] + shifted)
     degrees, matrices = [], []
     for n in range(lo, hi + 1):
         degrees.append([(("s", u), p) for u, p in _copies(_shape(src, n + 1))]
                        + [(("t", u), p) for u, p in _copies(_shape(tgt, n))])
     for n in range(lo, hi):
         matrix = {(("s", w), ("s", u)): tuple((word, -coeff) for word, coeff in elem)
-                  for (w, u), elem in _differential_entries(src, n + 1).items()}
+                  for (w, u), elem in _matrix(src, n + 1).items()}
         matrix.update({(("t", w), ("t", u)): elem
-                       for (w, u), elem in _differential_entries(tgt, n).items()})
+                       for (w, u), elem in _matrix(tgt, n).items()})
         if n + 1 in src.degrees():
-            f = chain_maps[n + 1 - src.start]
-            chain = free_entries(f, _shape(src, n + 1), _shape(tgt, n + 1))
             matrix.update({(("t", w), ("s", u)): elem
-                           for (w, u), elem in chain.items()})
+                           for (w, u), elem in chain_maps[n + 1 - src.start].items()})
         matrices.append(matrix)
     return _free_complex(src.algebra, lo, degrees, matrices)
 
@@ -719,16 +671,15 @@ def _fibre_rank(columns, basis: GroebnerBasis) -> int:
     return rank
 
 
-def _fibre_is_exact(c: SuperComplex, basis: GroebnerBasis) -> bool:
+def _fibre_is_exact(c: SuperComplex, columns, basis: GroebnerBasis) -> bool:
     """Whether rank C_i = rank d_i + rank d_(i-1) over Frac(A/p) for every
-    parity and degree i."""
+    parity and degree i; columns[k] holds the component columns of d_k."""
     for parity in (0, 1):
-        ranks = [_fibre_rank((f.even if parity == 0 else f.odd).columns, basis)
-                 for f in c.maps]
-        for k, term in enumerate(c.terms):
+        ranks = [_fibre_rank(cols[parity], basis) for cols in columns]
+        for k, shape in enumerate(c.shapes):
             out_rank = ranks[k] if k < len(ranks) else 0
             in_rank = ranks[k - 1] if k > 0 else 0
-            if term.component(parity).rank != out_rank + in_rank:
+            if free_component_rank(c.algebra, shape, parity) != out_rank + in_rank:
                 return False
     return True
 
@@ -738,23 +689,25 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
 
     A bounded complex of free A-modules is exact at a prime p iff its fibre
     C (x) k(p) is exact (Buchsbaum-Eisenbud, J. Algebra 25, 1973).  So at a
-    certified prime site of a perfect complex, membership means some parity
-    and degree i with rank C_i - rank d_i - rank d_(i-1) nonzero over
-    Frac(A/p).  Every other site falls back on site_in_closed with
-    supph_super(c), computed at most once.
+    certified prime site, membership means some parity and degree i with
+    rank C_i - rank d_i - rank d_(i-1) nonzero over Frac(A/p).  Every other
+    site falls back on site_in_closed with supph_super(c), computed at most
+    once.
     """
     if space.ring != c.algebra.base:
         raise DomainMismatchError("site space and complex over different rings")
+    columns = [free_columns(c.algebra, c.shapes[k], c.shapes[k + 1], m)
+               for k, m in enumerate(c.matrices)]
     supp = None
     out = set()
     for site in space.sites:
-        basis = _site_basis(site) if c.is_perfect() else None
+        basis = _site_basis(site)
         if basis is None:
             if supp is None:
                 supp = supph_super(c)
             inside = site_in_closed(site, supp)
         else:
-            inside = not _fibre_is_exact(c, basis)
+            inside = not _fibre_is_exact(c, columns, basis)
         if inside:
             out.add(site.label)
     return frozenset(out)

@@ -26,13 +26,12 @@ from ttkit.geometry import PrimeSite, SiteSpace
 from ttkit.polyring import PolyRing
 from ttkit.supermod import (
     SuperAlgebra,
+    SuperComplex,
     koszul_complex_super,
     shift_supercomplex,
-    single_supercomplex,
     supph_super,
     tensor_supercomplexes,
     direct_sum_supercomplex,
-    zero_supermodule,
 )
 
 
@@ -420,7 +419,7 @@ def superline_model():
     one = ring.one()
     alg = SuperAlgebra(ring, 1)
     complexes = {
-        "zero": single_supercomplex(zero_supermodule(alg)),
+        "zero": SuperComplex(alg, 0, ((0, 0),), ()),
         "unit": koszul_complex_super(alg, []),
         "sky[origin]": koszul_complex_super(alg, [x]),
         "sky[one]": koszul_complex_super(alg, [x - one]),

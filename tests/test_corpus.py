@@ -19,7 +19,11 @@ from ttkit.corpus import (
 )
 from ttkit.fields import GF, QQ
 from ttkit.polyring import GroebnerBasis
-from ttkit.supermod import direct_sum_supercomplex, free_supermodule
+from ttkit.supermod import (
+    component_complex,
+    direct_sum_supercomplex,
+    free_component_rank,
+)
 
 
 def test_membership_corpus_is_twenty_small_ideals():
@@ -99,9 +103,17 @@ def test_super_corpus_objects_are_perfect_and_sites_in_range():
         complexes["mixed sum"] = direct_sum_supercomplex(
             fam.complexes["unit[flip]"], fam.complexes["K[origin]"])
         for oid, cx in complexes.items():
-            assert cx.is_perfect(), oid
-            for term, shape in zip(cx.terms, cx.free_shapes):
-                assert term == free_supermodule(fam.algebra, *shape), oid
+            # the expansion has the ranks of the free shapes, is theta-linear
+            # and squares to zero
+            for parity in (0, 1):
+                pc = component_complex(cx, parity)
+                for n, shape in zip(cx.degrees(), cx.shapes):
+                    want = free_component_rank(fam.algebra, shape, parity)
+                    assert pc.module_at(n).rank == want, oid
+                for f in pc.maps:
+                    assert len(f.columns) == f.source.rank, oid
+                    assert all(len(col) == f.target.rank for col in f.columns), oid
+            cx.validate()
 
 
 def test_super_site_profiles_are_pinned():

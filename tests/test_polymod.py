@@ -13,6 +13,7 @@ from ttkit.polyring import (
     LEX,
     PolyRing,
     block_order,
+    buchberger,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -738,6 +739,34 @@ def test_graded_dim_of_quotient():
 def test_graded_dim_with_weights():
     m = PresentedModule.free(RX, 2)
     assert graded_dim(m, [0, 1], 1) == 2  # x*e0 and e1
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Generators of a homogeneous ideal in 2 or 3 variables over QQ or GF(7)."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    ring = PolyRing(field, ("x", "y", "z")[:draw(st.integers(min_value=2, max_value=3))])
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        monos = monomials_of_degree(ring, draw(st.integers(min_value=1, max_value=3)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3))
+        coeffs = [draw(st.integers(min_value=1, max_value=6)) for _ in chosen]
+        gens.append(ring.from_terms((m, field.from_int(c)) for m, c in zip(chosen, coeffs)))
+    return ring, [g for g in gens if not g.is_zero()]
+
+
+@given(homogeneous_ideals())
+@settings(max_examples=40, deadline=None)
+def test_graded_dim_is_the_hilbert_function_of_the_initial_ideal(case):
+    # Macaulay: R/I and R/in(I) have the same Hilbert function, and the
+    # degree-d monomials outside in(I) count it with no linear algebra
+    ring, gens = case
+    leads = [g.leading(GREVLEX)[0] for g in buchberger(gens)]
+    mod = PresentedModule.cyclic(ring, gens)
+    for d in range(5):
+        standard = [m for m in monomials_of_degree(ring, d)
+                    if not any(mono_divides(lead, m) for lead in leads)]
+        assert graded_dim(mod, [0], d) == len(standard)
 
 
 # -- finite-dimensional helpers ---------------------------------------------------------

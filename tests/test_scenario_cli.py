@@ -133,6 +133,39 @@ def test_unresolved_label_is_an_input_error(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def _object_doc(kind, of):
+    """A scenario whose object S of the given kind is built from "of"."""
+    doc = {"name": "of_shape", "ring": {"field": "Q", "variables": ["x"]},
+           "queries": []}
+    if kind.startswith("super-"):
+        doc["superalgebra"] = {"odd_rank": 1}
+        doc["objects"] = {"K": {"kind": "super-koszul", "cuts": ["x"]}}
+    else:
+        doc["action"] = {"group": "c2", "generator_matrices": [[["-1"]]],
+                         "character_table": "builtin"}
+        doc["objects"] = {"K": {"kind": "equivariant-ring"}}
+    doc["objects"]["OX"] = dict(doc["objects"]["K"])
+    doc["objects"]["S"] = {"kind": kind, "of": of}
+    return doc
+
+
+@pytest.mark.parametrize("kind, of", [
+    ("super-shift", ["K"]),
+    ("super-sum", "K"),
+    ("super-tensor", "K"),
+    ("super-sum", "OX"),
+    ("equivariant-sum", "OX"),
+])
+def test_of_with_the_wrong_shape_is_an_input_error(tmp_path, capsys, kind, of):
+    # a shift takes one label, sums and tensors take an array of labels
+    p = tmp_path / "of_shape.json"
+    p.write_text(json.dumps(_object_doc(kind, of)))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "$.objects.S.of: " in err
+    assert "Traceback" not in err
+
+
 def test_unknown_scenario_name_is_an_input_error(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "no_such_scenario" in capsys.readouterr().err

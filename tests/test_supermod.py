@@ -38,7 +38,6 @@ from ttkit.supermod import (
     direct_sum_super,
     direct_sum_supercomplex,
     free_component_rank,
-    free_entries,
     free_slot,
     free_supermap,
     free_supermodule,
@@ -46,14 +45,12 @@ from ttkit.supermod import (
     koszul_complex_super,
     parity_change,
     ring_supermodule,
-    scalar_supermap,
+    scalar_matrix,
     shift_supercomplex,
-    single_supercomplex,
     supph_sites,
     supph_super,
     tensor_supercomplexes,
     wedge,
-    zero_supermodule,
 )
 
 
@@ -229,7 +226,7 @@ def test_koszul_complex_realizes_its_ideal(line):
     x = ring.var("x")
     k = koszul_complex_super(alg, [x])
     k.validate()
-    assert k.is_perfect()
+    assert k.shapes == ((1, 0), (1, 0))
     assert closed_equal(supph_super(k), ClosedSet(ring, (x,)))
 
 
@@ -238,14 +235,14 @@ def test_koszul_complex_on_two_elements(plane2):
     x, y = ring.var("x"), ring.var("y")
     k = koszul_complex_super(alg, [x, y])
     k.validate()
-    assert k.free_shapes == ((1, 0), (2, 0), (1, 0))
+    assert k.shapes == ((1, 0), (2, 0), (1, 0))
     assert closed_equal(supph_super(k), ClosedSet(ring, (x, y)))
 
 
 def test_empty_koszul_complex_is_the_unit(line):
     ring, alg = line
     k = koszul_complex_super(alg, [])
-    assert len(k.terms) == 1
+    assert k.shapes == ((1, 0),)
     assert supph_super(k).is_whole()
 
 
@@ -275,7 +272,7 @@ def test_supph_of_sum_is_union(line):
     s.validate()
     want = closed_union(supph_super(a), supph_super(b))
     assert closed_equal(supph_super(s), want)
-    assert s.free_shapes == ((2, 0), (2, 0))
+    assert s.shapes == ((2, 0), (2, 0))
 
 
 def test_supph_of_tensor_is_intersection(line):
@@ -305,7 +302,7 @@ def test_cone_of_identity_is_exact(line):
     ring, alg = line
     x = ring.var("x")
     k = koszul_complex_super(alg, [x])
-    ident = [scalar_supermap(alg, (1, 0), ring.one()) for _ in k.terms]
+    ident = [scalar_matrix(shape, ring.one()) for shape in k.shapes]
     c = cone_supercomplex(k, k, ident)
     c.validate()
     assert closed_equal(supph_super(c), ClosedSet.empty(ring))
@@ -315,7 +312,7 @@ def test_cone_supph_inside_union(line):
     ring, alg = line
     x = ring.var("x")
     k = koszul_complex_super(alg, [x])
-    mult = [scalar_supermap(alg, (1, 0), x) for _ in k.terms]
+    mult = [scalar_matrix(shape, x) for shape in k.shapes]
     c = cone_supercomplex(k, k, mult)
     c.validate()
     union = closed_union(supph_super(k), supph_super(k))
@@ -329,9 +326,9 @@ def _odd_entry_complexes(alg, pool, count):
     while len(out) < count:
         cx = _random_free_complex(alg, random.Random(seed), pool)
         seed += 1
-        if cx.free_shapes != ((1, 1), (1, 1)):
+        if cx.shapes != ((1, 1), (1, 1)):
             continue
-        entries = free_entries(cx.maps[0], (1, 1), (1, 1))
+        entries = cx.matrices[0]
         if {(0, 0), (1, 1)} <= set(entries) and {(0, 1), (1, 0)} & set(entries):
             out.append(cx)
     return out
@@ -339,11 +336,9 @@ def _odd_entry_complexes(alg, pool, count):
 
 def _theta_1_for_theta_0(cx):
     """The two-term free complex with theta_1 in place of theta_0."""
-    shapes = cx.free_shapes
     entries = {key: tuple(((1,) if word == (0,) else word, coeff) for word, coeff in elem)
-               for key, elem in free_entries(cx.maps[0], *shapes).items()}
-    f = free_supermap(cx.algebra, shapes[0], shapes[1], entries)
-    return SuperComplex(cx.algebra, cx.start, (f.source, f.target), (f,), shapes)
+               for key, elem in cx.matrices[0].items()}
+    return SuperComplex(cx.algebra, cx.start, cx.shapes, (entries,))
 
 
 @pytest.mark.parametrize("odd_rank", [1, 2])
@@ -369,24 +364,11 @@ def test_tensor_koszul_sign_on_odd_entries(odd_rank):
         assert closed_equal(supph_super(t), want)
 
 
-def test_free_operations_reject_complexes_without_free_shapes(line):
-    ring, alg = line
-    bare = single_supercomplex(zero_supermodule(alg))
-    k = koszul_complex_super(alg, [ring.var("x")])
-    with pytest.raises(ValidationError, match="tensor"):
-        tensor_supercomplexes(k, bare)
-    with pytest.raises(ValidationError, match="direct sum"):
-        direct_sum_supercomplex(bare, k)
-    with pytest.raises(ValidationError, match="cone"):
-        cone_supercomplex(k, bare, [scalar_supermap(alg, (1, 0), ring.zero())] * 2)
-
-
 def test_complex_rejects_nonsquaring_differential(line):
     ring, alg = line
     x = ring.var("x")
-    f = scalar_supermap(alg, (1, 0), x)
-    g = scalar_supermap(alg, (1, 0), ring.one())
-    c = SuperComplex(alg, 0, (f.source, f.target, g.target), (f, g))
+    c = SuperComplex(alg, 0, ((1, 0),) * 3,
+                     (scalar_matrix((1, 0), x), scalar_matrix((1, 0), ring.one())))
     with pytest.raises(ValidationError, match="d\\^2"):
         c.validate()
 
@@ -418,17 +400,22 @@ def test_component_complex_carries_the_right_terms(plane2):
 def test_free_supermap_odd_entry(line):
     ring, alg = line
     # send the generator of R to theta times the generator of Pi R
-    f = free_supermap(alg, (1, 0), (0, 1), {(0, 0): (((0,), ring.one()),)})
+    matrix = {(0, 0): (((0,), ring.one()),)}
+    f = free_supermap(alg, (1, 0), (0, 1), matrix)
     f.validate()
-    assert not f.is_zero_map()
-    assert free_entries(f, (1, 0), (0, 1)) == {(0, 0): (((0,), ring.one()),)}
+    # e lands on theta e' in the even slot of Pi R, and theta e on theta^2 e' = 0
+    assert f.even.columns == ((ring.one(),),)
+    assert f.odd.columns == ((ring.zero(),),)
+    assert SuperComplex(alg, 0, ((1, 0), (0, 1)), (matrix,)).matrices == (matrix,)
 
 
 def test_free_supermap_rejects_mixed_parity_entries(line):
     ring, alg = line
     with pytest.raises(ValidationError, match="parit"):
-        free_supermap(alg, (1, 0), (1, 0),
-                      {(0, 0): (((0,), ring.one()),)}).validate()
+        free_supermap(alg, (1, 0), (1, 0), {(0, 0): (((0,), ring.one()),)})
+    with pytest.raises(ValidationError, match="parit"):
+        SuperComplex(alg, 0, ((1, 0), (1, 0)),
+                     ({(0, 0): (((), ring.one()), ((0,), ring.one()))},))
 
 
 # -- the odd-ideal filtration ---------------------------------------------------------------
@@ -554,7 +541,7 @@ def _random_perfect_complex(alg, pool, free_pool, rng, depth):
         return shift_supercomplex(a, rng.choice((-1, 1, 2)))
     if kind == "cone":
         g = rng.choice(pool + (alg.base.one(),))
-        maps = [scalar_supermap(alg, shape, g) for shape in a.free_shapes]
+        maps = [scalar_matrix(shape, g) for shape in a.shapes]
         return cone_supercomplex(a, a, maps)
     b = _random_perfect_complex(alg, pool, free_pool, rng, depth - 1)
     if kind == "sum":
@@ -625,17 +612,6 @@ def test_certified_sites_never_build_cohomology(line, supph_spy):
     assert supph_sites(shift_supercomplex(k, 1), space) == {"origin", "i"}
     assert supph_sites(koszul_complex_super(alg, []), space) == set(space.labels())
     assert supph_spy == []
-
-
-def test_complexes_without_free_shapes_use_cohomology(line, supph_spy):
-    ring, alg = line
-    x = ring.var("x")
-    space = SiteSpace(ring, (PrimeSite("origin", ring, (x,)),
-                             PrimeSite("one", ring, (x - 1,)),
-                             PrimeSite("generic", ring, ())))
-    m = i_rd(alg, PresentedModule(ring, 1, ((x - 1,),)))
-    assert supph_sites(single_supercomplex(m), space) == {"one"}
-    assert len(supph_spy) == 1
 
 
 def test_site_basis_cache_evicts_oldest_past_its_bound(line, monkeypatch):
