@@ -35,7 +35,7 @@ from .polymod import (
     cohomology_with_lifts,
     direct_sum,
     graded_dim,
-    graded_piece,
+    graded_standard_pairs,
     map_cokernel,
     map_kernel,
     module_is_graded,
@@ -51,7 +51,6 @@ from .polymod import (
     vec_scale,
     vec_sub,
     vector_in_standard_coords,
-    vector_to_pair_coeffs,
     zero_vector,
 )
 
@@ -756,25 +755,20 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
         return sub_slices[e]
 
     for d in range(0, bound + 1):
-        pairs, free_cols, reduce_vec = graded_piece(mod, list(shifts), d)
-        index = {p: i for i, p in enumerate(pairs)}
-        dim = len(free_cols)
+        pairs = graded_standard_pairs(mod, shifts, d)
+        dim = len(pairs)
         if dim == 0:
             fixed_dims[d] = 0
             continue
-
-        def coords_of_vector(v) -> list:
-            return reduce_vec(vector_to_pair_coeffs(v, pairs, index))
 
         nontrivial = [a for a in range(act.group.order) if a != act.group.identity]
         if nontrivial:
             stacked_rows = []
             for a in nontrivial:
                 colsm = []
-                for c in free_cols:
-                    j, m = pairs[c]
+                for j, m in pairs:
                     img = em.apply(a, vec_scale(ring.monomial(m), unit_vector(ring, mod.rank, j)))
-                    colsm.append(coords_of_vector(img))
+                    colsm.append(vector_in_standard_coords(mod, pairs, img))
                 for r in range(dim):
                     row = [
                         fld.sub(colsm[cc][r], fld.one() if cc == r else fld.zero())
@@ -798,7 +792,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
         for gd, lift in gens:
             for mult in subalgebra_slice(d - gd):
                 v = tuple(mult * p for p in lift)
-                covered.append(coords_of_vector(v))
+                covered.append(vector_in_standard_coords(mod, pairs, v))
         base = [list(r) for r in covered]
         cur = matrix_rank(Matrix.from_rows(fld, base)) if base else 0
         for cand in fixed_vecs:
@@ -806,10 +800,9 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
             r = matrix_rank(Matrix.from_rows(fld, trial))
             if r > cur:
                 lift = zero_vector(ring, mod.rank)
-                for fc, c in zip(free_cols, cand):
+                for (j, m), c in zip(pairs, cand):
                     if fld.is_zero(c):
                         continue
-                    j, m = pairs[fc]
                     lift = vec_add(lift, vec_scale(ring.monomial(m).scale(c),
                                                    unit_vector(ring, mod.rank, j)))
                 gens.append((d, lift))
@@ -825,27 +818,23 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
     gen_degs = [gd for gd, _ in gens]
     relations: list = []
     for d in range(0, bound + 1):
-        pairs, free_cols, reduce_vec = graded_piece(mod, list(shifts), d)
-        if not pairs:
-            syz_cols = []
-        index = {p: i for i, p in enumerate(pairs)}
+        pairs = graded_standard_pairs(mod, shifts, d)
         unknowns = []  # (gen index, y-monomial)
         for gi, (gd, lift) in enumerate(gens):
             for alpha in weighted_exponents(fdegs, d - gd):
                 unknowns.append((gi, alpha))
         if not unknowns:
             continue
-        cols = []
-        for gi, alpha in unknowns:
-            mult = ring.one()
-            for f, e in zip(pres.generators, alpha):
-                if e:
-                    mult = mult * f ** e
-            v = tuple(mult * p for p in gens[gi][1])
-            coords = reduce_vec(vector_to_pair_coeffs(v, pairs, index)) if free_cols else []
-            cols.append(coords)
-        if free_cols:
-            mat_rows = [[cols[u][r] for u in range(len(unknowns))] for r in range(len(free_cols))]
+        if pairs:
+            cols = []
+            for gi, alpha in unknowns:
+                mult = ring.one()
+                for f, e in zip(pres.generators, alpha):
+                    if e:
+                        mult = mult * f ** e
+                v = tuple(mult * p for p in gens[gi][1])
+                cols.append(vector_in_standard_coords(mod, pairs, v))
+            mat_rows = [[cols[u][r] for u in range(len(unknowns))] for r in range(len(pairs))]
             ker = kernel_basis(Matrix.from_rows(fld, mat_rows))
             syz_cols = [[ker.at(i, j) for i in range(len(unknowns))] for j in range(ker.cols)]
         else:
@@ -1377,12 +1366,10 @@ def tower(
     for label, c in components:
         if c.ring != act.ring:
             raise DomainMismatchError(f"component {label} lives in the wrong ring")
-        stab = pointwise_stabilizer(act, c)
         for a in range(act.group.order):
             moved = [act.apply(a, g) for g in c.generators]
             if not radical_equal(list(moved), list(c.generators)):
                 raise PreconditionError(f"component {label} is not invariant")
-        del stab
 
     stages = []
     current = em

@@ -1,9 +1,14 @@
 """Exact scalar arithmetic over Q and F_p, and dense matrices over those fields.
 
 Scalars are plain Python values: `fractions.Fraction` over Q, `int` in
-[0, p) over F_p.  All arithmetic goes through a `Field` object so that the
-two worlds never mix silently; pairing values from different fields raises
-`DomainMismatchError`.  Everything here is immutable and deterministic:
+[0, p) over F_p.  A `Field` object checks values and does the arithmetic
+here; a value of the wrong kind, or matrices over different fields, raise
+`DomainMismatchError`.  The hot loops elsewhere write the representation
+out inline to save a method call per product (`Fraction` arithmetic when
+`p == 0`, else reduction `% p`): `Poly` sums and products in `polyring`,
+the division loop and the membership oracle in `polymod`, and the F_p
+polynomial arithmetic in `geometry`.  Everything here is immutable and
+deterministic:
 row reduction picks the first nonzero pivot scanning top to bottom, left
 to right, so equal inputs give identical outputs.  Matrices are stored
 dense, but row reduction is sparse in the pivot row: each elimination step

@@ -20,6 +20,11 @@ Weispfenning, Groebner Bases, GTM 141, 1993, section 10.1).
 Conventions: a `PresentedModule` is coker of its relation columns; maps of
 presented modules are matrices on generators, validated to send relations
 into relations.
+
+Graded dimensions and coordinates come from the standard pairs of the
+relation basis, the pairs under no lead of `relation_gb()`: by Macaulay's
+basis theorem those of degree d are a basis of the degree-d piece, and
+normal forms give the coordinates over them.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
-from .fields import Matrix, rank as matrix_rank, rref
+from .fields import Matrix
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -890,100 +895,41 @@ def module_is_graded(mod: PresentedModule, weights: Sequence[int],
     return all(relation_degree(r, weights, var_weights) is not None for r in mod.relations)
 
 
-def graded_basis_pairs(mod: PresentedModule, weights: Sequence[int], d: int,
-                       var_weights: Optional[Sequence[int]] = None) -> list:
-    """Index pairs (generator, monomial) spanning the degree-d slice of the free cover."""
-    pairs = []
-    for j in range(mod.rank):
-        for m in monomials_of_degree(mod.ring, d - weights[j], var_weights):
-            pairs.append((j, m))
-    return pairs
+def _relation_leads(mod: PresentedModule) -> dict:
+    """Position -> the lead monomials of the relation basis there."""
+    by_pos: dict = {}
+    for pos, mono, _ in (_lead_first(v, POT)[0] for v in mod.relation_gb()):
+        by_pos.setdefault(pos, []).append(mono)
+    return by_pos
 
 
-def _relation_shifts_matrix(mod, weights, d, pairs, index, var_weights=None):
-    ring = mod.ring
-    fld = ring.field
-    rows = []
-    for rel in mod.relations:
-        rdeg = relation_degree(rel, weights, var_weights)
-        if rdeg is None:
-            raise PreconditionError("inhomogeneous relation in graded computation")
-        for shift in monomials_of_degree(ring, d - rdeg, var_weights):
-            row = [fld.zero()] * len(pairs)
-            for j, p in enumerate(rel):
-                for mono, c in p.terms:
-                    key = (j, mono_mul(shift, mono))
-                    row[index[key]] = fld.add(row[index[key]], c)
-            rows.append(row)
-    return rows
+def graded_standard_pairs(mod: PresentedModule, weights: Sequence[int], d: int,
+                          var_weights: Optional[Sequence[int]] = None) -> list:
+    """The standard pairs of degree d: the (generator j, monomial m) with
+    weights[j] + deg(m) == d that no relation lead at position j divides,
+    by generator, then grevlex-descending.
+
+    For homogeneous relations they are a basis of the degree-d piece
+    (Macaulay's basis theorem; Eisenbud, Commutative Algebra, GTM 150,
+    Thm 15.3), and `vector_in_standard_coords` gives the coordinates of a
+    degree-d vector over them.  Any relation that is inhomogeneous or zero
+    is refused once the slice is nonempty.
+    """
+    pairs = [(j, m) for j in range(mod.rank)
+             for m in monomials_of_degree(mod.ring, d - weights[j], var_weights)]
+    if not pairs or not mod.relations:
+        return pairs
+    if any(relation_degree(r, weights, var_weights) is None for r in mod.relations):
+        raise PreconditionError("inhomogeneous relation in graded computation")
+    leads = _relation_leads(mod)
+    return [(j, m) for j, m in pairs
+            if not any(mono_divides(b, m) for b in leads.get(j, ()))]
 
 
 def graded_dim(mod: PresentedModule, weights: Sequence[int], d: int,
                var_weights: Optional[Sequence[int]] = None) -> int:
     """Dimension over the base field of the degree-d piece of the module."""
-    pairs = graded_basis_pairs(mod, weights, d, var_weights)
-    if not pairs:
-        return 0
-    index = {p: i for i, p in enumerate(pairs)}
-    rows = _relation_shifts_matrix(mod, weights, d, pairs, index, var_weights)
-    if not rows:
-        return len(pairs)
-    m = Matrix.from_rows(mod.ring.field, rows)
-    return len(pairs) - matrix_rank(m)
-
-
-def graded_piece(mod: PresentedModule, weights: Sequence[int], d: int,
-                 var_weights: Optional[Sequence[int]] = None):
-    """Basis data of the degree-d slice: (pairs, reducer).
-
-    The reducer maps a coefficient vector over `pairs` to canonical
-    coordinates modulo the degree-d slice of the relations.
-    """
-    pairs = graded_basis_pairs(mod, weights, d, var_weights)
-    index = {p: i for i, p in enumerate(pairs)}
-    fld = mod.ring.field
-    rows = _relation_shifts_matrix(mod, weights, d, pairs, index, var_weights)
-    if rows:
-        mat = Matrix.from_rows(fld, rows)
-        red, pivots = rref(mat)
-    else:
-        red, pivots = None, ()
-    pivot_set = set(pivots)
-    free_cols = [i for i in range(len(pairs)) if i not in pivot_set]
-    free_index = {c: k for k, c in enumerate(free_cols)}
-
-    def reduce_vec(coeffs):
-        v = list(coeffs)
-        if red is not None:
-            for r_idx, pc in enumerate(pivots):
-                c = v[pc]
-                if fld.is_zero(c):
-                    continue
-                row = red.row(r_idx)
-                v = [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, row)]
-        out = [fld.zero()] * len(free_cols)
-        for i, c in enumerate(v):
-            if not fld.is_zero(c):
-                out[free_index[i]] = c
-        return out
-
-    return pairs, free_cols, reduce_vec
-
-
-def vector_to_pair_coeffs(v: Vector, pairs, index=None):
-    """Coefficients of a homogeneous vector over the (gen, monomial) pairs."""
-    ring = v[0].ring
-    fld = ring.field
-    if index is None:
-        index = {p: i for i, p in enumerate(pairs)}
-    out = [fld.zero()] * len(pairs)
-    for j, p in enumerate(v):
-        for mono, c in p.terms:
-            key = (j, mono)
-            if key not in index:
-                raise ValidationError("vector leaves the expected graded slice")
-            out[index[key]] = fld.add(out[index[key]], c)
-    return out
+    return len(graded_standard_pairs(mod, weights, d, var_weights))
 
 
 # -- finite-dimensional modules ------------------------------------------------------
@@ -996,10 +942,7 @@ def standard_pairs(mod: PresentedModule, cap: int = 4096) -> Optional[list]:
     infinite (or larger than cap).  Order: generator index, then grevlex
     ascending, so multiplication matrices are reproducible.
     """
-    gb = mod.relation_gb()
-    by_pos: dict = {}
-    for pos, mono, _ in (_lead_first(v, POT)[0] for v in gb):
-        by_pos.setdefault(pos, []).append(mono)
+    by_pos = _relation_leads(mod)
     ring = mod.ring
     n = ring.nvars
     out = []

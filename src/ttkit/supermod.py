@@ -18,6 +18,7 @@ of their terms and the maps between them are built only to validate one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, ValidationError
@@ -57,8 +58,10 @@ def all_subsets(d: int) -> list:
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def parity_basis(d: int, parity: int) -> list:
-    return [s for s in all_subsets(d) if len(s) % 2 == parity]
+@cache
+def parity_basis(d: int, parity: int) -> tuple:
+    """The words of this parity in basis order, built once per (d, parity)."""
+    return tuple(s for s in all_subsets(d) if len(s) % 2 == parity)
 
 
 def wedge(s: tuple, t: tuple):
@@ -80,7 +83,7 @@ class SuperAlgebra:
         if self.odd_rank < 0:
             raise ValidationError("odd rank must be nonnegative")
 
-    def basis(self, parity: int) -> list:
+    def basis(self, parity: int) -> tuple:
         return parity_basis(self.odd_rank, parity % 2)
 
     def nonempty_subsets(self) -> list:

@@ -1,5 +1,6 @@
 """Every public top-level definition and public method in `src/ttkit` has a
-caller outside the tests.
+caller outside the tests, and every module-level import is used by its
+module.
 
 The roots are the command line (`cli`), the module-level statements of
 every ttkit module (imports aside), and the `scripts/*.py` and `bench/*.py`
@@ -24,6 +25,13 @@ KEEP = {
               "a public function to wrap",
     "report_schema": "loads the published schema that --json reports follow",
     "closed_equal": "equality of the ClosedSet values the README names",
+}
+
+# Module-level imports kept although their module never uses them, keyed
+# as "module.name", with the reason.
+KEEP_IMPORTS = {
+    "corpus.supph_super": "bench/test_bench.py checks that the tracer patches "
+                          "this binding",
 }
 
 
@@ -110,3 +118,30 @@ def test_every_kept_name_is_defined_and_unreached():
     kept = {qualname: name for _, qualname, name in defined if qualname in KEEP}
     assert set(kept) == set(KEEP)
     assert not set(kept.values()) & reached
+
+
+def _unused_imports() -> list:
+    """The "module.name" of every name that a module-level import binds
+    and its module never uses, as a bare name or as an attribute base."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_module_level_import_is_used_or_kept():
+    assert [name for name in _unused_imports() if name not in KEEP_IMPORTS] == []
+
+
+def test_every_kept_import_is_unused():
+    # A kept import that gains a use, or goes, leaves the list.
+    assert set(KEEP_IMPORTS) <= set(_unused_imports())

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttkit import polymod
-from ttkit.fields import GF, QQ, Matrix, solve
+from ttkit.errors import PreconditionError
+from ttkit.fields import GF, QQ, Matrix, rref, solve
 from ttkit.polyring import (
     GREVLEX,
     LEX,
@@ -30,6 +31,7 @@ from ttkit.polymod import (
     cohomology,
     direct_sum,
     graded_dim,
+    graded_standard_pairs,
     map_cokernel,
     map_is_isomorphism,
     map_kernel,
@@ -37,6 +39,7 @@ from ttkit.polymod import (
     module_tensor,
     monomials_of_degree,
     multiplication_matrix,
+    relation_degree,
     standard_pairs,
     submodule_lift,
     submodule_presentation,
@@ -47,6 +50,7 @@ from ttkit.polymod import (
     vec_scale,
     vec_sub,
     vector_divmod,
+    vector_in_standard_coords,
     vector_normal_form,
     zero_vector,
 )
@@ -767,6 +771,152 @@ def test_graded_dim_is_the_hilbert_function_of_the_initial_ideal(case):
         standard = [m for m in monomials_of_degree(ring, d)
                     if not any(mono_divides(lead, m) for lead in leads)]
         assert graded_dim(mod, [0], d) == len(standard)
+
+
+def macaulay_slice(mod, weights, d, var_weights=None):
+    """The reference: row-reduce the Macaulay matrix of the degree-d slice.
+
+    Columns are the pairs (generator, monomial) of degree d, generator
+    ascending, then grevlex-descending; rows are the monomial shifts of the
+    relations into degree d.  Returns the pairs of the non-pivot columns
+    and a function giving a degree-d vector's coordinates over them, the
+    vector reduced by the rref rows.
+    """
+    ring = mod.ring
+    fld = ring.field
+    pairs = [(j, m) for j in range(mod.rank)
+             for m in monomials_of_degree(ring, d - weights[j], var_weights)]
+    index = {p: i for i, p in enumerate(pairs)}
+    rows = []
+    for rel in mod.relations if pairs else ():
+        rdeg = relation_degree(rel, weights, var_weights)
+        if rdeg is None:
+            raise PreconditionError("inhomogeneous relation in graded computation")
+        for shift in monomials_of_degree(ring, d - rdeg, var_weights):
+            row = [fld.zero()] * len(pairs)
+            for j, p in enumerate(rel):
+                for mono, c in p.terms:
+                    k = index[(j, mono_mul(shift, mono))]
+                    row[k] = fld.add(row[k], c)
+            rows.append(row)
+    red, pivots = rref(Matrix.from_rows(fld, rows)) if rows else (None, ())
+    free = [i for i in range(len(pairs)) if i not in pivots]
+
+    def coords(v):
+        vec = [fld.zero()] * len(pairs)
+        for j, p in enumerate(v):
+            for mono, c in p.terms:
+                vec[index[(j, mono)]] = c
+        for r, pc in enumerate(pivots):
+            c = vec[pc]
+            if c != 0:
+                vec = [fld.sub(a, fld.mul(c, b)) for a, b in zip(vec, red.row(r))]
+        return [vec[i] for i in free]
+
+    return [pairs[i] for i in free], coords
+
+
+@st.composite
+def graded_modules(draw):
+    """(module, generator weights, variable weights, degree-d vectors by d):
+    ranks 1-3, generator weights 0-2, over QQ or GF(7), homogeneous
+    relations of degree up to 4, in x, y, z with unit weights or in x, y
+    weighted (2, 3).  In two variables lex and grevlex agree on every
+    weighted-homogeneous slice, so only the three-variable cases can tell
+    the orders apart."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    var_weights = draw(st.sampled_from([None, (2, 3)]))
+    ring = PolyRing(field, ("x", "y") if var_weights else ("x", "y", "z"))
+    rank = draw(st.integers(min_value=1, max_value=3))
+    weights = [draw(st.integers(min_value=0, max_value=2)) for _ in range(rank)]
+    coeffs = st.sampled_from([1, -1, 2, -2, 3, -3]).map(field.from_int)
+
+    def homogeneous_vector(deg):
+        """A random vector of degree deg, zero when the slice is empty."""
+        out = []
+        for w in weights:
+            monos = monomials_of_degree(ring, deg - w, var_weights)
+            chosen = draw(st.lists(st.sampled_from(monos), max_size=3)) if monos else []
+            out.append(ring.from_terms((m, draw(coeffs)) for m in chosen))
+        return tuple(out)
+
+    relations = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        rel = homogeneous_vector(draw(st.integers(min_value=max(weights), max_value=4)))
+        if not vec_is_zero(rel):
+            relations.append(rel)
+    mod = PresentedModule(ring, rank, tuple(relations))
+    vectors = {d: [homogeneous_vector(d) for _ in range(2)] for d in range(5)}
+    return mod, weights, var_weights, vectors
+
+
+@st.composite
+def dense_ideals(draw):
+    """graded_modules' shape for R/I, I spanned by 2 or 3 forms of degree 2
+    or 3 in x, y, z with every monomial present.  Sparse relations rarely
+    lead differently under lex and grevlex; the Groebner bases of dense ones
+    mostly do by degree 4."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    coeffs = st.sampled_from([1, -1, 2, -2, 3, -3]).map(field.from_int)
+    relations = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        monos = monomials_of_degree(ring, draw(st.integers(min_value=2, max_value=3)))
+        relations.append((ring.from_terms((m, draw(coeffs)) for m in monos),))
+    vectors = {d: [(ring.from_terms((m, draw(coeffs)) for m in monomials_of_degree(ring, d)),)]
+               for d in range(5)}
+    return PresentedModule(ring, 1, tuple(relations)), [0], None, vectors
+
+
+@given(st.one_of(graded_modules(), dense_ideals()))
+@settings(max_examples=200, deadline=None)
+def test_graded_standard_pairs_match_the_macaulay_slice(case):
+    # Same pairs and the same coordinates, not only the same count: the
+    # Hilbert function does not see the monomial order, coordinates do.
+    mod, weights, var_weights, vectors = case
+    for d, vs in vectors.items():
+        pairs = graded_standard_pairs(mod, weights, d, var_weights)
+        want_pairs, want_coords = macaulay_slice(mod, weights, d, var_weights)
+        assert pairs == want_pairs
+        assert graded_dim(mod, weights, d, var_weights) == len(want_pairs)
+        for v in vs:
+            assert vector_in_standard_coords(mod, pairs, v) == want_coords(v)
+
+
+def test_graded_standard_pairs_are_listed_generator_first_then_grevlex_descending():
+    m = PresentedModule(RXY, 2, (V("x^2", "0"), V("0", "y")))
+    assert graded_standard_pairs(m, [0, 1], 2) == [
+        (0, (1, 1)), (0, (0, 2)), (1, (1, 0))]
+
+
+def test_graded_coordinates_follow_the_grevlex_relation_basis():
+    # y^2 - x*z leads with y^2 under grevlex and with x*z under lex: the
+    # dimension is the same either way, the standard pairs are not
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    m = PresentedModule.cyclic(ring, [ring.parse_poly("y^2 - x*z")])
+    pairs = graded_standard_pairs(m, [0], 2)
+    assert pairs == [(0, (2, 0, 0)), (0, (1, 1, 0)), (0, (1, 0, 1)),
+                     (0, (0, 1, 1)), (0, (0, 0, 2))]
+    y2 = (ring.parse_poly("y^2"),)
+    assert vector_in_standard_coords(m, pairs, y2) == [0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("rel", ["x + y^2", "0"])
+def test_graded_standard_pairs_refuse_bad_relations_on_a_nonempty_slice(rel):
+    m = PresentedModule(RXY, 1, (V(rel),))
+    for graded in (graded_standard_pairs, graded_dim, macaulay_slice):
+        with pytest.raises(PreconditionError, match="inhomogeneous relation"):
+            graded(m, [0], 1)
+
+
+@pytest.mark.parametrize("rel", ["x + y^2", "0"])
+def test_graded_standard_pairs_pass_bad_relations_on_an_empty_slice(rel):
+    # generator weight 2 puts nothing in degrees 0 and 1
+    m = PresentedModule(RXY, 1, (V(rel),))
+    for d in (-1, 0, 1):
+        assert graded_standard_pairs(m, [2], d) == []
+        assert graded_dim(m, [2], d) == 0
+        assert macaulay_slice(m, [2], d)[0] == []
 
 
 # -- finite-dimensional helpers ---------------------------------------------------------
