@@ -746,6 +746,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
     bound = degree_bound if degree_bound is not None else 2 * order + max(shifts) + window
 
     gens: list = []  # entries (degree, lift vector over A)
+    standard: dict = {}  # degree -> its standard pairs, reused by the relation loop
     fixed_dims: dict = {}
     sub_slices: dict = {}
 
@@ -755,7 +756,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
         return sub_slices[e]
 
     for d in range(0, bound + 1):
-        pairs = graded_standard_pairs(mod, shifts, d)
+        pairs = standard[d] = graded_standard_pairs(mod, shifts, d)
         dim = len(pairs)
         if dim == 0:
             fixed_dims[d] = 0
@@ -818,7 +819,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
     gen_degs = [gd for gd, _ in gens]
     relations: list = []
     for d in range(0, bound + 1):
-        pairs = graded_standard_pairs(mod, shifts, d)
+        pairs = standard[d]
         unknowns = []  # (gen index, y-monomial)
         for gi, (gd, lift) in enumerate(gens):
             for alpha in weighted_exponents(fdegs, d - gd):

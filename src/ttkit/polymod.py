@@ -11,7 +11,8 @@ criterion holds only for ideals, so it is applied at rank 1 alone.
 
 Division is done by reducers: vectors prepared once, with their lead
 found, and run through the one division loop that S-vectors,
-interreduction and `vector_divmod` share.  The loop has two scalar modes,
+interreduction, `vector_divmod` and the normal forms of a
+`polyring.GroebnerBasis` share.  The loop has two scalar modes,
 chosen by the reducer.  A monic reducer takes field steps in the field's
 arithmetic.  Over QQ, untracked Groebner runs keep primitive integer
 reducers and take pseudo-steps, so only integers occur (Becker and
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
@@ -1005,12 +1007,33 @@ def bounded_membership(f: Poly, gens: Sequence[Poly], degree_bound: int) -> bool
     """Linear-algebra ideal membership: is f = sum q_i g_i with
     deg(q_i g_i) <= degree_bound?  Independent of any Groebner machinery.
 
-    Sparse elimination on the Macaulay columns `shift * g`: monomials are
-    numbered largest first under grevlex, each column is top-reduced by the
-    pivots found so far, and a column whose lead is still new becomes a
-    monic pivot.  Then f is a member iff top-reduction drives it to zero.
+    The Macaulay columns are eliminated by `_macaulay_echelon`, which keeps
+    the echelon of the last (ring, gens, degree_bound) it was asked for, so
+    consecutive queries on one ideal and bound eliminate once.  Then f is a
+    member iff top-reduction by the pivots drives it to zero.
     """
-    ring = f.ring
+    gens = tuple(gens)
+    if any(g.ring != f.ring for g in gens):
+        raise DomainMismatchError("generators from a different ring than the polynomial")
+    index, pivots = _macaulay_echelon(f.ring, gens, degree_bound)
+    target = {}
+    for m, c in f.terms:
+        if m not in index:
+            return False  # no column reaches this monomial
+        target[index[m]] = c
+    return _top_reduce(target, pivots, f.ring.field.p) is None
+
+
+@lru_cache(maxsize=1)
+def _macaulay_echelon(ring: PolyRing, gens: tuple, degree_bound: int):
+    """(monomial index, pivots) of the Macaulay columns `shift * g` with
+    deg(shift * g) <= degree_bound; callers only read them.
+
+    Sparse elimination: monomials are numbered largest first under
+    grevlex, each column is top-reduced by the pivots found so far, and a
+    column whose lead is still new becomes a monic pivot.  Only the last
+    echelon is kept, because queries on one ideal come one after another.
+    """
     fld = ring.field
     p = fld.p
     columns = []
@@ -1020,8 +1043,6 @@ def bounded_membership(f: Poly, gens: Sequence[Poly], degree_bound: int) -> bool
         for shift_deg in range(degree_bound - g.total_degree() + 1):
             for shift in monomials_of_degree(ring, shift_deg):
                 columns.append((ring.monomial(shift) * g).terms)
-    if not columns:
-        return f.is_zero()
     monos = sorted({m for col in columns for m, _ in col}, key=GREVLEX.neg_key)
     index = {m: i for i, m in enumerate(monos)}
     pivots: dict = {}  # lead index -> the other terms of a monic pivot
@@ -1031,12 +1052,7 @@ def bounded_membership(f: Poly, gens: Sequence[Poly], degree_bound: int) -> bool
         if lead is not None:
             inv = fld.inv(v.pop(lead))
             pivots[lead] = [(i, c * inv if p == 0 else c * inv % p) for i, c in v.items()]
-    target = {}
-    for m, c in f.terms:
-        if m not in index:
-            return False  # no column reaches this monomial
-        target[index[m]] = c
-    return _top_reduce(target, pivots, p) is None
+    return index, pivots
 
 
 def _top_reduce(v: dict, pivots: dict, p: int):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from typing import Sequence
 
@@ -488,15 +489,22 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
 # -- division and Groebner bases ------------------------------------------------
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
+def normal_form(f: Poly, basis: "GroebnerBasis") -> Poly:
+    """The remainder of f on division by the basis polynomials, the first
+    whose lead divides winning.  It divides by the reducers that the basis
+    prepared on its first normal form, so further calls prepare nothing.
+    `GroebnerBasis.normal_form` and `contains` go through here."""
+    if f.ring != basis.ring:
+        raise DomainMismatchError("polynomial from a different ring than the basis")
     if f.is_zero():
         return f
-    from .polymod import ModuleOrder, vector_divmod
-
-    basis = [(g,) for g in basis if not g.is_zero()]
-    if not basis:
+    red = basis._reducers
+    if not red.reducers:
         return f
-    return vector_divmod((f,), basis, ModuleOrder(order), quotients=False)[1][0]
+    rem, _ = red.divide({(0, m): c for m, c in f.terms})
+    terms = tuple((m, c) for _, m, c in rem)
+    # descending under grevlex is already the `Poly` storage order
+    return Poly(f.ring, terms) if basis.order.kind == "grevlex" else f.ring.from_terms(terms)
 
 
 # No caller in the package: kept public so that the per-layer metric
@@ -531,9 +539,30 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """The polynomials `polys` of `ring`, a Groebner basis under `order`.
+
+    Normal forms divide by the nonzero polys, each prepared once, on the
+    first normal form, as a monic reducer of the module engine, exactly as
+    `polymod.vector_divmod` prepares a divisor.  The prepared reducers are
+    not a field: equal bases stay equal, hash equal and print alike whether
+    or not they have prepared them.  A basis built directly, as the cached
+    site bases of `supermod` are, prepares them the same way.
+    """
+
     ring: PolyRing
     order: MonomialOrder
     polys: tuple
+
+    @cached_property
+    def _reducers(self):
+        from .polymod import ModuleOrder, _lead_first, _Reducers
+
+        order = ModuleOrder(self.order)
+        red = _Reducers(order, self.ring.field, integral=False)
+        for g in self.polys:
+            if not g.is_zero():
+                red.add(_lead_first((g,), order))
+        return red
 
     @staticmethod
     def of(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> "GroebnerBasis":
@@ -544,7 +573,7 @@ class GroebnerBasis:
         return GroebnerBasis(ring, order, tuple(buchberger(gens, order)))
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.polys, self.order)
+        return normal_form(f, self)
 
     def contains(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero()

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttkit import polymod
-from ttkit.errors import PreconditionError
+from ttkit.errors import DomainMismatchError, PreconditionError
 from ttkit.fields import GF, QQ, Matrix, rref, solve
 from ttkit.polyring import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     PolyRing,
     block_order,
     buchberger,
@@ -1037,3 +1038,74 @@ def test_bounded_membership_bounds_on_the_twisted_cubic():
             assert dense_bounded_membership(f, gens, bound) == expected
         assert bounded_membership(ring.zero(), [ring.zero()], 2)
         assert not bounded_membership(ring.one(), [ring.zero()], 2)
+
+
+def test_the_oracle_memo_follows_ideal_bound_and_field():
+    """Interleaved queries, each against the dense oracle: a memo that
+    answered from the echelon of another ideal, bound or field fails."""
+    cubic = PolyRing(QQ, ("x", "y", "z"))
+    a = [cubic.parse_poly("x^2 - y"), cubic.parse_poly("x^3 - z")]
+    b = [cubic.parse_poly("x*y - z"), cubic.parse_poly("x^2 - y")]
+    # the same term data: x + 2y and 4x + y span (x, y) over QQ, and over
+    # GF(7), where 4x + y = 4(x + 2y), only (x + 2y)
+    line = {fld: PolyRing(fld, ("x", "y")) for fld in (QQ, GF(7))}
+    same = {fld: [r.parse_poly("x + 2*y"), r.parse_poly("4*x + y")] for fld, r in line.items()}
+    for fld, r in line.items():
+        assert [g.terms for g in same[fld]] == [g.terms for g in same[QQ]]
+    queries = [
+        (a, 2, cubic.parse_poly("x*y - z"), False),
+        (b, 2, cubic.parse_poly("x*y - z"), True),
+        (a, 3, cubic.parse_poly("x*y - z"), True),
+        (a, 2, cubic.parse_poly("x*y - z"), False),
+        (a, 2, cubic.parse_poly("x^2 - y"), True),
+        (same[QQ], 1, line[QQ].parse_poly("y"), True),
+        (same[GF(7)], 1, line[GF(7)].parse_poly("y"), False),
+        (same[QQ], 1, line[QQ].parse_poly("x"), True),
+        ([cubic.zero()] * 2, 3, cubic.parse_poly("x*y - z"), False),
+        ([cubic.zero()] * 2, 3, cubic.zero(), True),
+        (a, 3, cubic.parse_poly("x*y - z"), True),
+        (a, 2, cubic.parse_poly("x*y - z"), False),
+    ]
+    for gens, bound, f, expected in queries:
+        assert bounded_membership(f, gens, bound) == expected
+        assert dense_bounded_membership(f, gens, bound) == expected
+
+
+def test_bounded_membership_refuses_a_polynomial_from_another_ring():
+    gens = [P("x^2 - y")]
+    assert bounded_membership(P("3*x^2 - 3*y"), gens, 2)  # the echelon of (gens, 2) is kept
+    wider = PolyRing(QQ, ("x", "y", "z")).parse_poly("x^2*z")
+    mod7 = PolyRing(GF(7), ("x", "y")).parse_poly("3*x^2 - 3*y")
+    for f, with_gens in ((wider, gens), (mod7, gens), (mod7, [RXY.zero()])):
+        with pytest.raises(DomainMismatchError):
+            bounded_membership(f, with_gens, 2)
+
+
+def test_membership_prepares_once_per_basis_and_eliminates_once_per_ideal(monkeypatch):
+    """Work counts: 10 `contains` calls on one basis prepare each of its
+    polynomials once, and 4 oracle calls on one (gens, bound) run one
+    elimination.  Per-call preparation would multiply both counts."""
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    gens = [ring.parse_poly(t) for t in ("x^2 - y*z", "y^2 - x*z + z", "x*y*z - 1")]
+    gb = GroebnerBasis.of(gens)
+    probes = [ring.parse_poly(t) for t in
+              ("x^2 - y*z", "x", "y^3 - z^2", "x*y", "x^3 + y", "z - 1", "x^2*y - y^2*z",
+               "y^2 - x*z + z", "x + y + z", "x*y*z^2 - z")]
+    prepared = []
+    add = polymod._Reducers.add
+    monkeypatch.setattr(polymod._Reducers, "add",
+                        lambda red, terms: prepared.append(terms) or add(red, terms))
+    verdicts = [gb.contains(f) for f in probes]
+    assert verdicts[0] and verdicts[7] and not verdicts[1]
+    assert len(prepared) == len(gb.polys)
+
+    bounded_membership(ring.one(), [ring.parse_poly("x")], 1)  # another ideal first
+    calls = []
+    degrees = polymod.monomials_of_degree
+    monkeypatch.setattr(polymod, "monomials_of_degree",
+                        lambda *args: calls.append(args) or degrees(*args))
+    first = bounded_membership(probes[0], gens, 4)
+    eliminated = len(calls)
+    rest = [bounded_membership(f, gens, 4) for f in probes[1:4]]
+    assert first and rest == [False, False, False]
+    assert eliminated > 0 and len(calls) == eliminated

@@ -10,7 +10,7 @@ try:
 except ImportError:
     sympy = None
 
-from ttkit.errors import ValidationError
+from ttkit.errors import DomainMismatchError, ValidationError
 from ttkit.polymod import ModuleOrder, vector_divmod
 from ttkit.fields import GF, QQ
 from ttkit.polyring import (
@@ -308,6 +308,81 @@ def test_normal_form_multiplicative_up_to_ideal(f, g):
     lhs = gb.normal_form(f * g)
     rhs = gb.normal_form(gb.normal_form(f) * gb.normal_form(g))
     assert lhs == rhs
+
+
+def ref_normal_form(f, polys, order):
+    """The reference path: divide by reducers that `vector_divmod` prepares
+    afresh on every call."""
+    basis = [(g,) for g in polys if not g.is_zero()]
+    if f.is_zero() or not basis:
+        return f
+    return vector_divmod((f,), basis, ModuleOrder(order), quotients=False)[1][0]
+
+
+@st.composite
+def bases_and_polys(draw):
+    """Bases of one ring and order, and polynomials to reduce by them.  One
+    basis is built directly from raw polynomials, zero and non-monic ones
+    included, as a cached site basis is; the others by `GroebnerBasis.of`."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    order = draw(st.sampled_from([GREVLEX, LEX, block_order(1)]))
+    ring = PolyRing(field, ("x", "y", "z"))
+
+    def poly(max_terms, max_exp):
+        terms = []
+        for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+            mono = tuple(draw(st.integers(min_value=0, max_value=max_exp)) for _ in range(3))
+            if field.is_rational:
+                c = Fraction(draw(st.fractions(min_value=-4, max_value=4, max_denominator=3)))
+            else:
+                c = draw(st.integers(min_value=0, max_value=field.p - 1))
+            terms.append((mono, c))
+        return ring.from_terms(terms)
+
+    bases = [GroebnerBasis.of([poly(3, 2) for _ in range(draw(st.integers(1, 3)))], order)
+             for _ in range(draw(st.integers(1, 2)))]
+    bases.append(GroebnerBasis(ring, order, tuple(poly(3, 2) for _ in range(draw(st.integers(0, 3))))))
+    polys = [poly(5, 3) for _ in range(draw(st.integers(1, 4)))]
+    return ring, bases, polys
+
+
+@given(bases_and_polys())
+@settings(max_examples=60, deadline=None)
+def test_kept_reducers_give_the_per_call_normal_form(case):
+    ring, bases, polys = case
+    # each f on every basis in turn, all of it twice, then f = 0
+    for f in polys + polys + [ring.zero()]:
+        for gb in bases:
+            got = gb.normal_form(f)
+            want = ref_normal_form(f, gb.polys, gb.order)
+            assert got.ring == want.ring
+            assert got.terms == want.terms
+            assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+            assert gb.contains(f) == want.is_zero()
+            if f.is_zero():
+                assert got.is_zero()
+
+
+def test_prepared_reducers_leave_equality_and_hash_alone():
+    gens = [P("x^2 - y", RXY), P("x*y - 1", RXY)]
+    a, b = GroebnerBasis.of(gens), GroebnerBasis.of(gens)
+    assert a == b and hash(a) == hash(b)
+    assert a.contains(P("x^3 - x*y", RXY))
+    assert "_reducers" in vars(a) and "_reducers" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert len({a, b}) == 1
+
+
+def test_membership_refuses_a_polynomial_from_another_ring():
+    # Without the ring check, x^2*z reduces to y, and 3*x^2 - 3*y over GF(7)
+    # counts as contained.
+    gb = GroebnerBasis.of([P("x^2 - y", RXY)])
+    assert gb.contains(P("3*x^2 - 3*y", RXY))
+    for f in (P("x^2*z"), PolyRing(GF(7), ("x", "y")).parse_poly("3*x^2 - 3*y"), RXYZ.zero()):
+        with pytest.raises(DomainMismatchError):
+            gb.normal_form(f)
+        with pytest.raises(DomainMismatchError):
+            gb.contains(f)
 
 
 # Exact reduced bases, printed order included: the order of a basis is part
