@@ -1,18 +1,18 @@
-"""Split supercommutative algebras and their module pairs.
+"""Split supercommutative algebras and perfect complexes of free modules over them.
 
-An algebra here is A tensor an exterior algebra on d odd generators, and a
-module is a pair of presented A-modules with multiplication maps for every
-nonzero exterior-basis element.  Validation checks the multiplication
-against the exterior products on all basis pairs, which is exactly the
-commuting-diagram datum that reconstructs the one-object picture.
+An algebra here is A tensor an exterior algebra on d odd generators.  A
+free module over it is given by its shape (even, odd): that many copies of
+the algebra, the odd ones parity-shifted.  Over A it splits into an even
+and an odd component, free on the pairs (copy, word) whose copy parity
+plus word length has that parity; free_slot numbers them.  A map of free
+modules is a matrix over the whole algebra, and free_columns expands it
+into its two component matrices over A.
 
 Basis order is graded lexicographic in the odd indices: shorter products
-first, ties broken by index tuples.  The empty product always acts as the
-identity and is never stored.
+first, ties broken by index tuples.
 
 Complexes are perfect: free terms given by their shapes and differentials
-given by matrices over the whole algebra (SuperComplex).  The supermodules
-of their terms and the maps between them are built only to validate one.
+given by matrices (SuperComplex).
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ from .polymod import (
     PresentedModule,
     annihilator,
     cohomology,
-    direct_sum,
-    submodule_lift,
-    submodule_presentation,
-    unit_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 
 
@@ -86,200 +78,9 @@ class SuperAlgebra:
     def basis(self, parity: int) -> tuple:
         return parity_basis(self.odd_rank, parity % 2)
 
-    def nonempty_subsets(self) -> list:
-        return [s for s in all_subsets(self.odd_rank) if s]
-
     def describe(self) -> str:
         names = ", ".join(f"t{j}" for j in range(self.odd_rank))
         return f"{self.base.describe()} (x) Lambda({names})"
-
-
-# -- supermodules --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuperModule:
-    """Pair of presented modules with one action map per exterior generator word.
-
-    actions holds ((parity, subset, columns), ...) for every nonempty
-    subset, both parities; column j is the image of generator j of the
-    source component, a vector over the component of parity
-    (parity + len(subset)) mod 2.
-    """
-
-    algebra: SuperAlgebra
-    even: PresentedModule
-    odd: PresentedModule
-    actions: tuple
-
-    def component(self, i: int) -> PresentedModule:
-        return self.even if i % 2 == 0 else self.odd
-
-    def action_columns(self, i: int, subset: tuple) -> tuple:
-        if not subset:
-            mod = self.component(i)
-            return tuple(unit_vector(mod.ring, mod.rank, j) for j in range(mod.rank))
-        for p, s, cols in self.actions:
-            if p == i % 2 and s == tuple(subset):
-                return cols
-        raise ValidationError(f"no action stored for parity {i} and word {subset}")
-
-    def action_map(self, i: int, subset: tuple) -> ModuleMap:
-        tgt = self.component(i + len(subset))
-        return ModuleMap(self.component(i), tgt, self.action_columns(i, subset))
-
-    def apply_word(self, i: int, subset: tuple, v: Sequence[Poly]) -> tuple:
-        cols = self.action_columns(i, subset)
-        tgt = self.component(i + len(subset))
-        out = zero_vector(tgt.ring, tgt.rank)
-        for j, entry in enumerate(v):
-            if not entry.is_zero():
-                out = vec_add(out, vec_scale(entry, cols[j]))
-        return out
-
-    def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def validate(self) -> None:
-        alg = self.algebra
-        ring = alg.base
-        if self.even.ring != ring or self.odd.ring != ring:
-            raise DomainMismatchError("components must live over the base ring")
-        wanted = {(i, s) for i in (0, 1) for s in alg.nonempty_subsets()}
-        stored = {(p, s) for p, s, _ in self.actions}
-        if stored != wanted:
-            raise ValidationError("action table does not match the exterior basis")
-        for p, s, cols in self.actions:
-            src, tgt = self.component(p), self.component(p + len(s))
-            if len(cols) != src.rank or any(len(c) != tgt.rank for c in cols):
-                raise ValidationError(f"action ({p}, {s}) has the wrong shape")
-            self.action_map(p, s).check_well_defined()
-        for s in alg.nonempty_subsets():
-            for t in alg.nonempty_subsets():
-                sign, union = wedge(s, t)
-                for i in (0, 1):
-                    mid = (i + len(t)) % 2
-                    tgt = self.component(i + len(t) + len(s))
-                    for j in range(self.component(i).rank):
-                        step = self.apply_word(mid, s, self.action_columns(i, t)[j])
-                        if sign == 0:
-                            if not tgt.contains_in_relations(step):
-                                raise ValidationError(
-                                    f"repeated factor {s} * {t} does not act as zero"
-                                )
-                            continue
-                        want = self.action_columns(i, union)[j]
-                        if sign < 0:
-                            want = tuple(-q for q in want)
-                        if not tgt.contains_in_relations(vec_sub(step, want)):
-                            raise ValidationError(
-                                f"multiplication disagrees with the exterior "
-                                f"product on {s} * {t} at parity {i}"
-                            )
-
-
-def assemble_actions(alg: SuperAlgebra, even: PresentedModule, odd: PresentedModule,
-                     theta: Sequence) -> tuple:
-    """Full action table from single-generator actions.
-
-    theta[j] = (columns on the even part, columns on the odd part).  Longer
-    words compose with the smallest index applied last, which matches the
-    sorted-word convention with no extra sign.
-    """
-    comps = (even, odd)
-
-    def word_columns(i: int, subset: tuple) -> tuple:
-        src = comps[i % 2]
-        tgt = comps[(i + len(subset)) % 2]
-        if not subset:
-            return tuple(unit_vector(src.ring, src.rank, j) for j in range(src.rank))
-        head, rest = subset[0], subset[1:]
-        inner = word_columns(i, rest)
-        head_cols = theta[head][(i + len(rest)) % 2]
-        out = []
-        for j in range(src.rank):
-            acc = zero_vector(src.ring, tgt.rank)
-            for k, entry in enumerate(inner[j]):
-                if not entry.is_zero():
-                    acc = vec_add(acc, vec_scale(entry, head_cols[k]))
-            out.append(acc)
-        return tuple(out)
-
-    table = []
-    for i in (0, 1):
-        for s in alg.nonempty_subsets():
-            table.append((i, s, word_columns(i, s)))
-    return tuple(table)
-
-
-def zero_supermodule(alg: SuperAlgebra) -> SuperModule:
-    z = PresentedModule.zero(alg.base)
-    actions = tuple((i, s, ()) for i in (0, 1) for s in alg.nonempty_subsets())
-    return SuperModule(alg, z, z, actions)
-
-
-def ring_supermodule(alg: SuperAlgebra) -> SuperModule:
-    """The algebra over itself: components indexed by the exterior basis."""
-    ring = alg.base
-    ev, od = alg.basis(0), alg.basis(1)
-    comps = (PresentedModule.free(ring, len(ev)), PresentedModule.free(ring, len(od)))
-    bases = (ev, od)
-    actions = []
-    for i in (0, 1):
-        for s in alg.nonempty_subsets():
-            tgt_basis = bases[(i + len(s)) % 2]
-            tindex = {b: k for k, b in enumerate(tgt_basis)}
-            cols = []
-            for b in bases[i]:
-                sign, union = wedge(s, b)
-                col = zero_vector(ring, len(tgt_basis))
-                if sign != 0:
-                    unit = ring.one() if sign > 0 else -ring.one()
-                    col = tuple(unit if k == tindex[union] else ring.zero()
-                                for k in range(len(tgt_basis)))
-                cols.append(col)
-            actions.append((i, s, tuple(cols)))
-    return SuperModule(alg, comps[0], comps[1], tuple(actions))
-
-
-def parity_change(m: SuperModule) -> SuperModule:
-    """Swap the components; action maps are relabeled with no extra sign."""
-    actions = tuple((1 - p, s, cols) for p, s, cols in m.actions)
-    actions = tuple(sorted(actions, key=lambda e: (e[0], len(e[1]), e[1])))
-    return SuperModule(m.algebra, m.odd, m.even, actions)
-
-
-def direct_sum_super(a: SuperModule, b: SuperModule) -> SuperModule:
-    if a.algebra != b.algebra:
-        raise DomainMismatchError("summands over different superalgebras")
-    ring = a.algebra.base
-    even = direct_sum(a.even, b.even)
-    odd = direct_sum(a.odd, b.odd)
-    comps = {0: (a.even, b.even, even), 1: (a.odd, b.odd, odd)}
-    actions = []
-    for i in (0, 1):
-        for s in a.algebra.nonempty_subsets():
-            t = (i + len(s)) % 2
-            ta, tb, _ = comps[t]
-            cols = []
-            for col in a.action_columns(i, s):
-                cols.append(tuple(col) + zero_vector(ring, tb.rank))
-            for col in b.action_columns(i, s):
-                cols.append(zero_vector(ring, ta.rank) + tuple(col))
-            actions.append((i, s, tuple(cols)))
-    return SuperModule(a.algebra, even, odd, tuple(actions))
-
-
-def free_supermodule(alg: SuperAlgebra, even_rank: int, odd_rank: int) -> SuperModule:
-    """R^(even_rank | odd_rank): copies of the algebra, some parity-shifted."""
-    out = None
-    for _ in range(even_rank):
-        piece = ring_supermodule(alg)
-        out = piece if out is None else direct_sum_super(out, piece)
-    for _ in range(odd_rank):
-        piece = parity_change(ring_supermodule(alg))
-        out = piece if out is None else direct_sum_super(out, piece)
-    return out if out is not None else zero_supermodule(alg)
 
 
 # -- free-module coordinates -----------------------------------------------------------
@@ -339,60 +140,6 @@ def free_columns(alg: SuperAlgebra, src_shape: tuple, tgt_shape: tuple,
     return tuple(parts[0]), tuple(parts[1])
 
 
-def free_supermap(alg: SuperAlgebra, src_shape: tuple, tgt_shape: tuple,
-                  matrix: dict) -> SuperMap:
-    """The map of free supermodules with this matrix, terms and all."""
-    src = free_supermodule(alg, *src_shape)
-    tgt = free_supermodule(alg, *tgt_shape)
-    even, odd = free_columns(alg, src_shape, tgt_shape,
-                             _normal_matrix(src_shape, tgt_shape, matrix))
-    return SuperMap(src, tgt, ModuleMap(src.even, tgt.even, even),
-                    ModuleMap(src.odd, tgt.odd, odd))
-
-
-# -- maps of supermodules --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuperMap:
-    """Even map of supermodules: a pair of component maps commuting with scalars."""
-
-    source: SuperModule
-    target: SuperModule
-    even: ModuleMap
-    odd: ModuleMap
-
-    def validate(self) -> None:
-        if self.source.algebra != self.target.algebra:
-            raise DomainMismatchError("map between different superalgebras")
-        self.even.check_well_defined()
-        self.odd.check_well_defined()
-        parts = (self.even, self.odd)
-        for i in (0, 1):
-            src = self.source.component(i)
-            for s in self.source.algebra.nonempty_subsets():
-                t = (i + len(s)) % 2
-                tgt = self.target.component(t)
-                for j in range(src.rank):
-                    via_map = self.target.apply_word(
-                        i, s, parts[i].columns[j]
-                    )
-                    via_action = parts[t].apply_vector(
-                        self.source.action_columns(i, s)[j]
-                    )
-                    if not tgt.contains_in_relations(vec_sub(via_map, via_action)):
-                        raise ValidationError(
-                            f"map does not commute with theta word {s} at parity {i}"
-                        )
-
-    def compose(self, first: "SuperMap") -> "SuperMap":
-        return SuperMap(first.source, self.target,
-                        self.even.compose(first.even), self.odd.compose(first.odd))
-
-    def is_zero_map(self) -> bool:
-        return self.even.is_zero_map() and self.odd.is_zero_map()
-
-
 # -- complexes ----------------------------------------------------------------------------
 
 
@@ -406,9 +153,10 @@ class SuperComplex:
     degree: it maps (target copy, source copy) to the entry, a tuple of
     (word, Poly) pairs, and d e_u = sum_w entry(w, u) e_w.  Entries are
     normalised on construction: words of parity |u| + |w| only, in basis
-    order, with no zero coefficients and no empty entries.  free_columns
-    expands a matrix into its component maps over A; validate() checks
-    those against the exterior action and d^2 = 0.
+    order, with no zero coefficients and no empty entries; a negative
+    copy count, a copy outside the shapes or a word outside the exterior
+    basis is rejected.  free_columns expands a matrix into its component
+    matrices over A, and validate() checks d^2 = 0 on those.
     """
 
     algebra: SuperAlgebra
@@ -419,28 +167,38 @@ class SuperComplex:
     def __post_init__(self) -> None:
         if len(self.matrices) != len(self.shapes) - 1:
             raise ValidationError("need one differential between consecutive terms")
+        for k, shape in enumerate(self.shapes):
+            if len(shape) != 2 or min(shape) < 0:
+                raise ValidationError(f"shape {shape} in slot {k} is not a pair of "
+                                      f"copy counts")
         object.__setattr__(self, "matrices", tuple(
-            _normal_matrix(self.shapes[k], self.shapes[k + 1], m)
+            _normal_matrix(self.algebra, self.shapes[k], self.shapes[k + 1], m)
             for k, m in enumerate(self.matrices)))
 
     def degrees(self) -> range:
         return range(self.start, self.start + len(self.shapes))
 
     def validate(self) -> None:
-        maps = [free_supermap(self.algebra, self.shapes[k], self.shapes[k + 1], m)
-                for k, m in enumerate(self.matrices)]
-        for f in maps:
-            f.validate()
-        for k in range(len(maps) - 1):
-            if not maps[k + 1].compose(maps[k]).is_zero_map():
+        maps = [component_complex(self, parity).maps for parity in (0, 1)]
+        for k in range(len(self.matrices) - 1):
+            if not all(m[k + 1].compose(m[k]).is_zero_map() for m in maps):
                 raise ValidationError(f"d^2 is nonzero starting in slot {k}")
 
 
-def _normal_matrix(src_shape: tuple, tgt_shape: tuple, matrix: dict) -> dict:
+def _normal_matrix(alg: SuperAlgebra, src_shape: tuple, tgt_shape: tuple,
+                   matrix: dict) -> dict:
     """The matrix with zero coefficients and empty entries dropped and words
-    in basis order; an entry with a word of the wrong parity is rejected."""
+    in basis order; an entry off the shapes, or with a word that is not in
+    the exterior basis or has the wrong parity, is rejected."""
     out = {}
     for (w, u), elem in matrix.items():
+        if not (0 <= w < sum(tgt_shape) and 0 <= u < sum(src_shape)):
+            raise ValidationError(f"entry ({w}, {u}) lies outside the shapes "
+                                  f"{src_shape} -> {tgt_shape}")
+        for word, _ in elem:
+            if word not in alg.basis(len(word)):
+                raise ValidationError(f"entry ({w}, {u}) has the word {word}, which "
+                                      f"is not in the exterior basis")
         want = ((0 if u < src_shape[0] else 1) + (0 if w < tgt_shape[0] else 1)) % 2
         if any(len(word) % 2 != want for word, _ in elem):
             raise ValidationError(f"entry ({w}, {u}) mixes parities in the free map")
@@ -719,93 +477,39 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
 # -- the odd-generator filtration ---------------------------------------------------------
 
 
+# -- the odd-generator filtration ---------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class JLayer:
-    """One step J^i M of the odd-ideal filtration with its subquotient."""
+    """The subquotient J^i M / J^(i+1) M of the odd-ideal filtration, by parity."""
 
-    stage: SuperModule
-    gens_even: tuple
-    gens_odd: tuple
     quotient_even: PresentedModule
     quotient_odd: PresentedModule
 
 
-def _prune_generators(vectors, ambient: PresentedModule) -> list:
-    kept = []
-    for v in vectors:
-        if ambient.contains_in_relations(v):
-            continue
-        if kept and submodule_lift(v, kept, ambient) is not None:
-            continue
-        kept.append(tuple(v))
-    return kept
+def j_filtration(alg: SuperAlgebra, shape: tuple) -> tuple:
+    """Layers of M, JM, J^2 M, ... for the free module M of the shape.
 
-
-def _stage_supermodule(m: SuperModule, gens_even, gens_odd) -> SuperModule:
-    alg = m.algebra
-    sub0, _ = submodule_presentation(list(gens_even), m.even)
-    sub1, _ = submodule_presentation(list(gens_odd), m.odd)
-    gens = (gens_even, gens_odd)
-    subs = (sub0, sub1)
-    theta = []
-    for t in range(alg.odd_rank):
-        per_parity = []
-        for i in (0, 1):
-            cols = []
-            for v in gens[i]:
-                w = m.apply_word(i, (t,), v)
-                lifted = submodule_lift(w, list(gens[1 - i]), m.component(1 - i))
-                if lifted is None:
-                    raise ValidationError("odd action leaves the filtration stage")
-                cols.append(tuple(lifted))
-            per_parity.append(tuple(cols))
-        theta.append((per_parity[0], per_parity[1]))
-    actions = assemble_actions(alg, sub0, sub1, theta)
-    return SuperModule(alg, sub0, sub1, actions)
-
-
-def j_filtration(m: SuperModule) -> tuple:
-    """Stages M, JM, J^2 M, ... with subquotients, until the ideal clears.
-
-    J is the two-sided ideal of the odd generators; the filtration must
-    vanish after at most odd_rank + 1 steps, anything longer is rejected.
+    J is the two-sided ideal of the odd generators.  On the (copy, word)
+    basis over A, J^0 M is spanned by the copies and J^(i+1) M by the
+    nonzero products theta_t theta_word e_copy of the words of J^i M, so
+    each layer is free on the words of J^i M outside J^(i+1) M; the
+    filtration clears after odd_rank + 1 steps.
     """
-    alg = m.algebra
-    gens_even = _prune_generators(
-        [unit_vector(alg.base, m.even.rank, j) for j in range(m.even.rank)], m.even)
-    gens_odd = _prune_generators(
-        [unit_vector(alg.base, m.odd.rank, j) for j in range(m.odd.rank)], m.odd)
+    stage = {(u, pu, ()) for u, pu in _copies(shape)}
     layers = []
-    step = 0
-    while gens_even or gens_odd:
-        if step > alg.odd_rank:
-            raise ValidationError("odd ideal powers do not terminate")
-        next_even = _prune_generators(
-            [m.apply_word(1, (t,), v) for v in gens_odd for t in range(alg.odd_rank)],
-            m.even)
-        next_odd = _prune_generators(
-            [m.apply_word(0, (t,), v) for v in gens_even for t in range(alg.odd_rank)],
-            m.odd)
-        stage = _stage_supermodule(m, tuple(gens_even), tuple(gens_odd))
-        extra_even = []
-        for w in next_even:
-            lifted = submodule_lift(w, list(gens_even), m.even)
-            if lifted is None:
-                raise ValidationError("next stage does not embed in the current one")
-            extra_even.append(tuple(lifted))
-        extra_odd = []
-        for w in next_odd:
-            lifted = submodule_lift(w, list(gens_odd), m.odd)
-            if lifted is None:
-                raise ValidationError("next stage does not embed in the current one")
-            extra_odd.append(tuple(lifted))
-        layers.append(JLayer(
-            stage, tuple(gens_even), tuple(gens_odd),
-            PresentedModule(alg.base, stage.even.rank,
-                            stage.even.relations + tuple(extra_even)),
-            PresentedModule(alg.base, stage.odd.rank,
-                            stage.odd.relations + tuple(extra_odd)),
-        ))
-        gens_even, gens_odd = next_even, next_odd
-        step += 1
+    while stage:
+        nxt = set()
+        for u, pu, word in stage:
+            for t in range(alg.odd_rank):
+                sign, union = wedge((t,), word)
+                if sign != 0:
+                    nxt.add((u, pu, union))
+        ranks = [0, 0]
+        for _, pu, word in stage - nxt:
+            ranks[(pu + len(word)) % 2] += 1
+        layers.append(JLayer(PresentedModule.free(alg.base, ranks[0]),
+                             PresentedModule.free(alg.base, ranks[1])))
+        stage = nxt
     return tuple(layers)

@@ -55,7 +55,7 @@ from .grouprep import (
 )
 from .polymod import PresentedModule, bounded_membership, graded_dim
 from .polyring import GroebnerBasis, PolyRing
-from .supermod import SuperAlgebra, free_supermodule, j_filtration
+from .supermod import SuperAlgebra, j_filtration
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,7 @@ def criterion_9() -> CriterionResult:
 
     for d in (1, 2):
         alg = SuperAlgebra(PolyRing(QQ, ("x",)), d)
-        layers = j_filtration(free_supermodule(alg, 1, 0))
+        layers = j_filtration(alg, (1, 0))
         dims = []
         for layer in layers:
             e = graded_dim(layer.quotient_even, (0,) * layer.quotient_even.rank, 0)

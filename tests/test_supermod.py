@@ -1,8 +1,10 @@
-"""Split supercommutative modules: pairs, tensor, filtration, cohomology support.
+"""Split supercommutative algebras: free modules, complexes, filtration, support.
 
 The dimension oracle for the odd-ideal filtration is the binomial count
-computed with math.comb, never the filtration code itself.  Supports of
-Koszul-type complexes are checked against the ideals they were built from.
+computed with math.comb, never the filtration code itself, and the oracle
+for the component matrices of a free map is theta-linearity, with the odd
+action computed here from wedge and free_slot.  Supports of Koszul-type
+complexes are checked against the ideals they were built from.
 """
 
 import math
@@ -24,27 +26,20 @@ from ttkit.geometry import (
     closed_equal,
     closed_union,
 )
-from ttkit.polymod import PresentedModule, graded_dim, zero_vector
+from ttkit.polymod import graded_dim
 from ttkit.polyring import PolyRing
 from ttkit.supermod import (
     SuperAlgebra,
     SuperComplex,
-    SuperMap,
-    SuperModule,
     all_subsets,
-    assemble_actions,
     cone_supercomplex,
     component_complex,
-    direct_sum_super,
     direct_sum_supercomplex,
+    free_columns,
     free_component_rank,
     free_slot,
-    free_supermap,
-    free_supermodule,
     j_filtration,
     koszul_complex_super,
-    parity_change,
-    ring_supermodule,
     scalar_matrix,
     shift_supercomplex,
     supph_sites,
@@ -64,19 +59,6 @@ def line():
 def plane2():
     ring = PolyRing(QQ, ("x", "y"))
     return ring, SuperAlgebra(ring, 2)
-
-
-def i_rd(alg, n):
-    """The even-concentrated module (N, 0) with all odd scalars acting by zero."""
-    z = PresentedModule.zero(alg.base)
-    actions = []
-    for i in (0, 1):
-        for s in alg.nonempty_subsets():
-            src = n if i == 0 else z
-            tgt = n if (i + len(s)) % 2 == 0 else z
-            cols = tuple(zero_vector(alg.base, tgt.rank) for _ in range(src.rank))
-            actions.append((i, s, cols))
-    return SuperModule(alg, n, z, tuple(actions))
 
 
 # -- exterior combinatorics ----------------------------------------------------------
@@ -130,84 +112,6 @@ def tuple_scale(sign, pair):
     return (sign * s, u if s != 0 else ())
 
 
-# -- supermodule structure -----------------------------------------------------------
-
-
-def test_ring_supermodule_validates_and_has_unit_column(line):
-    ring, alg = line
-    r = ring_supermodule(alg)
-    r.validate()
-    assert r.even.rank == 1 and r.odd.rank == 1
-    # theta acts as the identity matrix from the even to the odd slot
-    assert r.action_columns(0, (0,)) == ((ring.one(),),)
-    # and kills the odd slot: theta * theta = 0
-    assert r.action_columns(1, (0,)) == ((ring.zero(),),)
-
-
-def test_parity_change_swaps_and_squares_to_identity(line):
-    _, alg = line
-    r = ring_supermodule(alg)
-    p = parity_change(r)
-    p.validate()
-    assert p.even == r.odd and p.odd == r.even
-    assert parity_change(p) == r
-
-
-def test_i_rd_has_zero_odd_part_and_zero_actions(line):
-    ring, alg = line
-    x = ring.var("x")
-    n = PresentedModule.cyclic(ring, [x * x])
-    m = i_rd(alg, n)
-    m.validate()
-    assert m.odd.rank == 0
-    assert m.even == n
-    # the odd generator sends the even generator into the zero component
-    assert m.action_columns(0, (0,)) == ((),)
-
-
-def test_repeated_odd_factor_must_act_as_zero(line):
-    ring, alg = line
-    free = PresentedModule.free(ring, 1)
-    one_col = ((ring.one(),),)
-    actions = assemble_actions(alg, free, free, [(one_col, one_col)])
-    bad = SuperModule(alg, free, free, actions)
-    with pytest.raises(ValidationError, match="repeated factor"):
-        bad.validate()
-
-
-def test_sign_violation_is_caught(plane2):
-    ring, alg = plane2
-    # theta_0 shifts e0 to e1 and theta_1 shifts e1 to e0, on both
-    # parities; each squares to zero but the pair commutes instead of
-    # anticommuting, so the exterior-product check must fire
-    free = PresentedModule.free(ring, 2)
-    zero, one = ring.zero(), ring.one()
-    down = ((zero, one), (zero, zero))
-    up = ((zero, zero), (one, zero))
-    actions = assemble_actions(alg, free, free, [(down, down), (up, up)])
-    bad = SuperModule(alg, free, free, actions)
-    with pytest.raises(ValidationError, match="disagrees"):
-        bad.validate()
-
-
-def test_direct_sum_super_components_add(line):
-    _, alg = line
-    r = ring_supermodule(alg)
-    s = direct_sum_super(r, parity_change(r))
-    s.validate()
-    assert s.even.rank == 2 and s.odd.rank == 2
-
-
-def test_free_supermodule_shapes(plane2):
-    _, alg = plane2
-    f = free_supermodule(alg, 2, 1)
-    f.validate()
-    # each copy of the algebra contributes 2 even and 2 odd slots when d=2
-    assert f.even.rank == 6 and f.odd.rank == 6
-    z = free_supermodule(alg, 0, 0)
-    assert z.is_zero()
-
-
 def test_free_slot_indexing(line):
     _, alg = line
     assert free_slot(alg, (1, 1), 0, ()) == (0, 0)
@@ -216,6 +120,56 @@ def test_free_slot_indexing(line):
     assert free_slot(alg, (1, 1), 1, (0,)) == (0, 1)
     assert free_component_rank(alg, (1, 1), 0) == 2
     assert free_component_rank(alg, (1, 1), 1) == 2
+
+
+def _theta(alg, shape, t, parity, column):
+    """theta_t times the vector with this column of coordinates in component
+    `parity` of the free module of the shape, as a column of the other one."""
+    ring = alg.base
+    out = [ring.zero()] * free_component_rank(alg, shape, parity + 1)
+    for w, pw in supermod._copies(shape):
+        for word in alg.basis(parity + pw):
+            coeff = column[free_slot(alg, shape, w, word)[1]]
+            sign, union = wedge((t,), word)
+            if sign != 0 and not coeff.is_zero():
+                idx = free_slot(alg, shape, w, union)[1]
+                out[idx] = out[idx] + (coeff if sign > 0 else -coeff)
+    return tuple(out)
+
+
+def _shapes():
+    return st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda s: sum(s) <= 2)
+
+
+@given(d=st.integers(1, 3), src_shape=_shapes(), tgt_shape=_shapes(),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_free_columns_are_theta_linear(d, src_shape, tgt_shape, seed):
+    # the column of theta_t theta_w e_u is theta_t applied to the column of
+    # theta_w e_u, for every source basis element and every t
+    ring = PolyRing(QQ, ("x",))
+    alg = SuperAlgebra(ring, d)
+    x = ring.var("x")
+    pool = tuple(ring.from_int(c) * f for c in (1, 2, -1) for f in (ring.one(), x, x + 1))
+    rng = random.Random(seed)
+    matrix = {}
+    for w, pw in supermod._copies(tgt_shape):
+        for u, pu in supermod._copies(src_shape):
+            matrix[(w, u)] = tuple((s, rng.choice(pool)) for s in alg.basis(pu + pw)
+                                   if rng.random() < 0.5)
+    cols = free_columns(alg, src_shape, tgt_shape, matrix)
+    for u, pu in supermod._copies(src_shape):
+        for word in all_subsets(d):
+            parity, idx = free_slot(alg, src_shape, u, word)
+            for t in range(d):
+                got = _theta(alg, tgt_shape, t, parity, cols[parity][idx])
+                sign, union = wedge((t,), word)
+                if sign == 0:
+                    assert all(e.is_zero() for e in got)
+                    continue
+                p2, idx2 = free_slot(alg, src_shape, u, union)
+                want = cols[p2][idx2]
+                assert got == (want if sign > 0 else tuple(-e for e in want))
 
 
 # -- complexes ----------------------------------------------------------------------------
@@ -373,20 +327,6 @@ def test_complex_rejects_nonsquaring_differential(line):
         c.validate()
 
 
-def test_supermap_must_commute_with_theta(line):
-    ring, alg = line
-    r = ring_supermodule(alg)
-    # even slot scales by x, odd slot by 1: not a map of supermodules
-    x = ring.var("x")
-    from ttkit.polymod import ModuleMap
-
-    bad = SuperMap(r, r,
-                   ModuleMap(r.even, r.even, ((x,),)),
-                   ModuleMap(r.odd, r.odd, ((ring.one(),),)))
-    with pytest.raises(ValidationError, match="commute"):
-        bad.validate()
-
-
 def test_component_complex_carries_the_right_terms(plane2):
     ring, alg = plane2
     x = ring.var("x")
@@ -397,25 +337,40 @@ def test_component_complex_carries_the_right_terms(plane2):
     assert list(even.degrees()) == [0, 1]
 
 
-def test_free_supermap_odd_entry(line):
+def test_free_columns_odd_entry(line):
     ring, alg = line
     # send the generator of R to theta times the generator of Pi R
     matrix = {(0, 0): (((0,), ring.one()),)}
-    f = free_supermap(alg, (1, 0), (0, 1), matrix)
-    f.validate()
     # e lands on theta e' in the even slot of Pi R, and theta e on theta^2 e' = 0
-    assert f.even.columns == ((ring.one(),),)
-    assert f.odd.columns == ((ring.zero(),),)
+    even, odd = free_columns(alg, (1, 0), (0, 1), matrix)
+    assert even == ((ring.one(),),)
+    assert odd == ((ring.zero(),),)
     assert SuperComplex(alg, 0, ((1, 0), (0, 1)), (matrix,)).matrices == (matrix,)
 
 
-def test_free_supermap_rejects_mixed_parity_entries(line):
+def test_complex_rejects_mixed_parity_entries(line):
     ring, alg = line
-    with pytest.raises(ValidationError, match="parit"):
-        free_supermap(alg, (1, 0), (1, 0), {(0, 0): (((0,), ring.one()),)})
     with pytest.raises(ValidationError, match="parit"):
         SuperComplex(alg, 0, ((1, 0), (1, 0)),
                      ({(0, 0): (((), ring.one()), ((0,), ring.one()))},))
+
+
+@pytest.mark.parametrize("shapes, key, word, match", [
+    # a target copy past the shape, with a word of the parity it would have
+    (((1, 0), (1, 1)), (5, 0), (0,), "\\(5, 0\\) lies outside the shapes"),
+    # a source copy past the shape, which free_columns would never read
+    (((1, 1), (1, 0)), (0, 7), (0,), "\\(0, 7\\) lies outside the shapes"),
+    # a target copy past the shape, with a word of the other parity
+    (((1, 0), (1, 1)), (5, 0), (), "\\(5, 0\\) lies outside the shapes"),
+    # a word with an odd index past the odd rank
+    (((1, 0), (0, 1)), (0, 0), (3,), "word \\(3,\\)"),
+    (((-1, 0), (1, 0)), None, None, "shape \\(-1, 0\\)"),
+], ids=["target-copy", "source-copy", "other-parity", "word", "negative-count"])
+def test_complex_rejects_entries_outside_its_shapes(line, shapes, key, word, match):
+    ring, alg = line
+    matrix = {} if key is None else {key: ((word, ring.one()),)}
+    with pytest.raises(ValidationError, match=match):
+        SuperComplex(alg, 0, shapes, (matrix,))
 
 
 # -- the odd-ideal filtration ---------------------------------------------------------------
@@ -423,7 +378,7 @@ def test_free_supermap_rejects_mixed_parity_entries(line):
 
 def test_filtration_of_the_algebra_line(line):
     ring, alg = line
-    layers = j_filtration(ring_supermodule(alg))
+    layers = j_filtration(alg, (1, 0))
     assert len(layers) == 2
     # quotients are A then the parity-shifted line
     l0, l1 = layers
@@ -435,7 +390,7 @@ def test_filtration_of_the_algebra_line(line):
 
 def test_filtration_of_the_algebra_plane(plane2):
     _, alg = plane2
-    layers = j_filtration(ring_supermodule(alg))
+    layers = j_filtration(alg, (1, 0))
     dims = [
         graded_dim(l.quotient_even, (0,) * l.quotient_even.rank, 0)
         + graded_dim(l.quotient_odd, (0,) * l.quotient_odd.rank, 0)
@@ -444,18 +399,10 @@ def test_filtration_of_the_algebra_plane(plane2):
     assert dims == [math.comb(2, i) for i in range(3)]
 
 
-def test_filtration_kills_reduced_modules_in_one_step(line):
-    ring, alg = line
-    x = ring.var("x")
-    layers = j_filtration(i_rd(alg, PresentedModule.cyclic(ring, [x])))
-    assert len(layers) == 1
-    assert layers[0].stage.odd.is_zero()
-
-
 @given(st.data())
 @settings(max_examples=12, deadline=None)
 def test_filtration_layer_dims_follow_the_binomials(data):
-    d = data.draw(st.integers(min_value=1, max_value=2))
+    d = data.draw(st.integers(min_value=1, max_value=3))
     a = data.draw(st.integers(min_value=0, max_value=2))
     b = data.draw(st.integers(min_value=0, max_value=2 - a))
     if a + b == 0:
@@ -463,21 +410,19 @@ def test_filtration_layer_dims_follow_the_binomials(data):
     nvars = data.draw(st.integers(min_value=1, max_value=2))
     ring = PolyRing(QQ, ("x", "y")[:nvars])
     alg = SuperAlgebra(ring, d)
-    m = free_supermodule(alg, a, b)
-    layers = j_filtration(m)
+    layers = j_filtration(alg, (a, b))
     assert len(layers) == d + 1
+    totals = [0, 0]
     for i, layer in enumerate(layers):
-        got = graded_dim(layer.quotient_even,
-                         (0,) * layer.quotient_even.rank, 0) + graded_dim(
-            layer.quotient_odd, (0,) * layer.quotient_odd.rank, 0)
-        assert got == math.comb(d, i) * (a + b)
-
-
-def test_filtration_stages_are_supermodules(plane2):
-    _, alg = plane2
-    layers = j_filtration(free_supermodule(alg, 1, 1))
-    for layer in layers:
-        layer.stage.validate()
+        even = graded_dim(layer.quotient_even, (0,) * layer.quotient_even.rank, 0)
+        odd = graded_dim(layer.quotient_odd, (0,) * layer.quotient_odd.rank, 0)
+        # the words of length i times the even copies, and the odd copies
+        # shifted, land in the parity of i
+        want = (math.comb(d, i) * a, math.comb(d, i) * b)
+        assert (even, odd) == (want if i % 2 == 0 else want[::-1])
+        totals[0] += even
+        totals[1] += odd
+    assert totals == [free_component_rank(alg, (a, b), p) for p in (0, 1)]
 
 
 # -- field variety ---------------------------------------------------------------------------
@@ -487,8 +432,6 @@ def test_everything_over_a_finite_field():
     ring = PolyRing(GF(7), ("x",))
     x = ring.var("x")
     alg = SuperAlgebra(ring, 1)
-    r = ring_supermodule(alg)
-    r.validate()
     k = koszul_complex_super(alg, [x * x * x - ring.one()])
     k.validate()
     assert closed_equal(supph_super(k),
