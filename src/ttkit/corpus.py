@@ -36,7 +36,7 @@ from .grouprep import (
     cyclic_group,
     regular_representation,
     representation_from_forms,
-    s3_group,
+    s3_character_table,
 )
 from .polymod import ModuleMap, PresentedComplex, PresentedModule
 from .polyring import Poly, PolyRing
@@ -315,21 +315,8 @@ def c2_sign_representation(fld: Field = QQ) -> Representation:
 
 def s3_standard_representation(fld: Field = QQ) -> Representation:
     """The two dimensional reflection action on the root basis e1-e2, e2-e3."""
-    grp = s3_group()
-    one, zero, neg = fld.one(), fld.zero(), fld.neg
-    gen_t = Matrix.from_rows(fld, [[neg(one), one], [zero, one]])
-    gen_c = Matrix.from_rows(fld, [[zero, neg(one)], [one, neg(one)]])
-    word = {
-        "e": [], "(12)": ["t"], "(23)": ["t", "c"], "(13)": ["c", "t"],
-        "(123)": ["c"], "(132)": ["c", "c"],
-    }
-    mats = []
-    for name in grp.names:
-        m = Matrix.identity(fld, 2)
-        for letter in word[name]:
-            m = m.mul(gen_t if letter == "t" else gen_c)
-        mats.append(m)
-    return representation_from_forms(grp, fld, tuple(mats))
+    table = s3_character_table(fld)
+    return representation_from_forms(table.group, fld, table.forms_for("std"))
 
 
 @dataclass(frozen=True)

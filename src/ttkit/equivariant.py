@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .errors import DomainMismatchError, PreconditionError, TruncationError, ValidationError
 from .fields import Field, Matrix, kernel_basis, rank as matrix_rank, solve
 from .geometry import ClosedSet, closed_contains, image_closed_under_map
-from .grouprep import CharacterTable, FiniteGroup, cyclic_group
+from .grouprep import CharacterTable, FiniteGroup, cyclic_group, homomorphism_failure
 from .polyring import GroebnerBasis, Poly, PolyRing, eliminate, radical_equal, ring_with_prefix
 from .polymod import (
     ModuleMap,
@@ -77,14 +77,11 @@ class RingAction:
                 raise ValidationError("substitution matrix of wrong shape or field")
         if not self.matrices[g.identity].equals(Matrix.identity(fld, n)):
             raise ValidationError("identity element must substitute trivially")
-        for a in range(g.order):
-            for b in range(g.order):
-                if not self.matrices[a].mul(self.matrices[b]).equals(
-                    self.matrices[g.table[a][b]]
-                ):
-                    raise ValidationError(
-                        f"substitutions are not a homomorphism at ({g.names[a]}, {g.names[b]})"
-                    )
+        bad = homomorphism_failure(g, self.matrices)
+        if bad is not None:
+            raise ValidationError(
+                f"substitutions are not a homomorphism at ({g.names[bad[0]]}, {g.names[bad[1]]})"
+            )
 
     def variable_images(self, a: int) -> list:
         m = self.matrices[a]
@@ -130,15 +127,6 @@ def fixed_locus(act: RingAction, h_indices: Sequence[int]) -> ClosedSet:
     return ClosedSet(act.ring, tuple(gens))
 
 
-def _closure_of_element(group: FiniteGroup, a: int) -> tuple:
-    seen = [group.identity]
-    cur = a
-    while cur != group.identity:
-        seen.append(cur)
-        cur = group.table[cur][a]
-    return tuple(sorted(seen))
-
-
 def _check_subgroup(group: FiniteGroup, h_indices: Sequence[int]) -> None:
     h = set(h_indices)
     if group.identity not in h:
@@ -158,7 +146,7 @@ def pointwise_stabilizer(act: RingAction, c: ClosedSet) -> tuple:
         if a == act.group.identity:
             out.append(a)
             continue
-        xg = fixed_locus(act, _closure_of_element(act.group, a))
+        xg = fixed_locus(act, act.group.closure((a,)))
         if closed_contains(xg, c):
             out.append(a)
     return tuple(sorted(out))
@@ -444,18 +432,16 @@ class EquivariantModule:
         for cols in self.rho:
             if len(cols) != mod.rank or any(len(c) != mod.rank for c in cols):
                 raise ValidationError("action matrix of wrong shape")
-        for j in range(mod.rank):
-            diff = vec_sub(self.rho[g.identity][j], unit_vector(mod.ring, mod.rank, j))
-            if not mod.contains_in_relations(diff):
-                raise ValidationError("identity does not act as the identity")
-        for a in range(g.order):
+        if not self.acts_trivially(g.identity):
+            raise ValidationError("identity does not act as the identity")
+        for a in g.generators:
             for rel in mod.relations:
                 img = self.apply(a, rel)
                 if not mod.contains_in_relations(img):
                     raise ValidationError(
                         f"action of {g.names[a]} does not preserve the relations"
                     )
-        for a in range(g.order):
+        for a in g.generators:
             for b in range(g.order):
                 ab = g.table[a][b]
                 for j in range(mod.rank):
@@ -466,6 +452,14 @@ class EquivariantModule:
                         raise ValidationError(
                             f"cocycle fails at ({g.names[a]}, {g.names[b]}) on generator {j}"
                         )
+
+    def acts_trivially(self, a: int) -> bool:
+        """Whether rho[a] is the identity modulo the relations."""
+        mod = self.module
+        return all(
+            mod.contains_in_relations(vec_sub(self.rho[a][j], unit_vector(mod.ring, mod.rank, j)))
+            for j in range(mod.rank)
+        )
 
     def apply(self, a: int, v: Sequence[Poly]) -> tuple:
         """Semilinear action on a module vector."""
@@ -494,12 +488,12 @@ def ring_as_equivariant(act: RingAction) -> EquivariantModule:
 
 def cyclic_equivariant(act: RingAction, ideal_gens: Sequence[Poly]) -> EquivariantModule:
     """A/I with the action inherited from the ring; I must be G-stable."""
-    for a in range(act.group.order):
-        for f in ideal_gens:
-            img = act.apply(a, f)
-            gb = GroebnerBasis.of(list(ideal_gens))
-            if not gb.contains(img):
-                raise ValidationError("ideal is not stable under the action")
+    if ideal_gens:
+        gb = GroebnerBasis.of(list(ideal_gens))
+        for a in act.group.generators:
+            for f in ideal_gens:
+                if not gb.contains(act.apply(a, f)):
+                    raise ValidationError("ideal is not stable under the action")
     mod = PresentedModule.cyclic(act.ring, list(ideal_gens))
     em = EquivariantModule(act, mod, identity_rho(act, mod.rank))
     em.validate()
@@ -564,7 +558,7 @@ class EquivariantComplex:
         for idx in range(len(terms) - 1):
             d = self.complex.maps[idx]
             src, tgt = terms[idx], terms[idx + 1]
-            for a in range(self.action.group.order):
+            for a in self.action.group.generators:
                 for j in range(src.module.rank):
                     left = d.apply_vector(src.rho[a][j])  # d(rho_a e_j)
                     right = tgt.apply(a, d.columns[j])  # rho_a(d e_j)
@@ -711,17 +705,9 @@ def _trivial_shortcut_applies(em: EquivariantModule, pres: InvariantRingPresenta
     act = em.action
     if tuple(pres.generators) != act.ring.gens():
         return False
-    n = act.ring.nvars
-    idm = Matrix.identity(act.ring.field, n)
-    if not all(m.equals(idm) for m in act.matrices):
-        return False
-    mod = em.module
-    for a in range(act.group.order):
-        for j in range(mod.rank):
-            diff = vec_sub(em.rho[a][j], unit_vector(mod.ring, mod.rank, j))
-            if not mod.contains_in_relations(diff):
-                return False
-    return True
+    idm = Matrix.identity(act.ring.field, act.ring.nvars)
+    return all(act.matrices[a].equals(idm) and em.acts_trivially(a)
+               for a in act.group.generators)
 
 
 def _invariants_by_renaming(em, pres, shifts) -> InvariantsModule:
@@ -735,6 +721,21 @@ def _invariants_by_renaming(em, pres, shifts) -> InvariantsModule:
     out = PresentedModule(yring, mod.rank, rels)
     lifts = tuple(unit_vector(mod.ring, mod.rank, j) for j in range(mod.rank))
     return InvariantsModule(out, lifts, shifts)
+
+
+def _fixed_vectors(em: EquivariantModule, pairs) -> list:
+    """Coordinates, over the standard pairs, of a basis of the fixed vectors
+    in their span: the kernel of the stacked rho_s - I over the generators."""
+    mod = em.module
+    ring, fld, n = mod.ring, mod.ring.field, len(pairs)
+    rows = []
+    for a in em.action.group.generators:
+        cols = [vector_in_standard_coords(mod, pairs, em.apply(
+            a, vec_scale(ring.monomial(m), unit_vector(ring, mod.rank, j)))) for j, m in pairs]
+        rows += [[fld.sub(cols[c][r], fld.one() if c == r else fld.zero()) for c in range(n)]
+                 for r in range(n)]
+    ker = kernel_basis(Matrix(fld, len(rows), n, tuple(x for row in rows for x in row)))
+    return [[ker.at(i, j) for i in range(n)] for j in range(ker.cols)]
 
 
 def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
@@ -757,34 +758,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
 
     for d in range(0, bound + 1):
         pairs = standard[d] = graded_standard_pairs(mod, shifts, d)
-        dim = len(pairs)
-        if dim == 0:
-            fixed_dims[d] = 0
-            continue
-
-        nontrivial = [a for a in range(act.group.order) if a != act.group.identity]
-        if nontrivial:
-            stacked_rows = []
-            for a in nontrivial:
-                colsm = []
-                for j, m in pairs:
-                    img = em.apply(a, vec_scale(ring.monomial(m), unit_vector(ring, mod.rank, j)))
-                    colsm.append(vector_in_standard_coords(mod, pairs, img))
-                for r in range(dim):
-                    row = [
-                        fld.sub(colsm[cc][r], fld.one() if cc == r else fld.zero())
-                        for cc in range(dim)
-                    ]
-                    stacked_rows.append(row)
-            ker = kernel_basis(Matrix.from_rows(fld, stacked_rows))
-            fixed_vecs = [
-                [ker.at(i, j) for i in range(dim)] for j in range(ker.cols)
-            ]
-        else:
-            fixed_vecs = [
-                [fld.one() if i == j else fld.zero() for i in range(dim)]
-                for j in range(dim)
-            ]
+        fixed_vecs = _fixed_vectors(em, pairs)
         fixed_dims[d] = len(fixed_vecs)
         if not fixed_vecs:
             continue
@@ -867,29 +841,10 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
 
 
 def _invariants_finite(em, pres, pairs) -> InvariantsModule:
-    act, mod = em.action, em.module
+    mod = em.module
     ring, fld = mod.ring, mod.ring.field
     s0 = len(pairs)
-
-    def action_matrix(a: int) -> Matrix:
-        cols = []
-        for j, m in pairs:
-            img = em.apply(a, vec_scale(ring.monomial(m), unit_vector(ring, mod.rank, j)))
-            cols.append(vector_in_standard_coords(mod, pairs, img))
-        rows = [[cols[c][r] for c in range(s0)] for r in range(s0)]
-        return Matrix.from_rows(fld, rows)
-
-    nontrivial = [a for a in range(act.group.order) if a != act.group.identity]
-    if nontrivial:
-        stacked = None
-        for a in nontrivial:
-            block = action_matrix(a).sub(Matrix.identity(fld, s0))
-            stacked = block if stacked is None else stacked.vstack(block)
-        ker = kernel_basis(stacked)
-        fixed = [[ker.at(i, j) for i in range(s0)] for j in range(ker.cols)]
-    else:
-        fixed = [[fld.one() if i == j else fld.zero() for i in range(s0)] for j in range(s0)]
-
+    fixed = _fixed_vectors(em, pairs)
     s = len(fixed)
     yring = pres.ring
     if s == 0:
@@ -957,7 +912,7 @@ def _embedding_check(h_group: FiniteGroup, g_group: FiniteGroup,
         raise ValidationError("embedding must send identity to identity")
     if len(set(h_embed)) != len(h_embed):
         raise ValidationError("embedding must be injective")
-    for a in range(h_group.order):
+    for a in h_group.generators:
         for b in range(h_group.order):
             lhs = h_embed[h_group.table[a][b]]
             rhs = g_group.table[h_embed[a]][h_embed[b]]
@@ -991,7 +946,7 @@ def isotypic_decompose_module(
     if table.field != fld:
         raise DomainMismatchError("character table over the wrong field")
 
-    for a in range(h_group.order):
+    for a in h_group.generators:
         ga = h_embed[a]
         if require_trivial_ring_action:
             if not act.matrices[ga].equals(Matrix.identity(fld, ring.nvars)):
@@ -1153,7 +1108,7 @@ def support_reduction(
     for a in range(act.group.order):
         if a == act.group.identity:
             continue
-        xg = fixed_locus(act, _closure_of_element(act.group, a))
+        xg = fixed_locus(act, act.group.closure((a,)))
         if closed_contains(xg, supp):
             raise PreconditionError(
                 f"support lies inside the fixed locus of {act.group.names[a]}; "
@@ -1245,9 +1200,7 @@ def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
     ring = act.ring
     ideal = [g for g in component.generators if not g.is_zero()]
     gb = GroebnerBasis.of(ideal)
-    for a in range(act.group.order):
-        if a == act.group.identity:
-            continue
+    for a in act.group.generators:
         for x in ring.gens():
             twist = act.apply(a, x) - x
             if not twist.is_zero() and not gb.contains(twist):
@@ -1367,7 +1320,7 @@ def tower(
     for label, c in components:
         if c.ring != act.ring:
             raise DomainMismatchError(f"component {label} lives in the wrong ring")
-        for a in range(act.group.order):
+        for a in act.group.generators:
             moved = [act.apply(a, g) for g in c.generators]
             if not radical_equal(list(moved), list(c.generators)):
                 raise PreconditionError(f"component {label} is not invariant")

@@ -198,9 +198,6 @@ class Matrix:
         ent = tuple(f.add(a, b) for a, b in zip(self.entries, other.entries))
         return Matrix(f, self.rows, self.cols, ent)
 
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(self.field.from_int(-1)))
-
     def scale(self, c) -> "Matrix":
         f = self.field
         f.check(c)
@@ -230,12 +227,6 @@ class Matrix:
             ent.extend(self.row(i))
             ent.extend(other.row(i))
         return Matrix(self.field, self.rows, self.cols + other.cols, tuple(ent))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._match(other)
-        if self.cols != other.cols:
-            raise DomainMismatchError("column mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def is_zero(self) -> bool:
         return all(self.field.is_zero(a) for a in self.entries)

@@ -6,12 +6,18 @@ the group order) is enforced at validation time, and every projector
 formula divides by |G|, so the characteristic must not divide the group
 order.  Matrix realizations of irreducibles are optional table data;
 degree-one irreducibles get theirs from the character values.
+
+Every "for all g" condition on group data (a homomorphism, a cocycle, a
+fixed vector, a stable ideal) is certified on `FiniteGroup.generators`
+only: the elements that satisfy such a condition are closed under
+products and contain the identity, so checking the generators suffices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -103,6 +109,22 @@ class FiniteGroup:
             if not any(self.table[a][b] == self.identity for b in range(n)):
                 raise ValidationError(f"{self.names[a]} has no inverse")
 
+    def closure(self, elements: Sequence[int]) -> tuple:
+        """The subgroup generated by the elements, as sorted indices."""
+        return tuple(sorted(_products(self, [(s, s) for s in elements], self.identity,
+                                      lambda s, e: self.table[s][e])))
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Each element, in index order, that the ones chosen before it do not generate."""
+        gens: list = []
+        span = {self.identity}
+        for a in range(self.order):
+            if a not in span:
+                gens.append(a)
+                span = set(self.closure(gens))
+        return tuple(gens)
+
     def inverse(self, a: int) -> int:
         for b in range(self.order):
             if self.table[a][b] == self.identity:
@@ -116,18 +138,57 @@ class FiniteGroup:
             raise ValidationError(f"unknown group element {name!r}") from None
 
     def conjugacy_classes(self) -> tuple:
-        n = self.order
-        seen = set()
-        classes = []
-        for a in range(n):
-            if a in seen:
-                continue
-            cls = set()
-            for h in range(n):
-                cls.add(self.table[self.table[h][a]][self.inverse(h)])
-            seen |= cls
-            classes.append(tuple(sorted(cls)))
+        classes: list = []
+        for a in range(self.order):
+            if not any(a in cls for cls in classes):
+                # the image of h is h a h^-1, built along products of generators
+                conj = _products(self, [(s, s) for s in self.generators], a,
+                                 lambda s, x: self.table[self.table[s][x]][self.inverse(s)])
+                classes.append(tuple(sorted(set(conj.values()))))
         return tuple(classes)
+
+
+def _products(group: FiniteGroup, pairs, identity, mul) -> dict:
+    """{element: image} over the products of the (generator, image) pairs,
+    breadth first from the identity: s*e, first reached from e, gets the
+    image mul(image of s, image of e)."""
+    images = {group.identity: identity}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for s, m in pairs:
+                f = group.table[s][e]
+                if f not in images:
+                    images[f] = mul(m, images[e])
+                    nxt.append(f)
+        frontier = nxt
+    return images
+
+
+def images_from_generators(group: FiniteGroup, pairs, identity: Matrix) -> Optional[tuple]:
+    """One matrix per element, composed from (generator, matrix) pairs;
+    None when the generators do not generate the group."""
+    images = _products(group, pairs, identity, lambda m, x: m.mul(x))
+    if len(images) != group.order:
+        return None
+    return tuple(images[a] for a in range(group.order))
+
+
+def homomorphism_failure(group: FiniteGroup, mats: Sequence[Matrix]) -> Optional[tuple]:
+    """The first (generator s, element b) with mats[s] mats[b] != mats[sb], or None.
+
+    With mats[e] = I this certifies a homomorphism.  The elements a with
+    mats[a] mats[b] = mats[ab] for every b contain e and every generator,
+    and they are closed under products: for two of them, a and a',
+    mats[aa'] mats[b] = mats[a] mats[a'] mats[b] = mats[a] mats[a'b] =
+    mats[aa'b].  So they are all of the finite group.
+    """
+    for s in group.generators:
+        for b in range(group.order):
+            if not mats[s].mul(mats[b]).equals(mats[group.table[s][b]]):
+                return s, b
+    return None
 
 
 def perm_cycle_name(p: Sequence[int]) -> str:
@@ -185,6 +246,7 @@ class CharacterTable:
             raise ValidationError(
                 "squared degrees do not sum to the group order: table is not split"
             )
+        classes = g.conjugacy_classes()
         for k, chi in enumerate(self.values):
             if len(chi) != n:
                 raise ValidationError(f"character {self.names[k]!r} has wrong length")
@@ -194,7 +256,7 @@ class CharacterTable:
                 raise ValidationError(
                     f"character {self.names[k]!r} does not take its degree at the identity"
                 )
-            for cls in g.conjugacy_classes():
+            for cls in classes:
                 if len({chi[i] for i in cls}) != 1:
                     raise ValidationError(
                         f"character {self.names[k]!r} is not a class function"
@@ -225,12 +287,14 @@ class CharacterTable:
                 )
         if not forms[g.identity].equals(Matrix.identity(fld, d)):
             raise ValidationError(f"matrix form of {self.names[k]!r}: identity is not I")
+        bad = homomorphism_failure(g, forms)
+        if bad is not None:
+            s, b = bad
+            raise ValidationError(
+                f"matrix form of {self.names[k]!r} is not a homomorphism "
+                f"at ({g.names[s]}, {g.names[b]})"
+            )
         for a in range(g.order):
-            for b in range(g.order):
-                if not forms[a].mul(forms[b]).equals(forms[g.table[a][b]]):
-                    raise ValidationError(
-                        f"matrix form of {self.names[k]!r} is not a homomorphism"
-                    )
             if _trace(forms[a]) != self.values[k][a]:
                 raise ValidationError(
                     f"matrix form of {self.names[k]!r} has wrong trace at {g.names[a]}"
@@ -277,12 +341,9 @@ class Representation:
                 raise DomainMismatchError("representation matrix over the wrong field")
         if not self.matrices[g.identity].equals(Matrix.identity(self.field, self.dim)):
             raise ValidationError("identity must act as the identity matrix")
-        for a in range(n):
-            for b in range(n):
-                if not self.matrices[a].mul(self.matrices[b]).equals(self.matrices[g.table[a][b]]):
-                    raise ValidationError(
-                        f"not a homomorphism at ({g.names[a]}, {g.names[b]})"
-                    )
+        bad = homomorphism_failure(g, self.matrices)
+        if bad is not None:
+            raise ValidationError(f"not a homomorphism at ({g.names[bad[0]]}, {g.names[bad[1]]})")
 
     def apply(self, g_index: int, vec: Sequence) -> tuple:
         m = self.matrices[g_index]
@@ -373,7 +434,7 @@ def _hom_fixed_basis(rep: Representation, forms: tuple, fld: Field) -> list:
     d = forms[0].rows
     # unknowns F (dim x d): rho(g) F = F rho_lambda(g); flatten row-major
     rows = []
-    for a in range(g.order):
+    for a in g.generators:
         ra, la = rep.matrices[a], forms[a]
         for i in range(rep.dim):
             for j in range(d):
@@ -442,7 +503,7 @@ def trivial_summand_witness(rep: Representation, v: Sequence) -> tuple:
         weight = fld.mul(fld.from_int(math.prod(map(math.factorial, alpha))), inv)
         w.append(fld.mul(weight, coeffs.get(alpha, fld.zero())))
     w = tuple(w)
-    for a in range(g.order):
+    for a in g.generators:
         if _apply_tensor_power(rep, a, w) != w:
             raise ValidationError("witness is not fixed by the group")
     return w
@@ -534,48 +595,31 @@ def c3_character_table(fld: Field) -> CharacterTable:
 
 def s3_character_table(fld: Field) -> CharacterTable:
     g = s3_group()
-    one, zero = fld.one(), fld.zero()
-    neg = fld.neg
-    # parity and order read off the permutation labels via the group itself
-    sign_vals = []
-    std_vals = []
-    std_forms = []
-    two = fld.from_int(2)
+    one, zero, neg = fld.one(), fld.zero(), fld.neg
+    t, c = g.index("(12)"), g.index("(123)")
     # standard 2-dim action on the root basis e1-e2, e2-e3
-    gen_t = Matrix.from_rows(fld, [[neg(one), one], [zero, one]])  # (12)
-    gen_c = Matrix.from_rows(fld, [[zero, neg(one)], [one, neg(one)]])  # (123)
-    word = {
-        "e": [],
-        "(12)": ["t"],
-        "(23)": ["t", "c"],
-        "(13)": ["c", "t"],
-        "(123)": ["c"],
-        "(132)": ["c", "c"],
-    }
-    for name in g.names:
-        m = Matrix.identity(fld, 2)
-        for letter in word[name]:
-            m = m.mul(gen_t if letter == "t" else gen_c)
-        std_forms.append(m)
-        std_vals.append(_trace(m))
-        odd = sum(1 for letter in word[name] if letter == "t") % 2
-        sign_vals.append(neg(one) if odd else one)
-    if std_vals[g.identity] != two:
-        raise ValidationError("standard representation words are wrong")
-    t = CharacterTable(
+    std_forms = images_from_generators(g, [
+        (t, Matrix.from_rows(fld, [[neg(one), one], [zero, one]])),
+        (c, Matrix.from_rows(fld, [[zero, neg(one)], [one, neg(one)]])),
+    ], Matrix.identity(fld, 2))
+    sign_forms = images_from_generators(g, [
+        (t, Matrix.from_rows(fld, [[neg(one)]])),
+        (c, Matrix.identity(fld, 1)),
+    ], Matrix.identity(fld, 1))
+    table = CharacterTable(
         g,
         fld,
         ("triv", "sign", "std"),
         (1, 1, 2),
         (
             tuple(one for _ in g.names),
-            tuple(sign_vals),
-            tuple(std_vals),
+            tuple(m.at(0, 0) for m in sign_forms),
+            tuple(_trace(m) for m in std_forms),
         ),
-        (None, None, tuple(std_forms)),
+        (None, None, std_forms),
     )
-    t.validate()
-    return t
+    table.validate()
+    return table
 
 
 def regular_representation(group: FiniteGroup, fld: Field) -> Representation:

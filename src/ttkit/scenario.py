@@ -54,6 +54,7 @@ from .grouprep import (
     c3_character_table,
     canonical_decompose,
     cyclic_group,
+    images_from_generators,
     perm_cycle_name,
     regular_representation,
     s3_character_table,
@@ -230,25 +231,6 @@ def _build_group(desc, path: str):
     return g, gens
 
 
-def _element_matrices(group: FiniteGroup, fld: Field, gen_pairs, dim: int,
-                      path: str) -> tuple:
-    """Matrices for every element, composed from the generators by search."""
-    mats = {group.identity: Matrix.identity(fld, dim)}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gi, gm in gen_pairs:
-                f = group.table[gi][e]
-                if f not in mats:
-                    mats[f] = gm.mul(mats[e])
-                    nxt.append(f)
-        frontier = nxt
-    if len(mats) != group.order:
-        _fail(path, "the declared generators do not generate the group")
-    return tuple(mats[i] for i in range(group.order))
-
-
 def _build_action(ring: PolyRing, desc: dict, path: str):
     group, gen_indices = _build_group(desc["group"], f"{path}.group")
     raw = desc["generator_matrices"]
@@ -262,8 +244,10 @@ def _build_action(ring: PolyRing, desc: dict, path: str):
             _fail(f"{path}.generator_matrices[{i}]",
                   f"substitution matrix must be {ring.nvars}x{ring.nvars}")
         gen_mats.append(m)
-    mats = _element_matrices(group, ring.field, list(zip(gen_indices, gen_mats)),
-                             ring.nvars, f"{path}.generator_matrices")
+    mats = images_from_generators(group, list(zip(gen_indices, gen_mats)),
+                                  Matrix.identity(ring.field, ring.nvars))
+    if mats is None:
+        _fail(f"{path}.generator_matrices", "the declared generators do not generate the group")
     try:
         act = RingAction(group, ring, mats)
         act.validate()

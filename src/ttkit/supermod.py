@@ -477,9 +477,6 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
 # -- the odd-generator filtration ---------------------------------------------------------
 
 
-# -- the odd-generator filtration ---------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class JLayer:
     """The subquotient J^i M / J^(i+1) M of the odd-ideal filtration, by parity."""

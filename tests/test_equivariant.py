@@ -32,6 +32,8 @@ from ttkit.polymod import (
     annihilator,
     graded_dim,
     monomials_of_degree,
+    unit_vector,
+    vec_sub,
 )
 from ttkit.polyring import PolyRing, radical_equal
 from ttkit.equivariant import (
@@ -179,6 +181,20 @@ def test_action_validation_catches_broken_homomorphism():
                                  Matrix(QQ, 1, 1, (QQ.from_int(2),))))
     with pytest.raises(ValidationError):
         bad.validate()
+    # S3 on the plane with only the matrix of (13) wrong: every product of
+    # two generators is still right, and the check must look further
+    table = s3_character_table(QQ)
+    g = table.group
+    k = g.index("(13)")
+    assert k not in g.generators
+    mats = list(table.forms_for("std"))
+    mats[k] = mats[k].scale(QQ.from_int(-1))
+    for s in g.generators:
+        for t in g.generators:
+            assert mats[s].mul(mats[t]).equals(mats[g.table[s][t]])
+    bad = RingAction(g, PolyRing(QQ, ("x", "y")), tuple(mats))
+    with pytest.raises(ValidationError):
+        bad.validate()
 
 
 def test_action_refuses_modular_characteristic():
@@ -293,6 +309,68 @@ def test_cocycle_violation_is_caught():
     bad = EquivariantModule(act, free, (identity_rho(act, 1)[0], two))
     with pytest.raises(ValidationError):
         bad.validate()
+
+
+def s3_plane_action():
+    """S3 on k[x, y] through its standard representation."""
+    table = s3_character_table(QQ)
+    act = RingAction(table.group, PolyRing(QQ, ("x", "y")), table.forms_for("std"))
+    act.validate()
+    return act
+
+
+def cocycle_oracle_accepts(em):
+    """Identity, relations and the cocycle condition, checked on every element
+    and every pair of elements."""
+    g, mod = em.action.group, em.module
+    for a in range(g.order):
+        for rel in mod.relations:
+            if not mod.contains_in_relations(em.apply(a, rel)):
+                return False
+        for b in range(g.order):
+            for j in range(mod.rank):
+                diff = vec_sub(em.apply(a, em.rho[b][j]), em.rho[g.table[a][b]][j])
+                if not mod.contains_in_relations(diff):
+                    return False
+    return all(mod.contains_in_relations(
+        vec_sub(em.rho[g.identity][j], unit_vector(mod.ring, mod.rank, j)))
+        for j in range(mod.rank))
+
+
+def valid_equivariant_modules():
+    line, plane, f7 = line_action(), s3_plane_action(), scaled_line_action()
+    x = line.ring.var("x")
+    two_copies = PresentedModule(line.ring, 2, ((x**2, line.ring.zero()),))
+    swap = regular_representation(line.group, QQ).matrices
+    return (
+        equivariant_from_matrices(line, PresentedModule.free(line.ring, 2), swap),
+        EquivariantModule(line, PresentedModule.cyclic(line.ring, [x]), identity_rho(line, 1)),
+        EquivariantModule(line, two_copies, identity_rho(line, 2)),
+        equivariant_from_matrices(plane, PresentedModule.free(plane.ring, 2), plane.matrices),
+        ring_as_equivariant(plane),
+        cyclic_equivariant(f7, [f7.ring.var("x") ** 3 - f7.ring.one()]),
+    )
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_module_validation_matches_the_all_pairs_cocycle_oracle(data):
+    em = data.draw(st.sampled_from(valid_equivariant_modules()), label="module")
+    ring, rank = em.module.ring, em.module.rank
+    a = data.draw(st.integers(0, em.action.group.order - 1), label="element")
+    j = data.draw(st.integers(0, rank - 1), label="column")
+    i = data.draw(st.integers(0, rank - 1), label="row")
+    x = ring.var(ring.variables[0])
+    bump = data.draw(st.sampled_from([ring.zero(), ring.one(), -ring.one(), x, x**2]))
+    rho = [list(list(col) for col in cols) for cols in em.rho]
+    rho[a][j][i] = rho[a][j][i] + bump
+    bad = EquivariantModule(em.action, em.module,
+                            tuple(tuple(tuple(col) for col in cols) for cols in rho))
+    if cocycle_oracle_accepts(bad):
+        bad.validate()
+    else:
+        with pytest.raises(ValidationError):
+            bad.validate()
 
 
 def test_unstable_ideal_is_rejected():

@@ -7,6 +7,9 @@ Derived expectations and their oracles:
   - witness tensors for C2 are small enough to freeze entry by entry, and
     every witness is checked against the sum over all k! orderings of the
     orbit's Kronecker product
+  - validation certifies homomorphisms on the group's generators; the
+    oracle multiplies all |G|^2 pairs, and the generated subgroup is
+    brute-forced by multiplying until nothing new appears
 """
 
 import math
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkit.equivariant import RingAction
 from ttkit.errors import DomainMismatchError, PreconditionError, ValidationError
 from ttkit.fields import GF, QQ, Matrix, rank
 from ttkit.grouprep import (
@@ -28,6 +32,8 @@ from ttkit.grouprep import (
     canonical_decompose,
     cyclic_group,
     find_cube_root,
+    homomorphism_failure,
+    images_from_generators,
     isotypic_projector,
     perm_cycle_name,
     regular_representation,
@@ -37,6 +43,7 @@ from ttkit.grouprep import (
     _inv_order,
     trivial_summand_witness,
 )
+from ttkit.polyring import PolyRing
 
 
 class TestFiniteGroup:
@@ -376,3 +383,133 @@ def test_witness_matches_the_permutation_sum(case, fld, data):
     want = symmetrized_orbit_oracle(rep, v)
     assert w == want
     assert [type(c) for c in w] == [type(c) for c in want]
+
+
+# -- certification on generators ---------------------------------------------------------
+
+
+def klein_four_group():
+    return FiniteGroup.from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
+
+
+def s4_group():
+    return FiniteGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+
+
+GROUPS = tuple(cyclic_group(n) for n in range(1, 7)) + (
+    s3_group(), klein_four_group(), s4_group())
+GROUP_IDS = [f"c{n}" for n in range(1, 7)] + ["s3", "klein4", "s4"]
+
+
+def generated_oracle(group, elements):
+    """The subgroup generated by the elements: multiply until nothing is new."""
+    span = {group.identity} | set(elements)
+    while True:
+        more = {group.table[a][b] for a in span for b in span} - span
+        if not more:
+            return span
+        span |= more
+
+
+@given(st.sampled_from(GROUPS))
+@settings(max_examples=30, deadline=None)
+def test_generators_generate_and_none_is_redundant(group):
+    gens = group.generators
+    assert generated_oracle(group, gens) == set(range(group.order))
+    assert group.closure(gens) == tuple(range(group.order))
+    for i, s in enumerate(gens):
+        assert s not in generated_oracle(group, gens[:i])
+
+
+def all_pairs_failures(group, mats):
+    """Every (a, b) with mats[a] mats[b] != mats[ab]."""
+    n = group.order
+    return {(a, b) for a in range(n) for b in range(n)
+            if not mats[a].mul(mats[b]).equals(mats[group.table[a][b]])}
+
+
+def c3_diagonal_f7():
+    f7 = GF(7)
+    diag = [Matrix.from_rows(f7, [[f7.from_int(a), 0], [0, f7.from_int(b)]])
+            for a, b in ((1, 1), (2, 4), (4, 2))]
+    return representation_from_forms(cyclic_group(3), f7, diag)
+
+
+VALID_REPS = (
+    ("c4-regular", lambda: regular_representation(cyclic_group(4), QQ)),
+    ("s3-regular", lambda: regular_representation(s3_group(), QQ)),
+    ("klein-regular", lambda: regular_representation(klein_four_group(), QQ)),
+    ("s3-standard", lambda: representation_from_forms(
+        s3_group(), QQ, s3_character_table(QQ).forms_for("std"))),
+    ("c3-f7", c3_diagonal_f7),
+    ("c3-regular-f7", lambda: regular_representation(cyclic_group(3), GF(7))),
+)
+
+
+def perturbed_matrices(rep, data):
+    """The representation's matrices with one entry of one of them moved."""
+    fld, mats = rep.field, list(rep.matrices)
+    a = data.draw(st.integers(0, rep.group.order - 1), label="element")
+    k = data.draw(st.integers(0, rep.dim * rep.dim - 1), label="entry")
+    delta = fld.from_int(data.draw(st.integers(-2, 2), label="delta"))
+    entries = list(mats[a].entries)
+    entries[k] = fld.add(entries[k], delta)
+    mats[a] = Matrix(fld, rep.dim, rep.dim, tuple(entries))
+    return tuple(mats)
+
+
+def oracle_accepts(group, mats):
+    dim = mats[0].rows
+    return (mats[group.identity].equals(Matrix.identity(mats[0].field, dim))
+            and not all_pairs_failures(group, mats))
+
+
+@given(st.sampled_from(VALID_REPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_representation_validation_matches_the_all_pairs_oracle(case, data):
+    rep = case[1]()
+    g, mats = rep.group, perturbed_matrices(rep, data)
+    bad = Representation(g, rep.field, rep.dim, mats)
+    if oracle_accepts(g, mats):
+        bad.validate()
+        assert homomorphism_failure(g, mats) is None
+        return
+    with pytest.raises(ValidationError):
+        bad.validate()
+    failure = homomorphism_failure(g, mats)
+    if failure is not None:
+        assert failure[0] in g.generators
+        assert failure in all_pairs_failures(g, mats)
+
+
+@given(st.sampled_from(VALID_REPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ring_action_validation_matches_the_all_pairs_oracle(case, data):
+    rep = case[1]()
+    g, mats = rep.group, perturbed_matrices(rep, data)
+    ring = PolyRing(rep.field, tuple(f"x{i}" for i in range(rep.dim)))
+    act = RingAction(g, ring, mats)
+    if oracle_accepts(g, mats):
+        act.validate()
+        return
+    with pytest.raises(ValidationError):
+        act.validate()
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+def test_scalar_images_of_generators_are_validated_like_the_oracle(group):
+    # a generating set found by the oracle, not by the group
+    gens = []
+    for a in range(group.order):
+        if a not in generated_oracle(group, gens):
+            gens.append(a)
+    one = Matrix.identity(QQ, 1)
+    for values in product((-1, 1, 2), repeat=len(gens)):
+        images = [(s, one.scale(QQ.from_int(v))) for s, v in zip(gens, values)]
+        mats = images_from_generators(group, images, one)
+        rep = Representation(group, QQ, 1, mats)
+        if oracle_accepts(group, mats):
+            rep.validate()
+        else:
+            with pytest.raises(ValidationError):
+                rep.validate()

@@ -223,6 +223,46 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, edit, field, path)
     assert "Traceback" not in err
 
 
+KLEIN_FOUR = {"names": ["e", "a", "b", "c"],
+              "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
+
+
+@pytest.mark.parametrize("group, matrices, path, message", [
+    (dict(KLEIN_FOUR, generators=[1]), [[["-1"]]], "$.action.generator_matrices",
+     "the declared generators do not generate the group"),
+    (dict(KLEIN_FOUR, generators=[1, 4]), [[["-1"]], [["1"]]], "$.action.group.generators",
+     "generator index 4 out of range"),
+    ("c2", [[["-1"]], [["1"]]], "$.action.generator_matrices",
+     "expected one matrix per generator (1), got 2"),
+], ids=["not-generating", "index-out-of-range", "matrix-count"])
+def test_bad_group_declaration_is_an_input_error(tmp_path, capsys, group, matrices,
+                                                  path, message):
+    doc = {"name": "bad_group", "ring": {"field": "Q", "variables": ["x"]},
+           "action": {"group": group, "generator_matrices": matrices},
+           "queries": []}
+    p = tmp_path / "bad_group.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_cyclic_object_without_relations_reports_like_the_ring(tmp_path, capsys):
+    reports = []
+    for kind in ("equivariant-ring", "equivariant-cyclic"):
+        doc = _c2_line_with(lambda d: d["objects"].update({
+            "OX": {"kind": kind},
+            "OX[sign]": {"kind": kind, "character": "sign"},
+        }))
+        p = tmp_path / "c2_line.json"
+        p.write_text(json.dumps(doc))
+        assert main(["run", str(p)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "[sign-tower] tower: PASS" in reports[1]
+
+
 def load_scenario_text(doc):
     from ttkit.scenario import parse_scenario
 
