@@ -19,6 +19,7 @@ rechecked at every stage and failure is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as _permutations
 from typing import Optional, Sequence
 
@@ -83,27 +84,43 @@ class RingAction:
                 f"substitutions are not a homomorphism at ({g.names[bad[0]]}, {g.names[bad[1]]})"
             )
 
-    def variable_images(self, a: int) -> list:
-        m = self.matrices[a]
+    def variable_images(self, a: int) -> tuple:
+        """The linear forms g(x_j) of element a, one per variable."""
+        _check_element(self.group, a)
+        return self._images[a]
+
+    @cached_property
+    def _images(self) -> tuple:
+        """`variable_images` of every element, built once, in index order."""
+        ring, fld = self.ring, self.ring.field
         out = []
-        for j in range(self.ring.nvars):
-            form = self.ring.zero()
-            for i in range(self.ring.nvars):
-                c = m.at(i, j)
-                if not self.ring.field.is_zero(c):
-                    form = form + self.ring.const(c) * self.ring.var(self.ring.variables[i])
-            out.append(form)
-        return out
+        for m in self.matrices:
+            forms = []
+            for j in range(ring.nvars):
+                form = ring.zero()
+                for i in range(ring.nvars):
+                    c = m.at(i, j)
+                    if not fld.is_zero(c):
+                        form = form + ring.const(c) * ring.var(ring.variables[i])
+                forms.append(form)
+            out.append(tuple(forms))
+        return tuple(out)
 
     def apply(self, a: int, p: Poly) -> Poly:
         if p.ring != self.ring:
             raise DomainMismatchError("polynomial from a different ring")
+        images = self.variable_images(a)
         if a == self.group.identity:
             return p
-        return p.substitute(self.variable_images(a))
+        return p.substitute(images)
 
     def apply_vector(self, a: int, v: Sequence[Poly]) -> tuple:
         return tuple(self.apply(a, p) for p in v)
+
+
+def _check_element(group: FiniteGroup, a: int) -> None:
+    if not 0 <= a < group.order:
+        raise ValidationError(f"group element index {a} is outside range({group.order})")
 
 
 def trivial_action(ring: PolyRing) -> RingAction:
@@ -423,6 +440,12 @@ class EquivariantModule:
     rho: tuple
 
     def validate(self) -> None:
+        """Check the module once per object; a failing check raises on
+        every call, since nothing is kept for it."""
+        self._valid
+
+    @cached_property
+    def _valid(self) -> bool:
         act, mod = self.action, self.module
         if mod.ring != act.ring:
             raise DomainMismatchError("module and action over different rings")
@@ -452,6 +475,7 @@ class EquivariantModule:
                         raise ValidationError(
                             f"cocycle fails at ({g.names[a]}, {g.names[b]}) on generator {j}"
                         )
+        return True
 
     def acts_trivially(self, a: int) -> bool:
         """Whether rho[a] is the identity modulo the relations."""
@@ -464,6 +488,7 @@ class EquivariantModule:
     def apply(self, a: int, v: Sequence[Poly]) -> tuple:
         """Semilinear action on a module vector."""
         act, mod = self.action, self.module
+        _check_element(act.group, a)
         out = zero_vector(mod.ring, mod.rank)
         for j, entry in enumerate(v):
             if entry.is_zero():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -337,6 +338,15 @@ class SiteSpace:
         for s in self.sites:
             if s.ring != self.ring:
                 raise DomainMismatchError("site over a different ring")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ring, self.sites))
+
+    def __hash__(self) -> int:
+        # `specialization_map` keys its cache by the space; hashing every
+        # site's generators on each lookup would cost more than the lookup
+        return self._hash
 
     def validate(self) -> None:
         for s in self.sites:

@@ -12,11 +12,11 @@ criterion holds only for ideals, so it is applied at rank 1 alone.
 Division is done by reducers: vectors prepared once, with their lead
 found, and run through the one division loop that S-vectors,
 interreduction, `vector_divmod` and the normal forms of a
-`polyring.GroebnerBasis` share.  The loop has two scalar modes,
-chosen by the reducer.  A monic reducer takes field steps in the field's
-arithmetic.  Over QQ, untracked Groebner runs keep primitive integer
-reducers and take pseudo-steps, so only integers occur (Becker and
-Weispfenning, Groebner Bases, GTM 141, 1993, section 10.1).
+`polyring.GroebnerBasis` and of a kept relation basis share.  The loop
+has two scalar modes, chosen by the reducer.  A monic reducer takes field
+steps in the field's arithmetic.  Over QQ, untracked Groebner runs keep
+primitive integer reducers and take pseudo-steps, so only integers occur
+(Becker and Weispfenning, Groebner Bases, GTM 141, 1993, section 10.1).
 
 Conventions: a `PresentedModule` is coker of its relation columns; maps of
 presented modules are matrices on generators, validated to send relations
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
@@ -301,13 +301,6 @@ def vector_divmod(
     return quots, _polys(ring, len(v), rem, grevlex)
 
 
-def vector_normal_form(v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT) -> Vector:
-    basis = [b for b in basis if not vec_is_zero(b)]
-    if not basis or vec_is_zero(v):
-        return v
-    return vector_divmod(v, basis, order, quotients=False)[1]
-
-
 def module_groebner(
     gens: Sequence[Vector], order: ModuleOrder = POT, track: bool = False
 ):
@@ -524,23 +517,47 @@ class PresentedModule:
         return PresentedModule(ring, 0, ())
 
     def relation_gb(self) -> list:
-        return _relation_gb(self)
+        return _relation_basis(self).vectors
 
     def contains_in_relations(self, v: Vector) -> bool:
-        gb = self.relation_gb()
-        return vec_is_zero(vector_normal_form(v, gb))
+        return vec_is_zero(_relation_basis(self).normal_form(v))
 
     def reduce(self, v: Vector) -> Vector:
-        return vector_normal_form(v, self.relation_gb())
+        return _relation_basis(self).normal_form(v)
 
     def is_zero(self) -> bool:
         if self.rank == 0:
             return True
-        gb = self.relation_gb()
+        rb = _relation_basis(self)
         return all(
-            vec_is_zero(vector_normal_form(unit_vector(self.ring, self.rank, i), gb))
+            vec_is_zero(rb.normal_form(unit_vector(self.ring, self.rank, i)))
             for i in range(self.rank)
         )
+
+
+class _RelationBasis:
+    """The reduced POT basis of a presentation's relations and, prepared on
+    the first normal form and kept beside it, its monic reducers: every
+    later normal form divides by them, exactly as `vector_divmod` would by
+    a freshly prepared basis."""
+
+    def __init__(self, ring: PolyRing, vectors: list):
+        self.ring = ring
+        self.vectors = vectors
+
+    @cached_property
+    def _reducers(self) -> _Reducers:
+        red = _Reducers(POT, self.ring.field, integral=False)
+        for b in self.vectors:
+            red.add(_lead_first(b, POT))
+        return red
+
+    def normal_form(self, v: Vector) -> Vector:
+        if not self.vectors or vec_is_zero(v):
+            return v
+        rem, _ = self._reducers.divide(
+            {(pos, m): c for pos, q in enumerate(v) for m, c in q.terms})
+        return _polys(self.ring, len(v), rem, grevlex=True)
 
 
 # Relation bases by presentation; past the bound the oldest entry goes first.
@@ -548,11 +565,11 @@ _REL_GB_CACHE: dict = {}
 _REL_GB_CACHE_MAX = 1024
 
 
-def _relation_gb(mod: PresentedModule) -> list:
+def _relation_basis(mod: PresentedModule) -> _RelationBasis:
     key = (mod.ring, mod.rank, mod.relations)
     hit = _REL_GB_CACHE.get(key)
     if hit is None:
-        hit = module_groebner(list(mod.relations), POT)
+        hit = _RelationBasis(mod.ring, module_groebner(list(mod.relations), POT))
         while len(_REL_GB_CACHE) >= _REL_GB_CACHE_MAX:
             del _REL_GB_CACHE[next(iter(_REL_GB_CACHE))]
         _REL_GB_CACHE[key] = hit

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Sequence
 
@@ -621,7 +621,18 @@ def eliminate(gens: Sequence[Poly], k: int) -> list:
 
 def radical_member(f: Poly, gens: Sequence[Poly]) -> bool:
     """Whether f lies in the radical of (gens), by the extra-variable trick:
-    f in rad(I) iff 1 in I + (1 - t f) in the extended ring."""
+    f in rad(I) iff 1 in I + (1 - t f) in the extended ring.  Each
+    (f, gens) is decided once; a repeated question is answered from a
+    bounded memo, keyed by the polys and so by their ring."""
+    gens = tuple(gens)
+    for g in gens:
+        if g.ring != f.ring:
+            raise DomainMismatchError("generator from a different ring than the polynomial")
+    return _radical_member(f, gens)
+
+
+@lru_cache(maxsize=1024)
+def _radical_member(f: Poly, gens: tuple) -> bool:
     if f.is_zero():
         return True
     ring = f.ring

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkit import corpus, geometry, polymod, polyring, verify
 from ttkit.errors import (
     DomainMismatchError,
     PreconditionError,
@@ -299,6 +300,61 @@ def test_presentation_substitution_round_trip():
     assert pres.action.apply(1, img) == img
 
 
+def fresh_images(act, a):
+    """g(x_j) = sum_i M[i, j] x_i, built from the matrix entries."""
+    ring, m = act.ring, act.matrices[a]
+    units = [tuple(int(i == k) for k in range(ring.nvars)) for i in range(ring.nvars)]
+    return [ring.from_terms((units[i], m.at(i, j)) for i in range(ring.nvars)
+                            if not ring.field.is_zero(m.at(i, j)))
+            for j in range(ring.nvars)]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kept_images_match_freshly_built_ones(data):
+    make = data.draw(st.sampled_from([line_action, swap_action, scaled_line_action,
+                                      s3_plane_action, corpus.c3_plane_action_f7]))
+    act = make()
+    ring = act.ring
+    for a in range(act.group.order):
+        assert list(act.variable_images(a)) == fresh_images(act, a)
+    a = data.draw(st.integers(0, act.group.order - 1), label="element")
+    mono = st.tuples(*[st.integers(min_value=0, max_value=3)] * ring.nvars)
+    terms = data.draw(st.lists(st.tuples(mono, st.integers(min_value=-3, max_value=3)),
+                               max_size=4), label="terms")
+    p = ring.from_terms((m, ring.field.from_int(c)) for m, c in terms)
+    assert act.apply(a, p) == p.substitute(fresh_images(act, a))
+
+
+def test_kept_images_and_validation_leave_equality_hash_and_repr_alone():
+    used, fresh = s3_plane_action(), s3_plane_action()
+    x = used.ring.var("x")
+    used.apply(1, x)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    checked = ring_as_equivariant(used)
+    unchecked = EquivariantModule(fresh, checked.module, checked.rho)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert repr(checked) == repr(unchecked)
+
+
+def test_element_indices_outside_the_group_are_refused():
+    """The C2 line: -1 acted by the last element and 2 raised a bare
+    IndexError; the kept image table must not wrap around either."""
+    act = corpus.c2_line_action()
+    x = act.ring.var("x")
+    assert act.apply(1, x) == -x  # the images are kept from here on
+    em = ring_as_equivariant(act)
+    for a in (-1, 2, -3):
+        with pytest.raises(ValidationError, match=f"index {a} "):
+            act.apply(a, x)
+        with pytest.raises(ValidationError, match=f"index {a} "):
+            act.variable_images(a)
+        with pytest.raises(ValidationError, match=f"index {a} "):
+            em.apply(a, (x,))
+        with pytest.raises(ValidationError, match=f"index {a} "):
+            em.apply(a, (act.ring.zero(),))
+
+
 # -- equivariant module validation --------------------------------------------------
 
 
@@ -309,6 +365,31 @@ def test_cocycle_violation_is_caught():
     bad = EquivariantModule(act, free, (identity_rho(act, 1)[0], two))
     with pytest.raises(ValidationError):
         bad.validate()
+
+
+def test_validation_runs_once_and_a_failure_raises_every_time(monkeypatch):
+    act = line_action()
+    x = act.ring.var("x")
+    mod = PresentedModule(act.ring, 2, ((x**2, act.ring.zero()),))
+    good = EquivariantModule(act, mod, identity_rho(act, 2))
+    rho = identity_rho(act, 2)
+    two = act.ring.from_int(2)
+    bad = EquivariantModule(act, mod, (rho[0], (rho[1][0], (act.ring.zero(), two))))
+    decided = []
+    contains = PresentedModule.contains_in_relations
+    monkeypatch.setattr(PresentedModule, "contains_in_relations",
+                        lambda m, v: decided.append(v) or contains(m, v))
+    good.validate()
+    first = len(decided)
+    good.validate()
+    assert first > 0 and len(decided) == first
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            bad.validate()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("cocycle fails at") and messages[0].endswith("generator 1")
 
 
 def s3_plane_action():
@@ -937,3 +1018,29 @@ def test_restrict_to_trivial_group_forgets_the_action():
     plain = restrict_to_trivial_group(em)
     assert plain.action.group.order == 1
     plain.validate()
+
+
+def test_criterion_5_decides_each_question_once(monkeypatch):
+    """Work counts during criterion 5 with empty caches.  Deciding each
+    radical question, relation basis, image table and validation once took
+    them from 230 Buchberger runs, 1,530 prepared reducers and 96
+    validations to the bounds below; per-call work would exceed them."""
+    monkeypatch.setattr(polymod, "_REL_GB_CACHE", {})
+    monkeypatch.setattr(geometry, "_SPEC_MAP_CACHE", {})
+    polyring._radical_member.cache_clear()
+    counts = {"buchberger": 0, "prepared": 0, "validated": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(polyring, "buchberger", counting("buchberger", polyring.buchberger))
+    monkeypatch.setattr(polymod._Reducers, "add", counting("prepared", polymod._Reducers.add))
+    valid = EquivariantModule.__dict__["_valid"]
+    monkeypatch.setattr(valid, "func", counting("validated", valid.func))
+    assert verify.criterion_5().passed
+    assert counts["buchberger"] <= 99
+    assert counts["prepared"] <= 813
+    assert counts["validated"] <= 60

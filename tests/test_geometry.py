@@ -312,6 +312,24 @@ class TestSiteSpaces:
             assert sp.specialization_map() == {"eta": {"eta", "pt"}, "pt": {"pt"}}
         assert len(geometry._SPEC_MAP_CACHE) == 2
 
+    def test_equal_spaces_hash_alike_once_and_share_one_cache_entry(self, monkeypatch):
+        """A space hashes its sites once; equal spaces built separately hash
+        alike, as the dataclass hash did, and meet in one cache entry."""
+        monkeypatch.setattr(geometry, "_SPEC_MAP_CACHE", {})
+        sp, other = a2_space(), a2_space()
+        assert sp is not other and sp == other
+        assert hash(sp) == hash(other) == hash((sp.ring, sp.sites))
+        site_hashes = []
+        site_hash = PrimeSite.__hash__
+        monkeypatch.setattr(PrimeSite, "__hash__",
+                            lambda site: site_hashes.append(site) or site_hash(site))
+        spec = sp.specialization_map()
+        for _ in range(10):
+            assert sp.specialization_map() is spec
+            assert other.specialization_map() is spec
+        assert len(geometry._SPEC_MAP_CACHE) == 1
+        assert site_hashes == []
+
     def test_closed_subsets_of_line_enumerated(self):
         # closure demands: eta forces everything, points are closed
         expected = [

@@ -25,6 +25,7 @@ from ttkit.polyring import (
 from ttkit.polymod import (
     ModuleMap,
     ModuleOrder,
+    POT,
     PresentedComplex,
     PresentedModule,
     annihilator,
@@ -52,12 +53,21 @@ from ttkit.polymod import (
     vec_sub,
     vector_divmod,
     vector_in_standard_coords,
-    vector_normal_form,
     zero_vector,
 )
 
 RXY = PolyRing(QQ, ("x", "y"))
 RX = PolyRing(QQ, ("x",))
+
+
+def vector_normal_form(v, basis, order=POT):
+    """The per-call path, the oracle of the relation reducers a presented
+    module keeps: divide by freshly prepared reducers of the nonzero basis
+    vectors."""
+    basis = [b for b in basis if not vec_is_zero(b)]
+    if not basis or vec_is_zero(v):
+        return v
+    return vector_divmod(v, basis, order, quotients=False)[1]
 
 
 def P(t, ring=RXY):
@@ -578,6 +588,73 @@ def test_relation_gb_cache_evicts_oldest_past_its_bound(monkeypatch):
     for mod in mods:
         assert mod.relation_gb() == module_groebner(list(mod.relations))
     assert len(polymod._REL_GB_CACHE) == 3
+
+
+@st.composite
+def presented_cases(draw):
+    """A presentation over QQ or GF(7) in x, y (possibly without relations,
+    or with a zero relation) and vectors to reduce by it."""
+    ring = draw(st.sampled_from([RXY, RF7]))
+    rank = draw(st.integers(min_value=1, max_value=2))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 2)
+    term = st.tuples(mono, st.integers(min_value=-3, max_value=3))
+
+    def vector(max_terms):
+        return tuple(
+            ring.from_terms((m, ring.field.from_int(c))
+                            for m, c in draw(st.lists(term, max_size=max_terms)))
+            for _ in range(rank))
+
+    rels = tuple(vector(3) for _ in range(draw(st.integers(min_value=0, max_value=3))))
+    vs = [vector(5) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return PresentedModule(ring, rank, rels), vs
+
+
+@given(presented_cases())
+@settings(max_examples=100, deadline=None)
+def test_kept_relation_reducers_give_the_per_call_normal_form(case):
+    """`reduce`, `contains_in_relations` and `is_zero` divide by the reducers
+    kept beside the relation basis; the oracle prepares them afresh on every
+    call.  Every vector goes through twice, the second time on reducers
+    that are already kept."""
+    mod, vs = case
+    gb = mod.relation_gb()
+
+    def fresh(v):
+        return vector_divmod(v, gb, POT, quotients=False)[1]
+
+    for v in vs + vs:
+        got, want = mod.reduce(v), fresh(v)
+        assert [p.terms for p in got] == [p.terms for p in want]
+        assert [type(c) for p in got for _, c in p.terms] == \
+            [type(c) for p in want for _, c in p.terms]
+        assert mod.contains_in_relations(v) == vec_is_zero(want)
+    units = [unit_vector(mod.ring, mod.rank, i) for i in range(mod.rank)]
+    assert mod.is_zero() == all(vec_is_zero(fresh(e)) for e in units)
+
+
+def test_relation_reducers_are_prepared_once_per_presentation(monkeypatch):
+    """Work count: 10 `contains_in_relations` calls, then `reduce` and
+    `is_zero`, on one presentation, and the same calls on an equal one built
+    separately, prepare each vector of the relation basis once.  Per-call
+    preparation would multiply the count."""
+    monkeypatch.setattr(polymod, "_REL_GB_CACHE", {})
+    rels = (V("x^2 - y", "x"), V("x*y", "y^2 - 1"), V("y^3", "x*y"))
+    probes = [V("x^2 - y", "x"), V("x", "0"), V("x^3 - x*y", "x^2"), V("0", "y^2 - 1"),
+              V("x*y^3", "x^2*y^2"), V("1", "1"), V("y^3 + x*y", "x*y + y^2 - 1"),
+              V("0", "0"), V("x^2*y", "y^3"), V("y", "x")]
+    gb = PresentedModule(RXY, 2, rels).relation_gb()  # the Groebner run prepares its own
+    prepared = []
+    add = polymod._Reducers.add
+    monkeypatch.setattr(polymod._Reducers, "add",
+                        lambda red, terms: prepared.append(terms) or add(red, terms))
+    for mod in (PresentedModule(RXY, 2, rels), PresentedModule(RXY, 2, rels)):
+        verdicts = [mod.contains_in_relations(v) for v in probes]
+        assert verdicts[0] and verdicts[2] and verdicts[7] and not verdicts[1]
+        mod.reduce(probes[4])
+        assert not mod.is_zero()
+    assert len(prepared) == len(gb) > 0
+    assert len(polymod._REL_GB_CACHE) == 1
 
 
 def test_annihilator_cyclic():

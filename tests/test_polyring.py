@@ -11,6 +11,7 @@ except ImportError:
     sympy = None
 
 from ttkit.errors import DomainMismatchError, ValidationError
+from ttkit import polyring
 from ttkit.polymod import ModuleOrder, vector_divmod
 from ttkit.fields import GF, QQ
 from ttkit.polyring import (
@@ -492,6 +493,63 @@ def test_radical_membership_basics():
 def test_radical_equal_distinguishes():
     assert radical_equal([P("x^2", RXY)], [P("x", RXY)])
     assert not radical_equal([P("x", RXY)], [P("y", RXY)])
+
+
+def test_radical_membership_refuses_generators_from_another_ring():
+    """Mixed rings raise before the memo is asked, so no mixed key enters it.
+    Unchecked, the generators were padded to the wrong width: x was
+    reported in the radical of (x^2) from Q[x,y,z], and x + y not in that
+    of (x*z)."""
+    x = P("x", RXY)
+    held = polyring._radical_member.cache_info().currsize
+    for f, gens in ((x, [P("x^2")]), (P("x + y", RXY), [P("x*z")]), (RXY.zero(), [P("x")]),
+                    (x, (P("x^2", RXY), P("x")))):
+        with pytest.raises(DomainMismatchError):
+            radical_member(f, gens)
+    with pytest.raises(DomainMismatchError):
+        ideal_contains_radical([x], [P("x^2")])
+    with pytest.raises(DomainMismatchError):
+        radical_equal([P("x^2")], [x])
+    assert polyring._radical_member.cache_info().currsize == held
+
+
+def test_radical_memo_keeps_the_field_apart():
+    """x + 3 lies in the radical of x^2 + 6x + 2 = (x - 4)^2 over GF(7) but
+    not over QQ, where the quadratic is irreducible: the same term data,
+    asked in both orders, with the memo cleared and then warm."""
+    rq, r7 = PolyRing(QQ, ("x",)), PolyRing(GF(7), ("x",))
+    polyring._radical_member.cache_clear()
+    for ring in (rq, r7, r7, rq):
+        f, g = P("x + 3", ring), P("x^2 + 6*x + 2", ring)
+        assert radical_member(f, [g]) == (ring is r7)
+        assert radical_member(f, (g,)) == (ring is r7)
+
+
+@st.composite
+def radical_questions(draw):
+    """Term data in x, y with coefficients in 1..6, so that it reads the same
+    over QQ and GF(7): one poly and one or two generators."""
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 2)
+    term = st.tuples(mono, st.integers(min_value=1, max_value=6))
+    poly = st.lists(term, min_size=1, max_size=3, unique_by=lambda t: t[0])
+    return draw(poly), draw(st.lists(poly, min_size=1, max_size=2))
+
+
+@given(radical_questions())
+@settings(max_examples=60, deadline=None)
+def test_memoised_radical_membership_matches_the_uncached_computation(case):
+    f_terms, gens_terms = case
+    uncached = polyring._radical_member.__wrapped__
+    for field in (QQ, GF(7), QQ):
+        ring = PolyRing(field, ("x", "y"))
+
+        def build(terms):
+            return ring.from_terms((m, field.from_int(c)) for m, c in terms)
+
+        f, gens = build(f_terms), [build(t) for t in gens_terms]
+        want = uncached(f, tuple(gens))
+        assert radical_member(f, gens) == want
+        assert radical_member(f, tuple(gens)) == want
 
 
 # -- intersections and elimination -------------------------------------------------
