@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -421,7 +421,8 @@ def image_closed_under_map(c: ClosedSet, images: Sequence[Poly], target: PolyRin
     I_c + (y_j - images_j) in the joined ring; the result automatically
     contains the kernel of the presentation, so it is an ideal of closed
     subsets of the presented image variety.  Valid as the honest image for
-    finite maps, which is the only way the toolkit uses it.
+    finite maps, which is the only way the toolkit uses it.  Each distinct
+    (c, images, target) is eliminated once; the tower asks once per piece.
     """
     src = c.ring
     if len(images) != target.nvars:
@@ -431,6 +432,12 @@ def image_closed_under_map(c: ClosedSet, images: Sequence[Poly], target: PolyRin
             raise DomainMismatchError("image polynomials must live in the source ring")
     if set(src.variables) & set(target.variables):
         raise ValidationError("source and target variable names must be disjoint")
+    return _image_closed_under_map(c, tuple(images), target)
+
+
+@lru_cache(maxsize=1024)
+def _image_closed_under_map(c: ClosedSet, images: tuple, target: PolyRing) -> ClosedSet:
+    src = c.ring
     big = ring_with_prefix(target, src.variables)  # src vars first, then target vars
     n = src.nvars
 

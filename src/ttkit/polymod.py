@@ -14,8 +14,8 @@ found, and run through the one division loop that S-vectors,
 interreduction, `vector_divmod` and the normal forms of a
 `polyring.GroebnerBasis` and of a kept relation basis share.  The loop
 has two scalar modes, chosen by the reducer.  A monic reducer takes field
-steps in the field's arithmetic.  Over QQ, untracked Groebner runs keep
-primitive integer reducers and take pseudo-steps, so only integers occur
+steps in the field's arithmetic.  Over QQ, Groebner runs keep primitive
+integer reducers and take pseudo-steps, so only integers occur
 (Becker and Weispfenning, Groebner Bases, GTM 141, 1993, section 10.1).
 
 Conventions: a `PresentedModule` is coker of its relation columns; maps of
@@ -47,7 +47,6 @@ from .polyring import (
     PolyRing,
     ideal_intersection,
     mono_deg,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -99,6 +98,14 @@ def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero() for x in a)
 
 
+def _check_vector(name: str, v: Vector, ring: PolyRing, rank: int) -> None:
+    """Refuse v unless it lies in A^rank for this ring A."""
+    if len(v) != rank:
+        raise ValidationError(f"{name} has length {len(v)}, not the rank {rank}")
+    if any(p.ring != ring for p in v):
+        raise DomainMismatchError(f"{name} has entries from a different ring")
+
+
 # -- module division and Groebner bases -----------------------------------------
 
 
@@ -117,10 +124,10 @@ class _Reducers:
 
     A reducer is (lead (pos, mono), tail [(pos, mono, c)], lc): the lead,
     found once, the other terms, and the lead coefficient.  Field reducers
-    are monic (lc == 1).  Integral reducers, which untracked
-    `module_groebner` uses over QQ, are primitive integer vectors with
-    lc > 0.  `leads_at` maps a position to the (lead monomial, index) of
-    the reducers leading there, in index order.
+    are monic (lc == 1).  Integral reducers, which `module_groebner` uses
+    over QQ, are primitive integer vectors with lc > 0.  `leads_at` maps a
+    position to the (lead monomial, index) of the reducers leading there,
+    in index order.
     """
 
     def __init__(self, order: ModuleOrder, field, integral: bool):
@@ -301,17 +308,15 @@ def vector_divmod(
     return quots, _polys(ring, len(v), rem, grevlex)
 
 
-def module_groebner(
-    gens: Sequence[Vector], order: ModuleOrder = POT, track: bool = False
-):
+def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     """Reduced monic Groebner basis of the submodule generated by gens.
 
     Each vector is prepared once, as a reducer, when it joins the basis;
     S-vectors, their reduction and the final interreduction all run in one
-    division loop over those reducers.  Over QQ an untracked run keeps
-    every reducer as a primitive integer vector and divides by
-    pseudo-steps, so only integers occur in the loop, and makes the basis
-    monic in `Fraction`s on output.  Otherwise the reducers are monic and
+    division loop over those reducers.  Over QQ the run keeps every
+    reducer as a primitive integer vector and divides by pseudo-steps, so
+    only integers occur in the loop, and makes the basis monic in
+    `Fraction`s on output.  Otherwise the reducers are monic and
     the arithmetic is the field's.  Both give the same basis.
 
     Pair selection: smallest lcm under the ring order (normal strategy),
@@ -322,29 +327,19 @@ def module_groebner(
     the lcm and both side pairs are done, and, at rank 1 only, when its
     leads are coprime.  Ideals run here as rank-1 modules, through
     `polyring.buchberger`.
-
-    With track=True also returns, for each basis vector, its expression as
-    a combination of the input generators.
     """
-    gens = list(gens)
-    nonzero = [(i, g) for i, g in enumerate(gens) if not vec_is_zero(g)]
+    nonzero = [g for g in gens if not vec_is_zero(g)]
     if not nonzero:
-        return ([], []) if track else []
-    ring = nonzero[0][1][0].ring
-    integral = ring.field.p == 0 and not track
-    rank = len(nonzero[0][1])
-    m = len(gens)
+        return []
+    ring = nonzero[0][0].ring
+    integral = ring.field.p == 0
+    rank = len(nonzero[0])
     rkey = order.ring_order.key
     grevlex = order.ring_order.kind == "grevlex"
 
     red = _Reducers(order, ring.field, integral)
-    reps: Optional[list] = [] if track else None
-    for i, g in nonzero:
-        scale = red.add(_lead_first(g, order))
-        if track:
-            rep = [ring.zero()] * m
-            rep[i] = ring.const(scale)
-            reps.append(rep)
+    for g in nonzero:
+        red.add(_lead_first(g, order))
     leads = [r[0] for r in red.reducers]
 
     pairs: list = []  # heap of (ring key of the lcm, (i, j), lcm)
@@ -376,42 +371,25 @@ def module_groebner(
                     break
         if skip:
             continue
-        quots = [[] for _ in leads] if track else None
-        rem, _ = red.divide(red.s_vector(i, j, l), quots)
+        rem, _ = red.divide(red.s_vector(i, j, l))
         if not rem:
             continue
-        scale = red.add(rem)
-        if track:
-            mi = ring.monomial(mono_div(l, leads[i][1]))
-            mj = ring.monomial(mono_div(l, leads[j][1]))
-            s_rep = [mi * a - mj * c for a, c in zip(reps[i], reps[j])]
-            rep = _rep_minus(s_rep, [_poly(ring, q, grevlex) for q in quots], reps)
-            reps.append([a.scale(scale) for a in rep])
+        red.add(rem)
         leads.append(red.reducers[-1][0])
         new = len(leads) - 1
         for k in range(new):
             add_pair(k, new)
 
-    reduced, reps = _module_interreduce(red, reps, order, ring)
     one = ring.field.one()
     basis = []
-    for (lpos, lmono), tail, lc in reduced:
+    for (lpos, lmono), tail, lc in _module_interreduce(red, order):
         if integral:
             tail = [(pos, mono, Fraction(c, lc)) for pos, mono, c in tail]
         basis.append(_polys(ring, rank, [(lpos, lmono, one)] + tail, grevlex))
-    return (basis, reps) if track else basis
+    return basis
 
 
-def _rep_minus(rep: list, quots: Sequence[Poly], reps: Sequence[list]) -> list:
-    """rep - sum(q_k reps_k): the representation after a division step."""
-    for q, other in zip(quots, reps):
-        if not q.is_zero():
-            rep = [a - q * b for a, b in zip(rep, other)]
-    return rep
-
-
-def _module_interreduce(red: _Reducers, reps: Optional[list], order: ModuleOrder,
-                        ring: PolyRing):
+def _module_interreduce(red: _Reducers, order: ModuleOrder) -> list:
     """The reducers of the reduced basis, by descending lead, from those of
     a Groebner basis.
 
@@ -419,7 +397,6 @@ def _module_interreduce(red: _Reducers, reps: Optional[list], order: ModuleOrder
     first stays), then reduces each survivor's tail by all of them, those
     already reduced included.  No term below a lead is divisible by it, and
     reducing never moves a lead, so one pass leaves every vector reduced.
-    `reps` is None when untracked, else it follows the reducers.
     """
     leads = [r[0] for r in red.reducers]
     keep = [
@@ -430,25 +407,18 @@ def _module_interreduce(red: _Reducers, reps: Optional[list], order: ModuleOrder
             for b, lb in enumerate(leads)
         )
     ]
-    kept = _Reducers(order, ring.field, red.integral)
+    kept = _Reducers(order, red.field, red.integral)
     for a in keep:
         kept.append(red.reducers[a])
-    if reps is not None:
-        reps = [reps[a] for a in keep]
-    grevlex = order.ring_order.kind == "grevlex"
     for i, (lead, tail, lc) in enumerate(kept.reducers):
-        quots = None if reps is None else [[] for _ in keep]
-        rem, scale = kept.divide({(pos, m): c for pos, m, c in tail}, quots)
+        rem, scale = kept.divide({(pos, m): c for pos, m, c in tail})
         lc *= scale
         if lc != 1:  # integral: take the content out again
             g = gcd(lc, *(c for _, _, c in rem))
             lc //= g
             rem = [(pos, m, c // g) for pos, m, c in rem]
         kept.reducers[i] = (lead, rem, lc)
-        if reps is not None:
-            reps[i] = _rep_minus(reps[i], [_poly(ring, q, grevlex) for q in quots], reps)
-    idx = sorted(range(len(keep)), key=lambda i: order.key(kept.reducers[i][0]), reverse=True)
-    return [kept.reducers[i] for i in idx], (None if reps is None else [reps[i] for i in idx])
+    return sorted(kept.reducers, key=lambda r: order.key(r[0]), reverse=True)
 
 
 # -- syzygies --------------------------------------------------------------------
@@ -497,12 +467,8 @@ class PresentedModule:
     relations: tuple  # tuple of Vectors of length rank
 
     def __post_init__(self) -> None:
-        for r in self.relations:
-            if len(r) != self.rank:
-                raise ValidationError("relation length does not match rank")
-            for p in r:
-                if p.ring != self.ring:
-                    raise DomainMismatchError("relation entries from a different ring")
+        for k, r in enumerate(self.relations):
+            _check_vector(f"relation {k}", r, self.ring, self.rank)
 
     @staticmethod
     def free(ring: PolyRing, rank: int) -> "PresentedModule":
@@ -520,9 +486,11 @@ class PresentedModule:
         return _relation_basis(self).vectors
 
     def contains_in_relations(self, v: Vector) -> bool:
-        return vec_is_zero(_relation_basis(self).normal_form(v))
+        return vec_is_zero(self.reduce(v))
 
     def reduce(self, v: Vector) -> Vector:
+        """The normal form of v in A^rank modulo the relation basis."""
+        _check_vector("vector", v, self.ring, self.rank)
         return _relation_basis(self).normal_form(v)
 
     def is_zero(self) -> bool:
@@ -645,23 +613,28 @@ def submodule_presentation(gens: Sequence[Vector], ambient: PresentedModule):
 
 
 def submodule_lift(v: Vector, gens: Sequence[Vector], ambient: PresentedModule):
-    """Coefficients c with v = sum(c_j gens_j) in the ambient module, or None."""
+    """Coefficients c with v = sum(c_j gens_j) in the ambient module, or None.
+
+    A normal form modulo the augmented module P in A^(rank + m) generated
+    by (gens_j, e_j) and (r_k, 0) for the ambient relations r_k: (v, -c)
+    lies in P exactly when v = sum(c_j gens_j) modulo the r_k.  Under
+    position-over-term order the first block dominates, so v lifts iff the
+    normal form w of (v, 0) has w[:rank] = 0, and then c = -w[rank:].  The
+    relation basis of P is kept like any other (Greuel and Pfister, A
+    Singular Introduction to Commutative Algebra, `lift`).
+    """
+    ring, rank = ambient.ring, ambient.rank
     gens = [tuple(g) for g in gens]
-    ring = ambient.ring
-    cols = gens + list(ambient.relations)
-    basis, reps = module_groebner(cols, POT, track=True)
-    if not basis:
-        return [ring.zero()] * len(gens) if vec_is_zero(v) else None
-    quots, rem = vector_divmod(v, basis, POT)
-    if not vec_is_zero(rem):
+    for name, w in [("v", v)] + [(f"gens[{j}]", g) for j, g in enumerate(gens)]:
+        _check_vector(name, w, ring, rank)
+    m = len(gens)
+    tail = zero_vector(ring, m)
+    rels = tuple(g + unit_vector(ring, m, j) for j, g in enumerate(gens))
+    rels += tuple(tuple(r) + tail for r in ambient.relations)
+    w = PresentedModule(ring, rank + m, rels).reduce(tuple(v) + tail)
+    if not vec_is_zero(w[:rank]):
         return None
-    coeffs = [ring.zero()] * len(gens)
-    for q, rep in zip(quots, reps):
-        if q.is_zero():
-            continue
-        for j in range(len(gens)):
-            coeffs[j] = coeffs[j] + q * rep[j]
-    return coeffs
+    return [-c for c in w[rank:]]
 
 
 # -- maps of presented modules ----------------------------------------------------
@@ -825,20 +798,9 @@ def cohomology_with_lifts(c: PresentedComplex, i: int):
                 continue
             kernel_gens.append(head)
     inc = c.map_at(i - 1)
-    boundary = list(inc.columns) if inc is not None else []
-    denom = boundary + list(mod.relations)
-    if not kernel_gens:
-        return PresentedModule.zero(ring), []
-    cols = kernel_gens + denom
-    syz = syzygy_basis(cols, mod.rank)
-    m = len(kernel_gens)
-    rels = []
-    for v in syz:
-        head = tuple(v[:m])
-        if not vec_is_zero(head):
-            rels.append(head)
-    h = PresentedModule(ring, m, tuple(rels))
-    return h, kernel_gens
+    boundary = inc.columns if inc is not None else ()
+    ambient = PresentedModule(ring, mod.rank, boundary + mod.relations)  # term mod boundaries
+    return submodule_presentation(kernel_gens, ambient)
 
 
 def cohomology(c: PresentedComplex, i: int) -> PresentedModule:

@@ -23,6 +23,9 @@ SRC = ROOT / "src" / "ttkit"
 KEEP = {
     "s_poly": "the benchmark's per-layer metric polyring.s_poly.calls needs "
               "a public function to wrap",
+    "mono_div": "its one caller is the kept s_poly",
+    "vector_divmod": "the benchmark's per-layer metrics polymod.vector_divmod.calls "
+                     "and .zero_ratio wrap it by name; tests divide with it",
     "report_schema": "loads the published schema that --json reports follow",
     "closed_equal": "equality of the ClosedSet values the README names",
 }

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ttkit import geometry
 from ttkit.errors import ValidationError
-from ttkit.fields import GF
+from ttkit.fields import GF, QQ
 from ttkit.geometry import (
     ClosedSet,
     PrimeSite,
@@ -392,3 +392,34 @@ class TestClosedImages:
         x = A1.var("x")
         with pytest.raises(ValidationError):
             image_closed_under_map(ClosedSet(A1, (x,)), [x * x], A1)
+
+
+@st.composite
+def image_questions(draw):
+    """Term data in x, y with coefficients in 1..6, so that it reads the same
+    over QQ and GF(7): up to two generators of a closed set, and the images
+    of s and p."""
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 2)
+    term = st.tuples(mono, st.integers(min_value=1, max_value=6))
+    poly = st.lists(term, min_size=1, max_size=2, unique_by=lambda t: t[0])
+    return draw(st.lists(poly, max_size=2)), draw(st.lists(poly, min_size=2, max_size=2))
+
+
+@given(image_questions())
+@settings(max_examples=40, deadline=None)
+def test_memoised_images_match_the_uncached_elimination(case):
+    gens_terms, image_terms = case
+    memo = geometry._image_closed_under_map
+    hits = memo.cache_info().hits
+    for field in (QQ, GF(7), QQ):
+        src, target = PolyRing(field, ("x", "y")), PolyRing(field, ("s", "p"))
+
+        def build(terms):
+            return src.from_terms((m, field.from_int(c)) for m, c in terms)
+
+        c = ClosedSet(src, tuple(build(t) for t in gens_terms))
+        images = [build(t) for t in image_terms]
+        want = memo.__wrapped__(c, tuple(images), target)
+        assert image_closed_under_map(c, images, target) == want
+        assert image_closed_under_map(c, tuple(images), target) == want
+    assert memo.cache_info().hits >= hits + 4

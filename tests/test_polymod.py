@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttkit import polymod
-from ttkit.errors import DomainMismatchError, PreconditionError
+from ttkit.errors import DomainMismatchError, PreconditionError, ValidationError
 from ttkit.fields import GF, QQ, Matrix, rref, solve
 from ttkit.polyring import (
     GREVLEX,
@@ -279,25 +279,6 @@ def test_vector_divmod_is_a_division_with_reduced_remainder(case):
 RF7 = PolyRing(GF(7), ("x", "y"))
 
 
-@pytest.mark.parametrize(
-    "ring, gens",
-    [
-        (RXY, [("x", "y"), ("y^2", "x - 1"), ("x*y", "0")]),
-        (RXY, [("x^2 - y", "1", "0"), ("x*y - 1", "0", "1"), ("y^2 - x", "0", "0")]),
-        (RXY, [("x^2 - y",), ("x*y - 1",), ("0",)]),
-        (RF7, [("x^2 + 3*y", "x"), ("x*y + 3", "y"), ("y^2", "x*y")]),
-    ],
-)
-def test_module_groebner_tracked_reps_reconstruct_basis(ring, gens):
-    gens = [V(*g, ring=ring) for g in gens]
-    basis, reps = module_groebner(gens, track=True)
-    assert basis == module_groebner(gens)
-    assert len(reps) == len(basis)
-    for v, rep in zip(basis, reps):
-        assert len(rep) == len(gens)
-        assert vec_combination(gens, rep) == v
-
-
 def test_module_groebner_coprime_criterion_only_at_rank_one():
     # The leads x*e0 and y*e0 are coprime, yet their S-vector (0, y - x)
     # does not reduce to zero: the coprime shortcut is wrong above rank 1.
@@ -543,11 +524,6 @@ def test_engine_matches_the_reference_engine(case):
     ring, order, gens, v = case
     basis = module_groebner(gens, order)
     assert basis == ref_module_groebner(gens, order)
-    tracked, reps = module_groebner(gens, order, track=True)
-    assert (tracked, reps) == ref_module_groebner(gens, order, track=True)
-    assert tracked == basis
-    for b, rep in zip(tracked, reps):
-        assert vec_combination(gens, rep) == b
     if basis:
         assert vector_divmod(v, basis, order) == ref_vector_divmod(v, basis, order)
 
@@ -657,6 +633,24 @@ def test_relation_reducers_are_prepared_once_per_presentation(monkeypatch):
     assert len(polymod._REL_GB_CACHE) == 1
 
 
+RXYZ = PolyRing(QQ, ("x", "y", "z"))
+
+
+@pytest.mark.parametrize("method", ["contains_in_relations", "reduce"])
+def test_relation_normal_forms_refuse_foreign_vectors(method):
+    """In Q[x,y]/(x), x*z from Q[x,y,z], 3x over GF(7), the empty vector
+    and (x, y) are refused, not reduced."""
+    ask = getattr(PresentedModule.cyclic(RXY, [P("x")]), method)
+    with pytest.raises(DomainMismatchError):
+        ask(V("x*z", ring=RXYZ))
+    with pytest.raises(DomainMismatchError):
+        ask(V("3*x", ring=RF7))
+    with pytest.raises(ValidationError, match="length 0"):
+        ask(())
+    with pytest.raises(ValidationError, match="length 2"):
+        ask(V("x", "y"))
+
+
 def test_annihilator_cyclic():
     m = PresentedModule.cyclic(RXY, [P("x*y - 1")])
     assert radical_equal(annihilator(m), [P("x*y - 1")])
@@ -720,6 +714,100 @@ def test_submodule_lift_respects_ambient_relations():
     assert lift is not None
     diff = vec_combination(gens, lift)[0] - P("x + x^2")
     assert amb.contains_in_relations((diff,))
+
+
+def ref_submodule_lift(v, gens, ambient):
+    """The lift before it became a normal form: a tracked Groebner basis of
+    the generators and ambient relations, then a division with quotients."""
+    ring = ambient.ring
+    basis, reps = ref_module_groebner(list(gens) + list(ambient.relations), POT, track=True)
+    if not basis:
+        return [ring.zero()] * len(gens) if vec_is_zero(v) else None
+    quots, rem = ref_vector_divmod(v, basis, POT)
+    if not vec_is_zero(rem):
+        return None
+    coeffs = [ring.zero()] * len(gens)
+    for q, rep in zip(quots, reps):
+        coeffs = [c + q * r for c, r in zip(coeffs, rep)]
+    return coeffs
+
+
+@st.composite
+def lift_cases(draw):
+    """Generators (possibly none, possibly zero) in a free or presented
+    module of rank 1-2 over QQ or GF(7), and a vector that is a combination
+    of them modulo the relations, perturbed or not; `member` says which."""
+    ring = draw(st.sampled_from([RXY, RF7]))
+    rank = draw(st.integers(min_value=1, max_value=2))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 2)
+    term = st.tuples(mono, st.integers(min_value=-3, max_value=3))
+
+    def poly(max_terms):
+        return ring.from_terms((m, ring.field.from_int(c))
+                               for m, c in draw(st.lists(term, max_size=max_terms)))
+
+    def vector(max_terms):
+        return tuple(poly(max_terms) for _ in range(rank))
+
+    gens = [vector(2) for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    rels = tuple(vector(2) for _ in range(draw(st.integers(min_value=0, max_value=2))))
+    v = zero_vector(ring, rank)
+    for col in gens + list(rels):
+        v = vec_add(v, vec_scale(poly(2), col))
+    member = draw(st.booleans())
+    if not member:
+        v = vec_add(v, vector(2))
+    return v, gens, PresentedModule(ring, rank, rels), member
+
+
+@given(lift_cases())
+@settings(max_examples=150, deadline=None)
+def test_submodule_lift_agrees_with_the_tracked_lift(case):
+    """Both lifts give the same verdict, and every lift returned is one.
+    Lifts are not unique, so the coefficients themselves are not compared."""
+    v, gens, ambient, member = case
+    got, want = submodule_lift(v, gens, ambient), ref_submodule_lift(v, gens, ambient)
+    assert (got is None) == (want is None)
+    if member:
+        assert got is not None
+    for coeffs in (got, want):
+        if coeffs is not None:
+            assert len(coeffs) == len(gens)
+            combo = (vec_combination(gens, coeffs) if gens
+                     else zero_vector(ambient.ring, ambient.rank))
+            assert ambient.contains_in_relations(vec_sub(v, combo))
+
+
+def test_submodule_lift_refuses_malformed_input():
+    free = PresentedModule.free(RXY, 2)
+    with pytest.raises(ValidationError, match=r"gens\[1\]"):
+        submodule_lift(V("x", "y"), [V("x", "0"), V("x")], free)
+    with pytest.raises(ValidationError, match="v has length 1"):
+        submodule_lift(V("x"), [V("x", "0")], free)
+    with pytest.raises(DomainMismatchError, match=r"gens\[0\]"):
+        submodule_lift(V("x", "0"), [V("x", "0", ring=RF7)], free)
+    with pytest.raises(DomainMismatchError, match="v has"):
+        submodule_lift(V("x", "y", ring=RXYZ), [V("x", "0"), V("0", "1")], free)
+
+
+def test_lifts_against_one_submodule_run_one_groebner_basis(monkeypatch):
+    """Work count: 10 lifts against one (gens, ambient) share the kept
+    relation basis of the augmented module; a basis per lift would make 10."""
+    monkeypatch.setattr(polymod, "_REL_GB_CACHE", {})
+    runs = []
+    engine = polymod.module_groebner
+    monkeypatch.setattr(polymod, "module_groebner",
+                        lambda gens, order=POT: runs.append(1) or engine(gens, order))
+    amb = PresentedModule(RXY, 2, (V("x^2", "0"), V("y", "x")))
+    gens = [V("x", "y"), V("0", "y^2"), V("x*y", "1")]
+    probes = [V("x", "y"), V("1", "0"), V("x^2*y", "x*y^2"), V("x^2", "0"), V("0", "0"),
+              V("x*y", "1"), V("x + x*y", "y + 1"), V("y", "0"), V("0", "y^3"), V("x", "y^2")]
+    lifts = [submodule_lift(v, gens, amb) for v in probes]
+    assert len(runs) == 1
+    assert lifts[0] is not None and lifts[1] is None
+    for v, coeffs in zip(probes, lifts):
+        if coeffs is not None:
+            assert amb.contains_in_relations(vec_sub(v, vec_combination(gens, coeffs)))
 
 
 # -- maps -----------------------------------------------------------------------
