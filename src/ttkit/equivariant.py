@@ -603,19 +603,19 @@ def equivariant_cohomology(ec: EquivariantComplex, i: int) -> EquivariantModule:
     act = ec.action
     if h.rank == 0:
         return EquivariantModule(act, h, identity_rho(act, 0))
-    idx = i - ec.complex.start
     term = ec.term(i)
     prev = ec.complex.map_at(i - 1)
-    boundary = list(prev.columns) if prev is not None else []
+    boundary = prev.columns if prev is not None else ()
+    # the ambient that `cohomology_with_lifts` presents in: term mod boundaries
+    ambient = PresentedModule(ec.complex.ring, term.module.rank, boundary + term.module.relations)
     rho = []
     for a in range(act.group.order):
         cols = []
         for z in lifts:
-            img = term.apply(a, z)
-            sol = submodule_lift(img, list(lifts) + boundary, term.module)
+            sol = submodule_lift(term.apply(a, z), lifts, ambient)
             if sol is None:
                 raise ValidationError("action does not preserve cocycles")
-            cols.append(tuple(sol[: len(lifts)]))
+            cols.append(tuple(sol))
         rho.append(tuple(cols))
     em = EquivariantModule(act, h, tuple(rho))
     em.validate()

@@ -421,40 +421,6 @@ def _module_interreduce(red: _Reducers, order: ModuleOrder) -> list:
     return sorted(kept.reducers, key=lambda r: order.key(r[0]), reverse=True)
 
 
-# -- syzygies --------------------------------------------------------------------
-
-
-def syzygy_basis(cols: Sequence[Vector], rank: int, ring: Optional[PolyRing] = None) -> list:
-    """Generators of {v in A^m : sum v_j cols_j = 0} for columns in A^rank.
-
-    Elimination: augment each column with its own unit tag, run a
-    position-over-term basis with the watched components first, and keep
-    the members whose watched block vanished.
-    """
-    cols = list(cols)
-    m = len(cols)
-    if m == 0:
-        return []
-    for c in cols:
-        if len(c) != rank:
-            raise ValidationError("column height does not match rank")
-    if rank == 0:
-        if ring is None:
-            raise ValidationError("rank-0 syzygies need an explicit ring")
-        return [unit_vector(ring, m, j) for j in range(m)]
-    ring = cols[0][0].ring
-    aug = []
-    for j, c in enumerate(cols):
-        tag = unit_vector(ring, m, j)
-        aug.append(tuple(c) + tag)
-    gb = module_groebner(aug, POT)
-    out = []
-    for v in gb:
-        if all(p.is_zero() for p in v[:rank]):
-            out.append(tuple(v[rank:]))
-    return out
-
-
 # -- presented modules -----------------------------------------------------------
 
 
@@ -544,15 +510,42 @@ def _relation_basis(mod: PresentedModule) -> _RelationBasis:
     return hit
 
 
+def _augmented(gens: list, ambient: PresentedModule) -> _RelationBasis:
+    """The kept relation basis of the augmented module P in A^(rank + m)
+    generated by (gens_j, e_j) and by (r_k, 0) for the ambient relations r_k.
+
+    Under position-over-term order the first block dominates, so P's basis
+    is an elimination basis: its members whose first block vanishes are a
+    Groebner basis of the relative syzygies, and a normal form modulo P
+    decides and computes lifts (Greuel and Pfister, A Singular Introduction
+    to Commutative Algebra, `syz` and `lift`).
+    """
+    ring, rank = ambient.ring, ambient.rank
+    for j, g in enumerate(gens):
+        _check_vector(f"gens[{j}]", g, ring, rank)
+    m = len(gens)
+    tail = zero_vector(ring, m)
+    rels = tuple(g + unit_vector(ring, m, j) for j, g in enumerate(gens))
+    rels += tuple(tuple(r) + tail for r in ambient.relations)
+    return _relation_basis(PresentedModule(ring, rank + m, rels))
+
+
+def syzygy_basis(gens: Sequence[Vector], ambient: PresentedModule) -> list:
+    """Reduced Groebner basis of the relative syzygies of gens in ambient,
+    {c in A^m : sum(c_j gens_j) lies in the ambient relations}: the tails of
+    the members of the augmented basis whose first block vanished."""
+    rank = ambient.rank
+    return [v[rank:] for v in _augmented([tuple(g) for g in gens], ambient).vectors
+            if vec_is_zero(v[:rank])]
+
+
 def annihilator(mod: PresentedModule) -> list:
     """Generators of ann(M) = {f : f M = 0}; [] encodes the zero ideal."""
     if mod.rank == 0 or mod.is_zero():
         return [mod.ring.one()]
     result: Optional[list] = None
     for i in range(mod.rank):
-        cols = [unit_vector(mod.ring, mod.rank, i)] + list(mod.relations)
-        syz = syzygy_basis(cols, mod.rank)
-        ideal_i = [v[0] for v in syz if not v[0].is_zero()]
+        ideal_i = [v[0] for v in syzygy_basis([unit_vector(mod.ring, mod.rank, i)], mod)]
         if not ideal_i:
             return []
         result = ideal_i if result is None else ideal_intersection(result, ideal_i)
@@ -595,43 +588,25 @@ def module_tensor(a: PresentedModule, b: PresentedModule) -> PresentedModule:
 def submodule_presentation(gens: Sequence[Vector], ambient: PresentedModule):
     """Present the submodule of `ambient` generated by `gens`.
 
-    Returns (module, gens): relations are all coefficient vectors whose
-    combination of gens dies in the ambient module.
+    Returns (module, gens): the relations are the relative syzygies of gens,
+    the coefficient vectors whose combination of gens dies in `ambient`.
     """
     gens = [tuple(g) for g in gens]
-    if not gens:
-        return PresentedModule.zero(ambient.ring), []
-    cols = gens + list(ambient.relations)
-    syz = syzygy_basis(cols, ambient.rank)
-    m = len(gens)
-    rels = []
-    for v in syz:
-        head = tuple(v[:m])
-        if not vec_is_zero(head):
-            rels.append(head)
-    return PresentedModule(ambient.ring, m, tuple(rels)), gens
+    return PresentedModule(ambient.ring, len(gens), tuple(syzygy_basis(gens, ambient))), gens
 
 
 def submodule_lift(v: Vector, gens: Sequence[Vector], ambient: PresentedModule):
     """Coefficients c with v = sum(c_j gens_j) in the ambient module, or None.
 
-    A normal form modulo the augmented module P in A^(rank + m) generated
-    by (gens_j, e_j) and (r_k, 0) for the ambient relations r_k: (v, -c)
-    lies in P exactly when v = sum(c_j gens_j) modulo the r_k.  Under
-    position-over-term order the first block dominates, so v lifts iff the
-    normal form w of (v, 0) has w[:rank] = 0, and then c = -w[rank:].  The
-    relation basis of P is kept like any other (Greuel and Pfister, A
-    Singular Introduction to Commutative Algebra, `lift`).
+    (v, -c) lies in the augmented module P of `_augmented` exactly when
+    v = sum(c_j gens_j) modulo the ambient relations, so v lifts iff the
+    normal form w of (v, 0) modulo P has w[:rank] = 0, and then
+    c = -w[rank:].
     """
     ring, rank = ambient.ring, ambient.rank
+    _check_vector("v", v, ring, rank)
     gens = [tuple(g) for g in gens]
-    for name, w in [("v", v)] + [(f"gens[{j}]", g) for j, g in enumerate(gens)]:
-        _check_vector(name, w, ring, rank)
-    m = len(gens)
-    tail = zero_vector(ring, m)
-    rels = tuple(g + unit_vector(ring, m, j) for j, g in enumerate(gens))
-    rels += tuple(tuple(r) + tail for r in ambient.relations)
-    w = PresentedModule(ring, rank + m, rels).reduce(tuple(v) + tail)
+    w = _augmented(gens, ambient).normal_form(tuple(v) + zero_vector(ring, len(gens)))
     if not vec_is_zero(w[:rank]):
         return None
     return [-c for c in w[rank:]]
@@ -649,11 +624,12 @@ class ModuleMap:
     columns: tuple  # source.rank many Vectors of length target.rank
 
     def __post_init__(self) -> None:
+        if self.source.ring != self.target.ring:
+            raise DomainMismatchError("source and target over different rings")
         if len(self.columns) != self.source.rank:
             raise ValidationError("one column per source generator required")
-        for c in self.columns:
-            if len(c) != self.target.rank:
-                raise ValidationError("column height must equal target rank")
+        for j, c in enumerate(self.columns):
+            _check_vector(f"column {j}", c, self.target.ring, self.target.rank)
 
     def check_well_defined(self) -> None:
         for r in self.source.relations:
@@ -662,8 +638,7 @@ class ModuleMap:
                 raise ValidationError("map does not send relations into relations")
 
     def apply_vector(self, v: Vector) -> Vector:
-        if self.source.rank == 0:
-            return zero_vector(self.target.ring, self.target.rank)
+        _check_vector("vector", v, self.source.ring, self.source.rank)
         out = zero_vector(self.target.ring, self.target.rank)
         for coeff, col in zip(v, self.columns):
             if not coeff.is_zero():
@@ -696,28 +671,22 @@ def map_cokernel(f: ModuleMap) -> PresentedModule:
     return PresentedModule(f.target.ring, f.target.rank, rels)
 
 
+def _kernel_gens(f: ModuleMap) -> list:
+    """Generators of ker f in the free module on the source's generators:
+    the relative syzygies of f's columns in the target that are not source
+    relations, or every unit vector when the target has rank 0."""
+    if f.target.rank == 0:
+        return [unit_vector(f.source.ring, f.source.rank, i) for i in range(f.source.rank)]
+    return [g for g in syzygy_basis(f.columns, f.target)
+            if not f.source.contains_in_relations(g)]
+
+
 def map_kernel(f: ModuleMap):
     """Kernel of f as (module, lift columns into the source free module)."""
-    ring = f.source.ring
-    if f.source.rank == 0:
-        return PresentedModule.zero(ring), []
+    gens = _kernel_gens(f)
     if f.target.rank == 0:
-        gens = [unit_vector(ring, f.source.rank, i) for i in range(f.source.rank)]
-        return PresentedModule(ring, f.source.rank, f.source.relations), gens
-    cols = list(f.columns) + list(f.target.relations)
-    syz = syzygy_basis(cols, f.target.rank)
-    m = f.source.rank
-    raw = [tuple(v[:m]) for v in syz]
-    gens = [g for g in raw if not f.source.contains_in_relations(g)]
-    # drop duplicates deterministically
-    uniq = []
-    for g in gens:
-        if g not in uniq:
-            uniq.append(g)
-    if not uniq:
-        return PresentedModule.zero(ring), []
-    mod, _ = submodule_presentation(uniq, f.source)
-    return mod, uniq
+        return PresentedModule(f.source.ring, f.source.rank, f.source.relations), gens
+    return submodule_presentation(gens, f.source)
 
 
 def map_is_injective(f: ModuleMap) -> bool:
@@ -783,20 +752,8 @@ def cohomology_with_lifts(c: PresentedComplex, i: int):
     mod = c.module_at(i)
     if mod.rank == 0:
         return PresentedModule.zero(ring), []
-    out = c.map_at(i)
-    if out is None or out.target.rank == 0:
-        kernel_gens = [unit_vector(ring, mod.rank, k) for k in range(mod.rank)]
-    else:
-        cols = list(out.columns) + list(out.target.relations)
-        syz = syzygy_basis(cols, out.target.rank, ring)
-        kernel_gens = []
-        for v in syz:
-            head = tuple(v[: mod.rank])
-            if vec_is_zero(head) or head in kernel_gens:
-                continue
-            if mod.contains_in_relations(head):
-                continue
-            kernel_gens.append(head)
+    out = c.map_at(i) or ModuleMap.zero(mod, PresentedModule.zero(ring))
+    kernel_gens = _kernel_gens(out)
     inc = c.map_at(i - 1)
     boundary = inc.columns if inc is not None else ()
     ambient = PresentedModule(ring, mod.rank, boundary + mod.relations)  # term mod boundaries

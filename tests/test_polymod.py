@@ -90,7 +90,7 @@ def vec_combination(cols, coeffs):
 
 
 def test_syzygy_of_x_y_is_koszul():
-    syz = syzygy_basis([V("x"), V("y")], 1)
+    syz = syzygy_basis([V("x"), V("y")], PresentedModule.free(RXY, 1))
     assert len(syz) == 1
     v = syz[0]
     # up to sign and scale this must be (y, -x)
@@ -100,12 +100,12 @@ def test_syzygy_of_x_y_is_koszul():
 
 def test_syzygy_of_identity_columns_empty():
     cols = [unit_vector(RXY, 2, 0), unit_vector(RXY, 2, 1)]
-    assert syzygy_basis(cols, 2) == []
+    assert syzygy_basis(cols, PresentedModule.free(RXY, 2)) == []
 
 
 def test_syzygy_of_zero_columns_is_everything():
     cols = [zero_vector(RXY, 1), zero_vector(RXY, 1)]
-    syz = syzygy_basis(cols, 1)
+    syz = syzygy_basis(cols, PresentedModule.free(RXY, 1))
     gb = module_groebner(syz)
     for j in range(2):
         assert vec_is_zero(vector_normal_form(unit_vector(RXY, 2, j), gb))
@@ -146,7 +146,7 @@ def _bounded_kernel_vectors(cols, rank, ring, degree_bound):
 
 def test_syzygy_completeness_against_linear_algebra_oracle():
     cols = [V("x^2"), V("x*y"), V("y^2")]
-    syz = syzygy_basis(cols, 1)
+    syz = syzygy_basis(cols, PresentedModule.free(RXY, 1))
     for v in syz:
         assert vec_is_zero(vec_combination(cols, v))
     gb = module_groebner(syz)
@@ -157,7 +157,7 @@ def test_syzygy_completeness_against_linear_algebra_oracle():
 def test_koszul_three_variable_syzygies():
     r = PolyRing(QQ, ("x", "y", "z"))
     cols = [(r.var("x"),), (r.var("y"),), (r.var("z"),)]
-    syz = syzygy_basis(cols, 1)
+    syz = syzygy_basis(cols, PresentedModule.free(r, 1))
     for v in syz:
         assert vec_is_zero(vec_combination(cols, v))
     gb = module_groebner(syz)
@@ -174,7 +174,7 @@ def test_koszul_three_variable_syzygies():
 @settings(max_examples=20, deadline=None)
 def test_syzygy_property_random_monomial_columns(a, b):
     cols = [V(f"x^{a}*y"), V(f"x*y^{b}")]
-    for v in syzygy_basis(cols, 1):
+    for v in syzygy_basis(cols, PresentedModule.free(RXY, 1)):
         assert vec_is_zero(vec_combination(cols, v))
 
 
@@ -810,6 +810,94 @@ def test_lifts_against_one_submodule_run_one_groebner_basis(monkeypatch):
             assert amb.contains_in_relations(vec_sub(v, vec_combination(gens, coeffs)))
 
 
+def test_a_presentation_and_its_lifts_run_one_groebner_basis(monkeypatch):
+    """Work count: `submodule_presentation(gens, M)` reads its relations off
+    the kept augmented basis that 10 lifts against (gens, M) then divide by;
+    a syzygy elimination of its own would make 2 runs."""
+    monkeypatch.setattr(polymod, "_REL_GB_CACHE", {})
+    runs = []
+    engine = polymod.module_groebner
+    monkeypatch.setattr(polymod, "module_groebner",
+                        lambda gens, order=POT: runs.append(1) or engine(gens, order))
+    amb = PresentedModule(RXY, 2, (V("x^2", "0"), V("y", "x")))
+    gens = [V("x", "y"), V("0", "y^2"), V("x*y", "1")]
+    probes = [V("x", "y"), V("1", "0"), V("x^2*y", "x*y^2"), V("x^2", "0"), V("0", "0"),
+              V("x*y", "1"), V("x + x*y", "y + 1"), V("y", "0"), V("0", "y^3"), V("x", "y^2")]
+    sub, _ = submodule_presentation(gens, amb)
+    lifts = [submodule_lift(v, gens, amb) for v in probes]
+    assert len(runs) == 1
+    assert sub.rank == 3 and sub.relations
+    for c in sub.relations:
+        assert amb.contains_in_relations(vec_combination(gens, c))
+    assert lifts[0] is not None and lifts[1] is None
+
+
+def ref_syzygy_basis(cols, rank, ring=None):
+    """The syzygies before they were read off the augmented basis:
+    generators of {v in A^m : sum v_j cols_j = 0} for columns in A^rank, by
+    augmenting each column with its own unit tag, running a
+    position-over-term basis and keeping the members whose first block
+    vanished."""
+    cols = list(cols)
+    m = len(cols)
+    if m == 0:
+        return []
+    for c in cols:
+        if len(c) != rank:
+            raise ValidationError("column height does not match rank")
+    if rank == 0:
+        if ring is None:
+            raise ValidationError("rank-0 syzygies need an explicit ring")
+        return [unit_vector(ring, m, j) for j in range(m)]
+    ring = cols[0][0].ring
+    aug = [tuple(c) + unit_vector(ring, m, j) for j, c in enumerate(cols)]
+    return [tuple(v[rank:]) for v in module_groebner(aug, POT)
+            if all(p.is_zero() for p in v[:rank])]
+
+
+@st.composite
+def syzygy_cases(draw):
+    """Generators (possibly none, possibly zero) in a module of rank 0-2
+    over QQ or GF(7), free or with 1-2 relations."""
+    ring = draw(st.sampled_from([RXY, RF7]))
+    rank = draw(st.integers(min_value=0, max_value=2))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 2)
+    term = st.tuples(mono, st.integers(min_value=-3, max_value=3))
+
+    def vector():
+        return tuple(ring.from_terms((m, ring.field.from_int(c))
+                                     for m, c in draw(st.lists(term, max_size=2)))
+                     for _ in range(rank))
+
+    gens = [vector() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    rels = tuple(vector() for _ in range(draw(st.integers(min_value=0, max_value=2))))
+    return gens, PresentedModule(ring, rank, rels)
+
+
+@given(syzygy_cases())
+@settings(max_examples=120, deadline=None)
+def test_relative_syzygies_agree_with_the_elimination_oracle(case):
+    """In a free module the syzygies equal the oracle's.  In a presented one
+    each is a relative syzygy, and they generate the same module as the
+    oracle's heads over the generators and relations together."""
+    gens, ambient = case
+    ring, rank, m = ambient.ring, ambient.rank, len(gens)
+    got = syzygy_basis(gens, ambient)
+    if not ambient.relations:
+        assert got == ref_syzygy_basis(gens, rank, ring)
+        return
+    for c in got:
+        combo = zero_vector(ring, rank)
+        for cj, g in zip(c, gens):
+            combo = vec_add(combo, vec_scale(cj, g))
+        assert ambient.contains_in_relations(combo)
+    want = [v[:m] for v in ref_syzygy_basis(gens + list(ambient.relations), rank, ring)]
+    want = [v for v in want if not vec_is_zero(v)]
+    for vectors, members in ((got, want), (want, got)):
+        gb = module_groebner(vectors)
+        assert all(vec_is_zero(vector_normal_form(v, gb)) for v in members)
+
+
 # -- maps -----------------------------------------------------------------------
 
 
@@ -850,6 +938,30 @@ def test_map_well_definedness_rejected():
     bad = ModuleMap(src, tgt, (V("1", ring=RX),))
     with pytest.raises(Exception):
         bad.check_well_defined()
+
+
+def test_module_maps_refuse_malformed_input():
+    """Over F = Q[x,y]^1 with the map "multiply by x", (x, y), () and x*z
+    from Q[x,y,z] are refused, not applied; so are columns from Q[x,y,z],
+    GF(7) or of the wrong height, and a source and target over different
+    rings."""
+    free = PresentedModule.free(RXY, 1)
+    f = ModuleMap(free, free, (V("x"),))
+    assert f.apply_vector(V("y")) == V("x*y")
+    with pytest.raises(ValidationError, match="length 2"):
+        f.apply_vector(V("x", "y"))
+    with pytest.raises(ValidationError, match="length 0"):
+        f.apply_vector(())
+    with pytest.raises(DomainMismatchError):
+        f.apply_vector(V("x*z", ring=RXYZ))
+    with pytest.raises(DomainMismatchError, match="column 0"):
+        ModuleMap(free, free, (V("x*z", ring=RXYZ),))
+    with pytest.raises(DomainMismatchError, match="column 0"):
+        ModuleMap(free, free, (V("x", ring=RF7),))
+    with pytest.raises(ValidationError, match="column 1 has length 2"):
+        ModuleMap(PresentedModule.free(RXY, 2), free, (V("x"), V("x", "y")))
+    with pytest.raises(DomainMismatchError, match="different rings"):
+        ModuleMap(free, PresentedModule.free(RF7, 1), (V("x", ring=RF7),))
 
 
 # -- complexes and cohomology -------------------------------------------------------
