@@ -18,6 +18,17 @@ steps in the field's arithmetic.  Over QQ, Groebner runs keep primitive
 integer reducers and take pseudo-steps, so only integers occur
 (Becker and Weispfenning, Groebner Bases, GTM 141, 1993, section 10.1).
 
+In the loop a term (pos, m) is one int, packed only on the way in and out
+(Monagan and Pearce, J. Symbolic Comput. 46, 2011): (pos << shift) +
+sum(m_i w_i).  The low n fields, 32 bits each, hold sum(m_i << 32 i), the
+top bit of each a guard bit; above them sit the order's fields, most
+significant first, [-deg] (grevlex), [-m_0, ..., -m_{n-1}] (lex) or
+[-d1, m_{k-1}, ..., m_0, -d2, m_{n-1}, ..., m_k] (block(k)), then pos.
+So keys ascend as (pos, neg_key(m)), a product adds keys, and at one
+position b divides a iff key(a) - key(b) has no guard bit set, that
+difference then being the key of a / b.  An exponent past MAX_EXPONENT =
+2^31 - 1 raises.
+
 Conventions: a `PresentedModule` is coker of its relation columns; maps of
 presented modules are matrices on generators, validated to send relations
 into relations.
@@ -35,7 +46,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import mul
+from struct import Struct
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
@@ -49,7 +61,6 @@ from .polyring import (
     mono_deg,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 Vector = tuple  # tuple of Poly, one entry per generator of a free module
@@ -108,39 +119,101 @@ def _check_vector(name: str, v: Vector, ring: PolyRing, rank: int) -> None:
 
 # -- module division and Groebner bases -----------------------------------------
 
+MAX_EXPONENT = 2**31 - 1
+_FIELD = 32  # bits per exponent field; the top one is the guard bit
 
-def _lead_first(v: Vector, order: ModuleOrder) -> list:
-    """The (pos, mono, c) terms of a vector, its leading term first."""
-    terms = [(pos, m, c) for pos, q in enumerate(v) for m, c in q.terms]
-    if terms and order.ring_order.kind != "grevlex":  # else the storage order has it first
-        lpos, nkey = terms[0][0], order.ring_order.neg_key
-        k = min((nkey(m), i) for i, (pos, m, _) in enumerate(terms) if pos == lpos)[1]
-        terms.insert(0, terms.pop(k))
-    return terms
+
+class _Packing:
+    """The packed keys of A^r under one monomial order, laid out as the
+    module docstring says: weights, position shift, guard mask, decoding."""
+
+    def __init__(self, order: MonomialOrder, nvars: int):
+        low = _FIELD * nvars
+        width = (nvars * MAX_EXPONENT).bit_length()
+        every = tuple(range(nvars))
+        if order.kind == "lex":
+            fields = [(-1, (i,)) for i in every]
+        elif order.kind == "grevlex":
+            fields = [(-1, every)]
+        else:
+            k = min(order.block_size, nvars)
+            fields = ([(-1, every[:k])] + [(1, (i,)) for i in reversed(every[:k])]
+                      + [(-1, every[k:])] + [(1, (i,)) for i in reversed(every[k:])])
+        weights = [1 << (_FIELD * i) for i in every]
+        for f, (sign, idx) in enumerate(reversed(fields)):  # least significant first
+            for i in idx:
+                weights[i] += sign << (low + width * f)
+        top = low + width * len(fields)
+        self.weights = tuple(weights)
+        self.shift = top + 1
+        self.half = 1 << top  # (key + half) >> shift is the position
+        self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in every)
+        self.low = (1 << low) - 1
+        self.nbytes = low // 8
+        self.exponents = Struct(f"<{nvars}I").unpack
+        self.grevlex = order.kind == "grevlex"
+
+    def key(self, pos: int, mono) -> int:
+        return (pos << self.shift) + sum(map(mul, mono, self.weights))
+
+    def decode(self, key: int):
+        """The (pos, mono) of a key."""
+        return ((key + self.half) >> self.shift,
+                self.exponents((key & self.low).to_bytes(self.nbytes, "little")))
+
+    def pack(self, v: Vector) -> list:
+        """The terms of the vector v as [(key, c)]; an exponent past
+        MAX_EXPONENT raises."""
+        w, out = self.weights, []
+        for pos, q in enumerate(v):
+            if q.terms:
+                # the first term has the largest degree, in the `Poly` storage order
+                if sum(q.terms[0][0]) > MAX_EXPONENT and any(
+                        e > MAX_EXPONENT for m, _ in q.terms for e in m):
+                    raise ValidationError(_PAST_LIMIT)
+                base = pos << self.shift
+                out += [(base + sum(map(mul, m, w)), c) for m, c in q.terms]
+        return out
+
+    def unpack(self, ring: PolyRing, rank: int, terms) -> Vector:
+        """The vector with these [(key, c)] terms, in ascending key order."""
+        at: list = [[] for _ in range(rank)]
+        half, shift, low, nbytes, expo = self.half, self.shift, self.low, self.nbytes, self.exponents
+        for key, c in terms:
+            at[(key + half) >> shift].append((expo((key & low).to_bytes(nbytes, "little")), c))
+        if self.grevlex:  # ascending keys are descending grevlex, the `Poly` storage order
+            return tuple(Poly(ring, tuple(t)) for t in at)
+        return tuple(ring.from_terms(t) for t in at)
+
+
+_packing = lru_cache(maxsize=32)(_Packing)  # (order, nvars) -> the shared _Packing
+_PAST_LIMIT = f"an exponent exceeds {MAX_EXPONENT} (2^31 - 1), the largest supported"
 
 
 class _Reducers:
     """Vectors prepared once for division, and the one division loop.
 
-    A reducer is (lead (pos, mono), tail [(pos, mono, c)], lc): the lead,
-    found once, the other terms, and the lead coefficient.  Field reducers
-    are monic (lc == 1).  Integral reducers, which `module_groebner` uses
-    over QQ, are primitive integer vectors with lc > 0.  `leads_at` maps a
-    position to the (lead monomial, index) of the reducers leading there,
-    in index order.
+    Built for a ring order and a ring, whose `_packing` it keeps, from the
+    nonzero `vectors`, packed.  A reducer is (lead key, tail [(key, c)],
+    lc): the lead, the smallest key of the vector, found once, the other
+    terms, and the lead coefficient.  Field reducers are monic (lc == 1).
+    Integral reducers, which `module_groebner` uses over QQ, are primitive
+    integer vectors with lc > 0.  `leads_at` maps a position to the
+    (lead key, index) of the reducers leading there, in index order.
     """
 
-    def __init__(self, order: ModuleOrder, field, integral: bool):
-        self.nkey = order.ring_order.neg_key
-        self.field = field
-        self.integral = integral
+    def __init__(self, order: MonomialOrder, ring: PolyRing, integral: bool = False,
+                 vectors: Sequence[Vector] = ()):
+        self.order, self.ring, self.integral = order, ring, integral
+        self.pk = _packing(order, ring.nvars)
         self.reducers: list = []
         self.leads_at: dict = {}
+        for v in vectors:
+            self.add(self.pk.pack(v))
 
     def add(self, terms: list):
-        """Prepare the nonzero vector with these (pos, mono, c) terms, its
-        leading one first, as the next reducer; return the scalar the
-        reducer is that vector times.
+        """Prepare the nonzero vector with these (key, c) terms as the next
+        reducer; return the scalar the reducer is that vector times.
 
         Field reducers divide by the lead coefficient.  Integral ones clear
         the denominators, `numerator * (L // denominator)`, then divide out
@@ -148,67 +221,71 @@ class _Reducers:
         """
         if not terms:
             raise ValidationError("zero vector has no leading term")
-        pos, mono, c = terms[0]
+        lead, c = min(terms)
+        tail = [t for t in terms if t[0] != lead]
         if self.integral:
-            coeffs = [c for _, _, c in terms]
-            den = lcm(*(c.denominator for c in coeffs))
-            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-            content = gcd(*coeffs)
-            if coeffs[0] < 0:
+            den = lcm(*(b.denominator for _, b in terms))
+            lc = c.numerator * (den // c.denominator)
+            tail = [(k, b.numerator * (den // b.denominator)) for k, b in tail]
+            content = gcd(lc, *(b for _, b in tail))
+            if lc < 0:
                 content = -content
-            coeffs = [c // content for c in coeffs]
-            lc, scale = coeffs[0], Fraction(den, content)
-            tail = [(pos, m, c) for (pos, m, _), c in zip(terms[1:], coeffs[1:])]
+            lc //= content
+            tail = [(k, b // content) for k, b in tail]
+            scale = Fraction(den, content)
         elif c == 1:
-            lc, scale, tail = 1, c, terms[1:]
+            lc, scale = 1, c
         else:
-            mul, scale = self.field.mul, self.field.inv(c)
-            lc, tail = 1, [(pos, m, mul(c, scale)) for pos, m, c in terms[1:]]
-        self.append(((pos, mono), tail, lc))
+            mul, scale = self.ring.field.mul, self.ring.field.inv(c)
+            lc, tail = 1, [(k, mul(b, scale)) for k, b in tail]
+        self.append((lead, tail, lc))
         return scale
 
     def append(self, reducer) -> None:
-        (pos, mono), _, _ = reducer
-        self.leads_at.setdefault(pos, []).append((mono, len(self.reducers)))
+        lead = reducer[0]
+        at = self.leads_at.setdefault((lead + self.pk.half) >> self.pk.shift, [])
+        at.append((lead, len(self.reducers)))
         self.reducers.append(reducer)
 
     def divide(self, work: dict, quots: Optional[list] = None):
-        """Divide the vector `work` ({(pos, mono): c}, consumed) by the reducers.
+        """Divide the vector `work` ({key: c}, consumed) by the reducers.
 
-        The first reducer whose lead divides the largest pending term wins.
-        A monic reducer takes a field step: subtract c times it.  Any other
-        takes a pseudo-step: with g = gcd(c, lc), scale every pending term
-        by lc / g and subtract c / g times it, so integral reducers keep the
+        The first reducer whose lead lk divides the largest pending key k,
+        `(k - lk) & guard == 0`, wins.  A new key with a guard bit set
+        raises; a pending one was checked when it entered.  A monic reducer
+        takes a field step: subtract c times it.  Any other takes a
+        pseudo-step: with g = gcd(c, lc), scale every pending term by
+        lc / g and subtract c / g times it, so integral reducers keep the
         work in integers.
 
-        Heap-ordered, after Monagan and Pearce (J. Symbolic Comput. 46,
-        2011): a min-heap on (position, negated ring key) yields the largest
-        pending term.  Each monomial is pushed when it enters the dict;
-        entries whose term was cancelled are skipped when popped.  That is
-        sound because each step only adds terms below the one just popped.
+        Heap-ordered, after Monagan and Pearce: a min-heap of keys yields
+        the largest pending term.  Each key is pushed when it enters the
+        dict; keys whose term was cancelled are skipped when popped.  That is sound because each step
+        only adds terms below the one just popped.
 
-        Returns the remainder as (pos, mono, c) in descending order, and the
-        product of the pseudo-step scales: the remainder is that multiple of
-        the remainder of field division, each term brought from the scale at
-        which it was emitted to the final one.  With `quots`, a list per
-        reducer, each step appends its (monomial, coefficient); those are
-        the quotients when every step is a field step.
+        Returns the remainder as [(key, c)] in ascending key order, and the
+        product of the pseudo-step scales: the remainder is that multiple
+        of the remainder of field division, each term brought from the
+        scale at which it was emitted to the final one.  With `quots`, a
+        list per reducer, each step appends its (monomial key, coefficient);
+        those are the quotients when every step is a field step.
         """
-        nkey, p, reducers, leads_at = self.nkey, self.field.p, self.reducers, self.leads_at
-        heap = [(pos, nkey(mono), mono) for pos, mono in work]
+        pk, p, reducers, leads_at = self.pk, self.ring.field.p, self.reducers, self.leads_at
+        half, shift, guard = pk.half, pk.shift, pk.guard
+        heap = list(work)
         heapify(heap)
         rem, emitted_at = [], []  # remainder terms, and the scale of each
         scale = 1
         while heap:
-            pos, _, mono = heappop(heap)
-            c = work.pop((pos, mono), None)
+            key = heappop(heap)
+            c = work.pop(key, None)
             if c is None:
                 continue  # cancelled after it was pushed
-            for lm, k in leads_at.get(pos, ()):
-                if all(map(le, lm, mono)):
+            for lk, k in leads_at.get((key + half) >> shift, ()):
+                if not (key - lk) & guard:
                     break
             else:
-                rem.append((pos, mono, c))
+                rem.append((key, c))
                 emitted_at.append(scale)
                 continue
             _, tail, lc = reducers[k]
@@ -218,42 +295,43 @@ class _Reducers:
                 if g != lc:
                     mult = lc // g
                     scale *= mult
-                    for key in work:
-                        work[key] *= mult
-            qm = tuple(map(sub, mono, lm))
+                    for w in work:
+                        work[w] *= mult
+            qk = key - lk
             if quots is not None:
-                quots[k].append((qm, c))
-            for bpos, bmono, bc in tail:
-                key = (bpos, tuple(map(add, qm, bmono)))
-                cur = work.get(key)
+                quots[k].append((qk, c))
+            for bk, bc in tail:
+                nk = qk + bk
+                cur = work.get(nk)
                 if cur is None:
-                    work[key] = -c * bc if p == 0 else -c * bc % p
-                    heappush(heap, (bpos, nkey(key[1]), key[1]))
+                    if nk & guard:
+                        raise ValidationError(_PAST_LIMIT)
+                    work[nk] = -c * bc if p == 0 else -c * bc % p
+                    heappush(heap, nk)
                 else:
                     new = cur - c * bc if p == 0 else (cur - c * bc) % p
                     if new == 0:
-                        del work[key]
+                        del work[nk]
                     else:
-                        work[key] = new
+                        work[nk] = new
         if scale != 1:
-            rem = [(pos, m, c if s == scale else c * (scale // s))
-                   for (pos, m, c), s in zip(rem, emitted_at)]
+            rem = [(k, c if s == scale else c * (scale // s))
+                   for (k, c), s in zip(rem, emitted_at)]
         return rem, scale
 
-    def s_vector(self, i: int, j: int, l) -> dict:
+    def s_vector(self, i: int, j: int, l: int) -> dict:
         """(lc_j/g) m_i r_i - (lc_i/g) m_j r_j, g = gcd(lc_i, lc_j), for
-        the multiples m_i r_i, m_j r_j leading at the monomial l, as a work
+        the multiples m_i r_i, m_j r_j leading at the key l, as a work
         dict; their leads cancel."""
-        p = self.field.p
-        (_, li), ti, ci = self.reducers[i]
-        (_, lj), tj, cj = self.reducers[j]
+        p, guard = self.ring.field.p, self.pk.guard
+        li, ti, ci = self.reducers[i]
+        lj, tj, cj = self.reducers[j]
         g = gcd(ci, cj)
         a, b = cj // g, ci // g
-        mi = tuple(map(sub, l, li))
-        mj = tuple(map(sub, l, lj))
-        work = {(pos, tuple(map(add, mi, m))): a * c for pos, m, c in ti}
-        for pos, m, c in tj:
-            key = (pos, tuple(map(add, mj, m)))
+        mi, mj = l - li, l - lj
+        work = {mi + k: a * c for k, c in ti}
+        for k, c in tj:
+            key = mj + k
             new = work.get(key, 0) - b * c
             if p:
                 new %= p
@@ -261,23 +339,15 @@ class _Reducers:
                 work[key] = new
             else:
                 work.pop(key, None)
+        # equal keys are equal terms, so only the keys left need the check
+        if any(key & guard for key in work):
+            raise ValidationError(_PAST_LIMIT)
         return work
 
-
-def _polys(ring: PolyRing, rank: int, terms, grevlex: bool) -> Vector:
-    """The vector with these (pos, mono, c) terms, each position's terms
-    distinct and in descending order."""
-    at: list = [[] for _ in range(rank)]
-    for pos, m, c in terms:
-        at[pos].append((m, c))
-    if grevlex:  # descending is already the `Poly` storage order
-        return tuple(Poly(ring, tuple(t)) for t in at)
-    return tuple(ring.from_terms(t) for t in at)
-
-
-def _poly(ring: PolyRing, terms: list, grevlex: bool) -> Poly:
-    # descending under grevlex is already the `Poly` storage order
-    return Poly(ring, tuple(terms)) if grevlex else ring.from_terms(terms)
+    def normal_form(self, v: Vector) -> Vector:
+        """The remainder of the nonzero vector v on field division."""
+        rem, _ = self.divide(dict(self.pk.pack(v)))
+        return self.pk.unpack(self.ring, len(v), rem)
 
 
 def vector_divmod(
@@ -296,16 +366,14 @@ def vector_divmod(
     if not v:
         raise ValidationError("zero-rank vector")
     ring = v[0].ring
-    red = _Reducers(order, ring.field, integral=False)
-    scales = [red.add(_lead_first(b, order)) for b in basis]
+    red = _Reducers(order.ring_order, ring)
+    scales = [red.add(red.pk.pack(b)) for b in basis]
     quots = [[] for _ in basis] if quotients else None
-    rem, _ = red.divide({(pos, m): c for pos, q in enumerate(v) for m, c in q.terms}, quots)
-    grevlex = order.ring_order.kind == "grevlex"
+    rem, _ = red.divide(dict(red.pk.pack(v)), quots)
     if quotients:
-        mul = ring.field.mul
-        quots = [_poly(ring, [(m, mul(c, s)) for m, c in q], grevlex)
+        quots = [red.pk.unpack(ring, 1, [(m, ring.field.mul(c, s)) for m, c in q])[0]
                  for q, s in zip(quots, scales)]
-    return quots, _polys(ring, len(v), rem, grevlex)
+    return quots, red.pk.unpack(ring, len(v), rem)
 
 
 def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
@@ -313,20 +381,20 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
 
     Each vector is prepared once, as a reducer, when it joins the basis;
     S-vectors, their reduction and the final interreduction all run in one
-    division loop over those reducers.  Over QQ the run keeps every
-    reducer as a primitive integer vector and divides by pseudo-steps, so
-    only integers occur in the loop, and makes the basis monic in
-    `Fraction`s on output.  Otherwise the reducers are monic and
+    division loop over those reducers, on packed keys.  Over QQ the run
+    keeps every reducer as a primitive integer vector and divides by
+    pseudo-steps, so only integers occur in the loop, and makes the basis
+    monic in `Fraction`s on output.  Otherwise the reducers are monic and
     the arithmetic is the field's.  Both give the same basis.
 
     Pair selection: smallest lcm under the ring order (normal strategy),
-    ties by index.  The open pairs sit in a min-heap keyed by (ring key of
-    the lcm, pair), pushed when a pair is made; pairs leave it only by being
-    selected, so it pops them in exactly that order.  A pair is discarded
-    by the chain criterion when a third lead at the same position divides
-    the lcm and both side pairs are done, and, at rank 1 only, when its
-    leads are coprime.  Ideals run here as rank-1 modules, through
-    `polyring.buchberger`.
+    ties by index.  The open pairs sit in a min-heap of (minus the key of
+    the lcm at position 0, i, j), pushed when a pair is made; pairs leave
+    it only by being selected, so it pops them in exactly that order.  A
+    pair is discarded by the chain criterion when a third lead at the same
+    position divides the lcm and both side pairs are done, and, at rank 1
+    only, when its leads are coprime (the lcm's key is the sum of theirs).
+    Ideals run here as rank-1 modules, through `polyring.buchberger`.
     """
     nonzero = [g for g in gens if not vec_is_zero(g)]
     if not nonzero:
@@ -334,91 +402,78 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     ring = nonzero[0][0].ring
     integral = ring.field.p == 0
     rank = len(nonzero[0])
-    rkey = order.ring_order.key
-    grevlex = order.ring_order.kind == "grevlex"
+    red = _Reducers(order.ring_order, ring, integral, nonzero)
+    pk, shift, guard = red.pk, red.pk.shift, red.pk.guard
+    leads = [pk.decode(r[0]) for r in red.reducers]  # (pos, mono) of each lead
 
-    red = _Reducers(order, ring.field, integral)
-    for g in nonzero:
-        red.add(_lead_first(g, order))
-    leads = [r[0] for r in red.reducers]
-
-    pairs: list = []  # heap of (ring key of the lcm, (i, j), lcm)
+    pairs: list = []  # heap of (-(key of the lcm at position 0), i, j, key of the lcm)
     done = set()
 
     def add_pair(i, j):
-        if leads[i][0] == leads[j][0]:
-            l = mono_lcm(leads[i][1], leads[j][1])
-            heappush(pairs, (rkey(l), (i, j), l))
+        (pos, mi), (pj, mj) = leads[i], leads[j]
+        if pos == pj:
+            l = pk.key(0, mono_lcm(mi, mj))
+            heappush(pairs, (-l, i, j, l + (pos << shift)))
 
     for j in range(len(leads)):
         for i in range(j):
             add_pair(i, j)
 
     while pairs:
-        _, pair, l = heappop(pairs)
-        done.add(pair)
-        i, j = pair
+        _, i, j, l = heappop(pairs)
+        done.add((i, j))
         pos = leads[i][0]
-        if rank == 1 and l == mono_mul(leads[i][1], leads[j][1]):
+        if rank == 1 and l + (pos << shift) == red.reducers[i][0] + red.reducers[j][0]:
             continue  # coprime leading terms
-        skip = False
-        for lk, k in red.leads_at[pos]:
-            if k != i and k != j and all(map(le, lk, l)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and not (l - lk) & guard
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for lk, k in red.leads_at[pos]):
             continue
         rem, _ = red.divide(red.s_vector(i, j, l))
         if not rem:
             continue
         red.add(rem)
-        leads.append(red.reducers[-1][0])
+        leads.append(pk.decode(red.reducers[-1][0]))
         new = len(leads) - 1
         for k in range(new):
             add_pair(k, new)
 
     one = ring.field.one()
     basis = []
-    for (lpos, lmono), tail, lc in _module_interreduce(red, order):
+    for lead, tail, lc in _module_interreduce(red):
         if integral:
-            tail = [(pos, mono, Fraction(c, lc)) for pos, mono, c in tail]
-        basis.append(_polys(ring, rank, [(lpos, lmono, one)] + tail, grevlex))
+            tail = [(k, Fraction(c, lc)) for k, c in tail]
+        basis.append(pk.unpack(ring, rank, [(lead, one)] + tail))
     return basis
 
 
-def _module_interreduce(red: _Reducers, order: ModuleOrder) -> list:
-    """The reducers of the reduced basis, by descending lead, from those of
-    a Groebner basis.
+def _module_interreduce(red: _Reducers) -> list:
+    """The reducers of the reduced basis, by ascending lead key (descending
+    lead), from those of a Groebner basis.
 
-    Drops each reducer whose lead another lead divides (of equal leads the
-    first stays), then reduces each survivor's tail by all of them, those
-    already reduced included.  No term below a lead is divisible by it, and
-    reducing never moves a lead, so one pass leaves every vector reduced.
+    Drops each reducer whose lead another lead at its position divides (of
+    equal leads the first stays), then reduces each survivor's tail by all
+    of them, those already reduced included.  No term below a lead is
+    divisible by it, and reducing never moves a lead, so one pass leaves
+    every vector reduced.
     """
-    leads = [r[0] for r in red.reducers]
-    keep = [
-        a
-        for a, la in enumerate(leads)
-        if not any(
-            b != a and lb[0] == la[0] and mono_divides(lb[1], la[1]) and (lb[1] != la[1] or b < a)
-            for b, lb in enumerate(leads)
-        )
-    ]
-    kept = _Reducers(order, red.field, red.integral)
+    guard = red.pk.guard
+    keep = sorted(
+        a for at in red.leads_at.values() for la, a in at
+        if not any(b != a and not (la - lb) & guard and (lb != la or b < a) for lb, b in at)
+    )
+    kept = _Reducers(red.order, red.ring, red.integral)
     for a in keep:
         kept.append(red.reducers[a])
     for i, (lead, tail, lc) in enumerate(kept.reducers):
-        rem, scale = kept.divide({(pos, m): c for pos, m, c in tail})
+        rem, scale = kept.divide(dict(tail))
         lc *= scale
         if lc != 1:  # integral: take the content out again
-            g = gcd(lc, *(c for _, _, c in rem))
+            g = gcd(lc, *(c for _, c in rem))
             lc //= g
-            rem = [(pos, m, c // g) for pos, m, c in rem]
+            rem = [(k, c // g) for k, c in rem]
         kept.reducers[i] = (lead, rem, lc)
-    return sorted(kept.reducers, key=lambda r: order.key(r[0]), reverse=True)
+    return sorted(kept.reducers, key=lambda r: r[0])
 
 
 # -- presented modules -----------------------------------------------------------
@@ -481,17 +536,12 @@ class _RelationBasis:
 
     @cached_property
     def _reducers(self) -> _Reducers:
-        red = _Reducers(POT, self.ring.field, integral=False)
-        for b in self.vectors:
-            red.add(_lead_first(b, POT))
-        return red
+        return _Reducers(POT.ring_order, self.ring, vectors=self.vectors)
 
     def normal_form(self, v: Vector) -> Vector:
         if not self.vectors or vec_is_zero(v):
             return v
-        rem, _ = self._reducers.divide(
-            {(pos, m): c for pos, q in enumerate(v) for m, c in q.terms})
-        return _polys(self.ring, len(v), rem, grevlex=True)
+        return self._reducers.normal_form(v)
 
 
 # Relation bases by presentation; past the bound the oldest entry goes first.
@@ -836,8 +886,9 @@ def module_is_graded(mod: PresentedModule, weights: Sequence[int],
 def _relation_leads(mod: PresentedModule) -> dict:
     """Position -> the lead monomials of the relation basis there."""
     by_pos: dict = {}
-    for pos, mono, _ in (_lead_first(v, POT)[0] for v in mod.relation_gb()):
-        by_pos.setdefault(pos, []).append(mono)
+    for v in mod.relation_gb():  # under POT, the first term of the first nonzero entry
+        pos = next(i for i, q in enumerate(v) if q.terms)
+        by_pos.setdefault(pos, []).append(v[pos].terms[0][0])
     return by_pos
 
 

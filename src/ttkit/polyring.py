@@ -30,10 +30,6 @@ Monomial = tuple
 # -- monomial helpers --------------------------------------------------------
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -501,10 +497,7 @@ def normal_form(f: Poly, basis: "GroebnerBasis") -> Poly:
     red = basis._reducers
     if not red.reducers:
         return f
-    rem, _ = red.divide({(0, m): c for m, c in f.terms})
-    terms = tuple((m, c) for _, m, c in rem)
-    # descending under grevlex is already the `Poly` storage order
-    return Poly(f.ring, terms) if basis.order.kind == "grevlex" else f.ring.from_terms(terms)
+    return red.normal_form((f,))[0]
 
 
 # No caller in the package: kept public so that the per-layer metric
@@ -555,14 +548,9 @@ class GroebnerBasis:
 
     @cached_property
     def _reducers(self):
-        from .polymod import ModuleOrder, _lead_first, _Reducers
+        from .polymod import _Reducers
 
-        order = ModuleOrder(self.order)
-        red = _Reducers(order, self.ring.field, integral=False)
-        for g in self.polys:
-            if not g.is_zero():
-                red.add(_lead_first((g,), order))
-        return red
+        return _Reducers(self.order, self.ring, vectors=[(g,) for g in self.polys if g.terms])
 
     @staticmethod
     def of(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> "GroebnerBasis":

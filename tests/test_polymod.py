@@ -19,7 +19,6 @@ from ttkit.polyring import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     radical_equal,
 )
 from ttkit.polymod import (
@@ -55,6 +54,11 @@ from ttkit.polymod import (
     vector_in_standard_coords,
     zero_vector,
 )
+
+def mono_mul(a, b):
+    """The product of two exponent tuples."""
+    return tuple(x + y for x, y in zip(a, b))
+
 
 RXY = PolyRing(QQ, ("x", "y"))
 RX = PolyRing(QQ, ("x",))
@@ -487,15 +491,15 @@ def integral_remainder(v, divisors, order):
     """Pseudo-division of v, its denominators cleared, by integral
     reducers: the remainder as {(pos, mono): c} over that scale."""
     ring = v[0].ring
-    reducers = polymod._Reducers(order, ring.field, integral=True)
+    reducers = polymod._Reducers(order.ring_order, ring, integral=True)
+    pk = reducers.pk
     for d in divisors:
-        reducers.add(polymod._lead_first(d, order))
+        reducers.add(pk.pack(d))
     den = lcm(1, *(c.denominator for q in v for _, c in q.terms))
-    work = {(pos, m): c.numerator * (den // c.denominator)
-            for pos, q in enumerate(v) for m, c in q.terms}
+    work = {k: c.numerator * (den // c.denominator) for k, c in pk.pack(v)}
     rem, scale = reducers.divide(work)
-    assert scale > 0 and all(type(c) is int for _, _, c in rem)
-    return {(pos, m): Fraction(c, scale * den) for pos, m, c in rem}
+    assert scale > 0 and all(type(c) is int for _, c in rem)
+    return {pk.decode(k): Fraction(c, scale * den) for k, c in rem}
 
 
 RQ2 = ENGINE_RINGS[0]
@@ -533,21 +537,126 @@ def test_engine_matches_the_reference_engine(case):
 @settings(max_examples=80, deadline=None)
 def test_integral_reducers_are_primitive_with_a_positive_lead(case):
     ring, order, gens, _ = case
-    reducers = polymod._Reducers(order, ring.field, integral=ring.field.is_rational)
+    reducers = polymod._Reducers(order.ring_order, ring, integral=ring.field.is_rational)
+    pk = reducers.pk
     for g in gens:
         if vec_is_zero(g):
             continue
-        terms = polymod._lead_first(g, order)
+        terms = pk.pack(g)
         scale = reducers.add(terms)
         lead, tail, lc = reducers.reducers[-1]
-        assert lead == terms[0][:2]
-        got = [(lead[0], lead[1], lc)] + tail
-        assert [(pos, m, ring.field.mul(c, scale)) for pos, m, c in terms] == got
+        assert pk.decode(lead) == lead_of(g, order)
+        got = [(lead, lc)] + tail
+        assert len(got) == len(terms)
+        assert {pk.decode(k): c for k, c in got} == {
+            (pos, m): ring.field.mul(c, scale) for pos, q in enumerate(g) for m, c in q.terms}
         if ring.field.is_rational:
-            coeffs = [c for _, _, c in got]
+            coeffs = [c for _, c in got]
             assert all(type(c) is int for c in coeffs) and lc > 0 and gcd(*coeffs) == 1
         else:
             assert lc == 1
+
+
+CYCLIC4 = ["a + b + c + d", "a*b + b*c + c*d + d*a", "a*b*c + b*c*d + c*d*a + d*a*b",
+           "a*b*c*d - 1"]
+# Selecting its pairs by degree alone, not by the full lcm, costs 1 more
+# reducer and 4 more S-vectors.
+MIXED = ["8*y^2*z + 4*x^2*y + 2*y^2 + 3*x^2", "6*x^2*z + x*z^2 + 5*z^3 + 5*y^2",
+         "7*z^3 + 7*y*z^2 + 9*y*z + 6*y^2", "x*z + 4*y^2"]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_groebner_work_counts_are_pinned(monkeypatch, field):
+    """Work count: the reducers prepared, the S-vectors formed and the
+    divisions run by `module_groebner` on cyclic-4 under grevlex and lex,
+    on a mixed-degree ideal in three variables and on a rank-3 module.  A
+    change to the pair order or to either criterion moves them."""
+    counts = {}
+    for name in ("add", "s_vector", "divide"):
+        def counted(*args, _name=name, _fn=getattr(polymod._Reducers, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(polymod._Reducers, name, counted)
+    ring = PolyRing.parse(f"{field}[a,b,c,d]")
+    cyclic4 = [(ring.parse_poly(t),) for t in CYCLIC4]
+    space = PolyRing.parse(f"{field}[x,y,z]")
+    mixed = [(space.parse_poly(t),) for t in MIXED]
+    plane = PolyRing.parse(f"{field}[x,y]")
+    module = [tuple(plane.parse_poly(t) for t in v) for v in (
+        ("x^2 - y", "x", "0"), ("x*y", "y^2 - 1", "x"), ("y^3", "x*y", "y - 1"), ("x", "y", "x*y"))]
+    got = []
+    for gens, order in ((cyclic4, ModuleOrder(GREVLEX)), (cyclic4, ModuleOrder(LEX)),
+                        (mixed, POT), (module, POT)):
+        counts.clear()
+        basis = module_groebner(gens, order)
+        got.append((len(basis), counts["add"], counts["s_vector"], counts["divide"]))
+    assert got == [(7, 10, 11, 18), (6, 14, 20, 26), (5, 11, 16, 21), (7, 14, 12, 19)]
+
+
+# -- packed keys ------------------------------------------------------------------
+
+
+@st.composite
+def packing_cases(draw):
+    """Two terms (pos, mono) in n = 1-4 variables under lex, grevlex or
+    block(1..n-1), exponents small, near the limit or anywhere up to it;
+    the second is often the first with one unit moved between variables,
+    so that only the order's last tie-breaks tell them apart."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    order = draw(st.sampled_from([LEX, GREVLEX] + [block_order(k) for k in range(1, n)]))
+    top = polymod.MAX_EXPONENT
+    expo = st.one_of(st.integers(min_value=0, max_value=3),
+                     st.integers(min_value=top - 3, max_value=top),
+                     st.integers(min_value=0, max_value=top))
+    term = st.tuples(st.integers(min_value=0, max_value=3), st.tuples(*[expo] * n))
+    pa, a = draw(term)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    moved = list(a)
+    if moved[i] > 0 and moved[j] < top:
+        moved[i] -= 1
+        moved[j] += 1
+    return order, n, (pa, a), draw(st.one_of(term, st.just((pa, tuple(moved)))))
+
+
+@given(packing_cases())
+@settings(max_examples=400, deadline=None)
+def test_packed_keys_agree_with_the_order_products_and_divisibility(case):
+    order, n, (pa, a), (pb, b) = case
+    pk = polymod._packing(order, n)
+    ka, kb = pk.key(pa, a), pk.key(pb, b)
+    assert (ka < kb) == ((pa, order.neg_key(a)) < (pb, order.neg_key(b)))
+    assert (ka == kb) == ((pa, a) == (pb, b))
+    assert pk.decode(ka) == (pa, a) and pk.decode(kb) == (pb, b)
+    prod = mono_mul(a, b)
+    if max(prod) <= polymod.MAX_EXPONENT:
+        assert ka + kb == pk.key(pa + pb, prod)
+        assert not (ka + kb) & pk.guard
+    else:
+        assert (ka + kb) & pk.guard  # the overflow shows in a guard bit
+    divides = not (ka - pk.key(pa, b)) & pk.guard
+    assert divides == mono_divides(b, a)
+    if divides:
+        assert pk.decode(ka - pk.key(pa, b)) == (0, mono_div(a, b))
+
+
+def test_exponents_past_the_limit_raise():
+    """Packed keys hold exponents up to 2^31 - 1: past that the input, a
+    division step or an S-vector raises instead of answering wrongly."""
+    ring = PolyRing(QQ, ("x", "y"))
+    top = polymod.MAX_EXPONENT
+    assert top == 2**31 - 1
+    with pytest.raises(ValidationError, match=str(top)):
+        GroebnerBasis.of([ring.parse_poly(f"x^{top + 1} - y")])
+    assert GroebnerBasis.of([ring.parse_poly(f"x^{top} - y")]).polys == (
+        ring.parse_poly(f"x^{top} - y"),)
+    x2, d = ring.parse_poly("x^2"), ring.parse_poly(f"x - y^{2**30}")
+    with pytest.raises(ValidationError, match=str(top)):  # x^2 -> x*y^(2^30) -> y^(2^31)
+        vector_divmod((x2,), [(d,)], ModuleOrder(LEX))
+    with pytest.raises(ValidationError, match=str(top)):
+        GroebnerBasis(ring, LEX, (d,)).normal_form(x2)
+    # the S-vector of x*y - y^top and y^2 holds y * y^top
+    with pytest.raises(ValidationError, match=str(top)):
+        buchberger([ring.parse_poly(f"x*y - y^{top}"), ring.parse_poly("y^2")], LEX)
 
 
 # -- presented modules ------------------------------------------------------------

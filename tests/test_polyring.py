@@ -26,11 +26,15 @@ from ttkit.polyring import (
     ideal_contains_radical,
     ideal_intersection,
     ideal_is_proper,
-    mono_mul,
     radical_equal,
     radical_member,
     s_poly,
 )
+
+def mono_mul(a, b):
+    """The product of two exponent tuples."""
+    return tuple(x + y for x, y in zip(a, b))
+
 
 RXYZ = PolyRing(QQ, ("x", "y", "z"))
 RXY = PolyRing(QQ, ("x", "y"))

@@ -306,6 +306,24 @@ def test_strict_stops_at_the_first_erroring_query(tmp_path, capsys):
     assert "[fine]" not in out
 
 
+def test_an_exponent_past_the_limit_is_a_query_error(tmp_path, capsys):
+    doc = {
+        "name": "huge_exponent",
+        "ring": {"field": "Q", "variables": ["x", "y"]},
+        "queries": [
+            {"label": "huge", "op": "gb", "args": {"generators": ["x^2147483648 - y"]}},
+            {"label": "fine", "op": "gb", "args": {"generators": ["x"], "members": ["x^2"]}},
+        ],
+    }
+    p = tmp_path / "huge_exponent.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert "[huge] gb: ERROR" in captured.out and "2147483647" in captured.out
+    assert "[fine] gb: PASS" in captured.out
+    assert "Traceback" not in captured.err
+
+
 # -- loader details -----------------------------------------------------------------------
 
 
