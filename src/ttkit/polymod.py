@@ -46,7 +46,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul
 from struct import Struct
 from typing import Optional, Sequence
 
@@ -144,7 +143,10 @@ class _Packing:
             for i in idx:
                 weights[i] += sign << (low + width * f)
         top = low + width * len(fields)
-        self.weights = tuple(weights)
+        # the key of a monomial as one compiled linear form, about three
+        # times faster than sum(map(mul, m, weights))
+        self.encode = eval("lambda m: " + (" + ".join(
+            f"m[{i}] * {w}" for i, w in enumerate(weights)) or "0"))
         self.shift = top + 1
         self.half = 1 << top  # (key + half) >> shift is the position
         self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in every)
@@ -154,26 +156,22 @@ class _Packing:
         self.grevlex = order.kind == "grevlex"
 
     def key(self, pos: int, mono) -> int:
-        return (pos << self.shift) + sum(map(mul, mono, self.weights))
+        return (pos << self.shift) + self.encode(mono)
 
     def decode(self, key: int):
         """The (pos, mono) of a key."""
         return ((key + self.half) >> self.shift,
                 self.exponents((key & self.low).to_bytes(self.nbytes, "little")))
 
-    def pack(self, v: Vector) -> list:
-        """The terms of the vector v as [(key, c)]; an exponent past
+    def pack(self, v: Vector) -> dict:
+        """The terms of the vector v as {key: c}; an exponent past
         MAX_EXPONENT raises."""
-        w, out = self.weights, []
-        for pos, q in enumerate(v):
-            if q.terms:
-                # the first term has the largest degree, in the `Poly` storage order
-                if sum(q.terms[0][0]) > MAX_EXPONENT and any(
-                        e > MAX_EXPONENT for m, _ in q.terms for e in m):
-                    raise ValidationError(_PAST_LIMIT)
-                base = pos << self.shift
-                out += [(base + sum(map(mul, m, w)), c) for m, c in q.terms]
-        return out
+        for q in v:  # the first term has the largest degree, in the `Poly` storage order
+            if q.terms and sum(q.terms[0][0]) > MAX_EXPONENT and any(
+                    e > MAX_EXPONENT for m, _ in q.terms for e in m):
+                raise ValidationError(_PAST_LIMIT)
+        encode, shift = self.encode, self.shift
+        return {(pos << shift) + encode(m): c for pos, q in enumerate(v) for m, c in q.terms}
 
     def unpack(self, ring: PolyRing, rank: int, terms) -> Vector:
         """The vector with these [(key, c)] terms, in ascending key order."""
@@ -182,8 +180,8 @@ class _Packing:
         for key, c in terms:
             at[(key + half) >> shift].append((expo((key & low).to_bytes(nbytes, "little")), c))
         if self.grevlex:  # ascending keys are descending grevlex, the `Poly` storage order
-            return tuple(Poly(ring, tuple(t)) for t in at)
-        return tuple(ring.from_terms(t) for t in at)
+            return tuple([Poly(ring, tuple(t)) for t in at])
+        return tuple([ring.from_terms(t) for t in at])
 
 
 _packing = lru_cache(maxsize=32)(_Packing)  # (order, nvars) -> the shared _Packing
@@ -209,9 +207,9 @@ class _Reducers:
         self.reducers: list = []
         self.leads_at: dict = {}
         for v in vectors:
-            self.add(self.pk.pack(v))
+            self.add(self.pk.pack(v).items())
 
-    def add(self, terms: list):
+    def add(self, terms):
         """Prepare the nonzero vector with these (key, c) terms as the next
         reducer; return the scalar the reducer is that vector times.
 
@@ -346,7 +344,7 @@ class _Reducers:
 
     def normal_form(self, v: Vector) -> Vector:
         """The remainder of the nonzero vector v on field division."""
-        rem, _ = self.divide(dict(self.pk.pack(v)))
+        rem, _ = self.divide(self.pk.pack(v))
         return self.pk.unpack(self.ring, len(v), rem)
 
 
@@ -367,9 +365,9 @@ def vector_divmod(
         raise ValidationError("zero-rank vector")
     ring = v[0].ring
     red = _Reducers(order.ring_order, ring)
-    scales = [red.add(red.pk.pack(b)) for b in basis]
+    scales = [red.add(red.pk.pack(b).items()) for b in basis]
     quots = [[] for _ in basis] if quotients else None
-    rem, _ = red.divide(dict(red.pk.pack(v)), quots)
+    rem, _ = red.divide(red.pk.pack(v), quots)
     if quotients:
         quots = [red.pk.unpack(ring, 1, [(m, ring.field.mul(c, s)) for m, c in q])[0]
                  for q, s in zip(quots, scales)]

@@ -494,9 +494,9 @@ def integral_remainder(v, divisors, order):
     reducers = polymod._Reducers(order.ring_order, ring, integral=True)
     pk = reducers.pk
     for d in divisors:
-        reducers.add(pk.pack(d))
+        reducers.add(pk.pack(d).items())
     den = lcm(1, *(c.denominator for q in v for _, c in q.terms))
-    work = {k: c.numerator * (den // c.denominator) for k, c in pk.pack(v)}
+    work = {k: c.numerator * (den // c.denominator) for k, c in pk.pack(v).items()}
     rem, scale = reducers.divide(work)
     assert scale > 0 and all(type(c) is int for _, c in rem)
     return {pk.decode(k): Fraction(c, scale * den) for k, c in rem}
@@ -543,7 +543,7 @@ def test_integral_reducers_are_primitive_with_a_positive_lead(case):
         if vec_is_zero(g):
             continue
         terms = pk.pack(g)
-        scale = reducers.add(terms)
+        scale = reducers.add(terms.items())
         lead, tail, lc = reducers.reducers[-1]
         assert pk.decode(lead) == lead_of(g, order)
         got = [(lead, lc)] + tail
