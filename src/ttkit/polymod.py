@@ -124,7 +124,7 @@ _FIELD = 32  # bits per exponent field; the top one is the guard bit
 
 class _Packing:
     """The packed keys of A^r under one monomial order, laid out as the
-    module docstring says: weights, position shift, guard mask, decoding."""
+    module docstring says: encoder, position shift, guard mask, decoding."""
 
     def __init__(self, order: MonomialOrder, nvars: int):
         low = _FIELD * nvars
