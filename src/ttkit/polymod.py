@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add
 from struct import Struct
 from typing import Optional, Sequence
 
@@ -70,10 +71,6 @@ class ModuleOrder:
     """Position-over-term: lower component index dominates, monomials tie-break."""
 
     ring_order: MonomialOrder = GREVLEX
-
-    def key(self, term):
-        pos, mono = term
-        return (-pos, self.ring_order.key(mono))
 
 
 POT = ModuleOrder(GREVLEX)
@@ -392,7 +389,8 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     pair is discarded by the chain criterion when a third lead at the same
     position divides the lcm and both side pairs are done, and, at rank 1
     only, when its leads are coprime (the lcm's key is the sum of theirs).
-    Ideals run here as rank-1 modules, through `polyring.buchberger`.
+    Ideals run here as rank-1 modules, through `polyring.buchberger`, and
+    stop at [1] as soon as a constant generator or S-remainder appears.
     """
     nonzero = [g for g in gens if not vec_is_zero(g)]
     if not nonzero:
@@ -401,6 +399,8 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     integral = ring.field.p == 0
     rank = len(nonzero[0])
     red = _Reducers(order.ring_order, ring, integral, nonzero)
+    if rank == 1 and any(r[0] == 0 for r in red.reducers):
+        return [(ring.one(),)]  # key 0 is the constant at position 0
     pk, shift, guard = red.pk, red.pk.shift, red.pk.guard
     leads = [pk.decode(r[0]) for r in red.reducers]  # (pos, mono) of each lead
 
@@ -430,6 +430,8 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
         rem, _ = red.divide(red.s_vector(i, j, l))
         if not rem:
             continue
+        if rank == 1 and rem[0][0] == 0:
+            return [(ring.one(),)]
         red.add(rem)
         leads.append(pk.decode(red.reducers[-1][0]))
         new = len(leads) - 1
@@ -995,18 +997,27 @@ def bounded_membership(f: Poly, gens: Sequence[Poly], degree_bound: int) -> bool
     The Macaulay columns are eliminated by `_macaulay_echelon`, which keeps
     the echelon of the last (ring, gens, degree_bound) it was asked for, so
     consecutive queries on one ideal and bound eliminate once.  Then f is a
-    member iff top-reduction by the pivots drives it to zero.
+    member iff top-reduction by the pivots drives its cleared terms to zero.
     """
     gens = tuple(gens)
     if any(g.ring != f.ring for g in gens):
         raise DomainMismatchError("generators from a different ring than the polynomial")
     index, pivots = _macaulay_echelon(f.ring, gens, degree_bound)
     target = {}
-    for m, c in f.terms:
+    for m, c in _cleared(f.terms, f.ring.field.p):
         if m not in index:
             return False  # no column reaches this monomial
         target[index[m]] = c
     return _top_reduce(target, pivots, f.ring.field.p) is None
+
+
+def _cleared(terms, p: int):
+    """Over QQ the terms times the lcm of their denominators, with int
+    coefficients; over GF(p) the terms as they are."""
+    if p:
+        return terms
+    den = lcm(1, *(c.denominator for _, c in terms))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms]
 
 
 @lru_cache(maxsize=1)
@@ -1016,40 +1027,55 @@ def _macaulay_echelon(ring: PolyRing, gens: tuple, degree_bound: int):
 
     Sparse elimination: monomials are numbered largest first under
     grevlex, each column is top-reduced by the pivots found so far, and a
-    column whose lead is still new becomes a monic pivot.  Only the last
-    echelon is kept, because queries on one ideal come one after another.
+    column whose lead is still new becomes a pivot (lc, tail): over QQ,
+    each generator's denominators cleared once, a primitive integer vector
+    with lc > 0, over GF(p) a monic one.  Only the last echelon is kept,
+    because queries on one ideal come one after another.
     """
-    fld = ring.field
-    p = fld.p
+    p = ring.field.p
     columns = []
     for g in gens:
         if g.is_zero():
             continue
+        terms = _cleared(g.terms, p)
         for shift_deg in range(degree_bound - g.total_degree() + 1):
             for shift in monomials_of_degree(ring, shift_deg):
-                columns.append((ring.monomial(shift) * g).terms)
+                columns.append([(tuple(map(add, shift, m)), c) for m, c in terms])
     monos = sorted({m for col in columns for m, _ in col}, key=GREVLEX.neg_key)
     index = {m: i for i, m in enumerate(monos)}
-    pivots: dict = {}  # lead index -> the other terms of a monic pivot
+    pivots: dict = {}  # lead index -> (lc, the other terms)
     for col in columns:
         v = {index[m]: c for m, c in col}
         lead = _top_reduce(v, pivots, p)
         if lead is not None:
-            inv = fld.inv(v.pop(lead))
-            pivots[lead] = [(i, c * inv if p == 0 else c * inv % p) for i, c in v.items()]
+            lc = v.pop(lead)
+            if p:
+                inv = ring.field.inv(lc)
+                pivots[lead] = (1, [(i, c * inv % p) for i, c in v.items()])
+            else:
+                content = gcd(lc, *v.values()) if lc > 0 else -gcd(lc, *v.values())
+                pivots[lead] = (lc // content, [(i, c // content) for i, c in v.items()])
     return index, pivots
 
 
 def _top_reduce(v: dict, pivots: dict, p: int):
     """Subtract pivots from v (index -> coeff) while its lead, the least
     index, is a pivot lead.  Returns the first lead that is not, or None
-    once v is zero."""
+    once v is zero.  A pivot with lc != 1 takes the pseudo-step of
+    `_Reducers.divide`, so an integer v stays integral."""
     while v:
         lead = min(v)
-        tail = pivots.get(lead)
-        if tail is None:
+        if lead not in pivots:
             return lead
+        lc, tail = pivots[lead]
         c = v.pop(lead)
+        if lc != 1:
+            g = gcd(c, lc)
+            c //= g
+            if g != lc:
+                mult = lc // g
+                for i in v:
+                    v[i] *= mult
         for i, a in tail:
             new = v.get(i, 0) - c * a
             if p:

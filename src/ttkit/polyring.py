@@ -582,13 +582,6 @@ def lift_to_prefix(p: Poly, big: PolyRing, k: int) -> Poly:
     return Poly(big, tuple((pad + m, c) for m, c in p.terms))
 
 
-def drop_prefix(p: Poly, small: PolyRing, k: int) -> Poly:
-    for m, _ in p.terms:
-        if any(m[:k]):
-            raise ValidationError("polynomial still involves eliminated variables")
-    return Poly(small, tuple((m[k:], c) for m, c in p.terms))
-
-
 def eliminate(gens: Sequence[Poly], k: int) -> list:
     """Generators of (ideal) intersected with the subring dropping the first
     k variables, returned in the smaller ring."""
@@ -596,12 +589,9 @@ def eliminate(gens: Sequence[Poly], k: int) -> list:
         return []
     big = gens[0].ring
     small = PolyRing(big.field, big.variables[k:])
-    gb = buchberger(list(gens), block_order(k))
-    out = []
-    for g in gb:
-        if all(not any(m[:k]) for m, _ in g.terms):
-            out.append(drop_prefix(g, small, k))
-    return out
+    return [Poly(small, tuple((m[k:], c) for m, c in g.terms))
+            for g in buchberger(list(gens), block_order(k))
+            if not any(any(m[:k]) for m, _ in g.terms)]
 
 
 # -- ideal-level operations ------------------------------------------------------
@@ -642,16 +632,15 @@ def radical_equal(a: Sequence[Poly], b: Sequence[Poly]) -> bool:
 
 
 def ideal_intersection(a: Sequence[Poly], b: Sequence[Poly]) -> list:
-    """Generators of (a) cap (b) via the tag variable t."""
-    a, b = list(a), list(b)
-    if not a or not b:
-        return []
-    ring = a[0].ring
-    big = ring_with_prefix(ring, ("_t",))
-    t = big.var("_t")
-    gens = [t * lift_to_prefix(f, big, 1) for f in a]
-    gens += [(big.one() - t) * lift_to_prefix(g, big, 1) for g in b]
-    return eliminate(gens, 1)
+    """The reduced grevlex basis of (a) cap (b), descending by lead: the
+    second entries of the members of the POT basis of the module
+    <(f, f), (g, 0) : f in a, g in b> whose first entry vanishes, as
+    position 0 dominates (Greuel and Pfister, A Singular Introduction to
+    Commutative Algebra, `intersect`)."""
+    from .polymod import module_groebner
+
+    gens = [(f, f) for f in a] + [(g, g.ring.zero()) for g in b]
+    return [v[1] for v in module_groebner(gens) if v[0].is_zero()]
 
 
 def ideal_product(a: Sequence[Poly], b: Sequence[Poly]) -> list:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -58,6 +59,13 @@ from ttkit.polymod import (
 def mono_mul(a, b):
     """The product of two exponent tuples."""
     return tuple(x + y for x, y in zip(a, b))
+
+
+def pot_key(order, term):
+    """The position-over-term key of a term (pos, mono) under a
+    `ModuleOrder`: the lower position wins, then the ring order."""
+    pos, mono = term
+    return (-pos, order.ring_order.key(mono))
 
 
 RXY = PolyRing(QQ, ("x", "y"))
@@ -212,7 +220,7 @@ def max_term_division(v, basis, order):
     quots = [[] for _ in basis]
     rem = [[] for _ in v]
     while work:
-        pos, mono = max(work, key=order.key)
+        pos, mono = max(work, key=lambda term: pot_key(order, term))
         c = work.pop((pos, mono))
         hit = next(
             (k for k, (lp, lm) in enumerate(leads) if lp == pos and mono_divides(lm, mono)), None
@@ -389,7 +397,7 @@ def ref_module_interreduce(basis, leads, reps, order):
         )
         if reps is not None:
             reps[i] = ref_rep_minus(reps[i], quots, reps[:i] + reps[i + 1:])
-    idx = sorted(range(len(basis)), key=lambda i: order.key(leads[i]), reverse=True)
+    idx = sorted(range(len(basis)), key=lambda i: pot_key(order, leads[i]), reverse=True)
     return [basis[i] for i in idx], (None if reps is None else [reps[i] for i in idx])
 
 
@@ -591,6 +599,47 @@ def test_groebner_work_counts_are_pinned(monkeypatch, field):
         basis = module_groebner(gens, order)
         got.append((len(basis), counts["add"], counts["s_vector"], counts["divide"]))
     assert got == [(7, 10, 11, 18), (6, 14, 20, 26), (5, 11, 16, 21), (7, 14, 12, 19)]
+
+
+def count_reducer_work(monkeypatch):
+    """Count the `_Reducers.add`, `s_vector` and `divide` calls into a dict."""
+    counts = {"add": 0, "s_vector": 0, "divide": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(polymod._Reducers, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(polymod._Reducers, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_the_unit_ideal_stops_at_one(monkeypatch, field):
+    """A rank-1 run returns [1] once a constant generator or S-remainder
+    appears; a constant lead at position 0 of a rank-2 module is no unit."""
+    ring = PolyRing.parse(f"{field}[x,y,z]")
+    counts = count_reducer_work(monkeypatch)
+    one = [(ring.one(),)]
+    for texts in (["x*y - 1", "y*z - 1", "x*z - 1", "x + y + z"],
+                  ["x^2 + y^2 + z^2 - 1", "x - y", "y - z", "x*y*z - 2"],
+                  ["x^2 - y", "y^2 - z", "z^2 - x", "x*y*z - 2"]):
+        gens = [(ring.parse_poly(t),) for t in texts]
+        assert module_groebner(gens) == one == ref_module_groebner(gens, POT)
+        assert buchberger([g for (g,) in gens], LEX) == [ring.one()]
+    counts.update(add=0, s_vector=0, divide=0)
+    module_groebner([(ring.parse_poly(t),) for t in ("x*y - 1", "y*z - 1", "x*z - 1", "x + y + z")])
+    # the engine without the exit: 8 reducers, 6 S-vectors, 7 divisions
+    assert counts == {"add": 7, "s_vector": 5, "divide": 5}
+    counts.update(add=0, s_vector=0, divide=0)
+    gens = [(ring.parse_poly(t),) for t in ("x^2 - y", "3", "y*z + x")]
+    assert module_groebner(gens) == one
+    assert counts == {"add": 3, "s_vector": 0, "divide": 0}
+
+    plane = PolyRing.parse(f"{field}[x,y]")
+    for vectors in ([("1", "x"), ("y", "0")], [("x", "y"), ("x - 1", "0")], [("x", "1"), ("y", "x")]):
+        gens = [tuple(plane.parse_poly(t) for t in v) for v in vectors]
+        basis = module_groebner(gens)
+        assert basis == ref_module_groebner(gens, POT)
+        assert any(not v[1].is_zero() for v in basis)
 
 
 # -- packed keys ------------------------------------------------------------------
@@ -1424,6 +1473,52 @@ def test_bounded_membership_bounds_on_the_twisted_cubic():
             assert dense_bounded_membership(f, gens, bound) == expected
         assert bounded_membership(ring.zero(), [ring.zero()], 2)
         assert not bounded_membership(ring.one(), [ring.zero()], 2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_the_integer_echelon_agrees_with_the_dense_oracle(field):
+    """The twisted cubic t -> (t, 5/6 t^2, 35/8 t^3), written with the
+    coefficients 1/3, 2/5 and -7/4: at bounds 2-6 the verdicts on members,
+    perturbed members and random polys match the dense `Fraction` oracle,
+    and every pivot of the kept echelon is a primitive integer vector with
+    a positive lead over QQ, and monic over GF(p)."""
+    ring = PolyRing(field, ("x", "y", "z"))
+    gens = [ring.parse_poly("1/3*x^2 - 2/5*y"), ring.parse_poly("-7/4*x^3 + 2/5*z")]
+    rng = random.Random(18)
+    coeffs = [Fraction(n, d) for n in (-7, -2, -1, 1, 3, 5) for d in (1, 3, 4)]
+
+    def poly(max_deg, nterms):
+        monos = [m for d in range(max_deg + 1) for m in monomials_of_degree(ring, d)]
+        return ring.from_terms((rng.choice(monos), field.from_fraction(c.numerator, c.denominator))
+                               for c in rng.sample(coeffs, nterms))
+
+    seen = 0
+    for bound in range(2, 7):
+        for kind in ("member", "perturbed", "random") * 4:
+            f = ring.zero()
+            if kind != "random":
+                for g in gens:
+                    if g.total_degree() <= bound:
+                        f = f + poly(bound - g.total_degree(), 2) * g
+            if kind == "perturbed":
+                f = f + poly(bound, 1)
+            elif kind == "random":
+                f = poly(bound, 3)
+            verdict = bounded_membership(f, gens, bound)
+            assert verdict == dense_bounded_membership(f, gens, bound)
+            if kind == "member":
+                assert verdict
+            seen += verdict
+        _, pivots = polymod._macaulay_echelon(ring, tuple(gens), bound)
+        assert pivots
+        for lc, tail in pivots.values():
+            coeffs_of = [lc] + [c for _, c in tail]
+            assert all(type(c) is int for c in coeffs_of)
+            if field.is_rational:
+                assert lc > 0 and gcd(*coeffs_of) == 1
+            else:
+                assert lc == 1
+    assert 20 <= seen < 60
 
 
 def test_the_oracle_memo_follows_ideal_bound_and_field():

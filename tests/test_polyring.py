@@ -567,6 +567,45 @@ def test_ideal_intersection_textbook():
     assert not gb.contains(P("x", RXY))
 
 
+def ref_ideal_intersection(a, b):
+    """The tag-variable intersection, kept as the oracle: the generators
+    of t (a) + (1 - t) (b) in A[t] that eliminating t leaves."""
+    a, b = list(a), list(b)
+    if not a or not b:
+        return []
+    ring = a[0].ring
+    big = polyring.ring_with_prefix(ring, ("_t",))
+    t = big.var("_t")
+    gens = [t * polyring.lift_to_prefix(f, big, 1) for f in a]
+    gens += [(big.one() - t) * polyring.lift_to_prefix(g, big, 1) for g in b]
+    return eliminate(gens, 1)
+
+
+@st.composite
+def intersection_cases(draw):
+    """Two lists of 0-3 polys in x, y, z over QQ or GF(7), zero polys
+    included, with up to 3 terms, each of degree at most 2 in every variable."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+    def poly():
+        terms = draw(st.lists(st.tuples(mono, coeff), max_size=3))
+        return ring.from_terms((m, field.from_fraction(c.numerator, c.denominator))
+                               for m, c in terms)
+
+    side = st.integers(min_value=0, max_value=3)
+    return [poly() for _ in range(draw(side))], [poly() for _ in range(draw(side))]
+
+
+@given(intersection_cases())
+@settings(max_examples=150, deadline=None)
+def test_ideal_intersection_agrees_with_the_tag_variable_oracle(case):
+    a, b = case
+    assert ideal_intersection(a, b) == ref_ideal_intersection(a, b)
+
+
 def test_eliminate_twisted_cubic_relations():
     gens = [P("y - x^2"), P("z - x^3")]
     out = eliminate(gens, 1)  # drop x
