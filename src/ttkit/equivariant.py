@@ -19,7 +19,7 @@ rechecked at every stage and failure is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations as _permutations
 from typing import Optional, Sequence
 
@@ -1117,6 +1117,9 @@ def support_reduction(
     kernel and cokernel carry induced actions and together form the
     residual.  The residual support must shrink strictly, and a module
     concentrated inside some element's fixed locus is refused up front.
+    Equal stages are decided once per process: a repeated (module,
+    presentation, shifts, degree bound) is answered from a bounded memo,
+    and a refused one raises again.
     """
     if isinstance(em, EquivariantComplex):
         if len(em.complex.modules) != 1:
@@ -1125,6 +1128,12 @@ def support_reduction(
                 "its cohomology first"
             )
         em = em.term(em.complex.start)
+    return _support_reduction(em, pres, None if shifts is None else tuple(shifts), degree_bound)
+
+
+@lru_cache(maxsize=1024)
+def _support_reduction(em: EquivariantModule, pres: InvariantRingPresentation,
+                       shifts: Optional[tuple], degree_bound: Optional[int]) -> ReductionStep:
     em.validate()
     act = em.action
     if em.module.is_zero():
@@ -1218,6 +1227,7 @@ def _filtration_cap(act: RingAction) -> int:
     return max(6, 2 * act.group.order + act.ring.nvars)
 
 
+@lru_cache(maxsize=1024)
 def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
                  label: str, component: ClosedSet, table: CharacterTable):
     """Consume a fully fixed component through its ideal-power filtration."""
@@ -1319,7 +1329,7 @@ def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
             pieces.append(TowerPiece(f"{label}/layer{j}/{piece.name}", b, supp_b))
 
     next_em = stages[n_steps][1]
-    return pieces, next_em
+    return tuple(pieces), next_em
 
 
 def tower(
@@ -1336,7 +1346,9 @@ def tower(
     one inside the current support is consumed.  Trivial stabilizer means
     a counit reduction, full stabilizer means the ideal-power filtration
     with isotypic splitting; anything in between is refused.  Support must
-    drop strictly at every stage.
+    drop strictly at every stage.  Both kinds of stage are decided once per
+    process: an equal stage, in this tower or another, is answered from a
+    bounded memo.
     """
     if isinstance(em, EquivariantComplex):
         em = complex_to_module(em)
@@ -1352,7 +1364,7 @@ def tower(
 
     stages = []
     current = em
-    cur_shifts = tuple(shifts) if shifts is not None else None
+    cur_shifts = shifts
     guard = len(list(components)) + act.ring.nvars + 3
     for _ in range(guard):
         if current.module.is_zero():
@@ -1389,7 +1401,7 @@ def tower(
                 raise ValidationError("fixed stage support escaped; implementation bug")
             if closed_contains(supp_after, supp):
                 raise ValidationError("fixed stage failed to shrink the support")
-            stages.append(TowerStage(label, stab, "fixed", tuple(pieces), supp, supp_after))
+            stages.append(TowerStage(label, stab, "fixed", pieces, supp, supp_after))
             current = nxt
             cur_shifts = None
         else:

@@ -391,11 +391,14 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     only, when its leads are coprime (the lcm's key is the sum of theirs).
     Ideals run here as rank-1 modules, through `polyring.buchberger`, and
     stop at [1] as soon as a constant generator or S-remainder appears.
+    Generators from different rings are refused.
     """
+    ring = next((p.ring for v in gens for p in v), None)
+    if any(p.ring is not ring and p.ring != ring for v in gens for p in v):
+        raise DomainMismatchError("generators from different rings")
     nonzero = [g for g in gens if not vec_is_zero(g)]
     if not nonzero:
         return []
-    ring = nonzero[0][0].ring
     integral = ring.field.p == 0
     rank = len(nonzero[0])
     red = _Reducers(order.ring_order, ring, integral, nonzero)

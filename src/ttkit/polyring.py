@@ -523,10 +523,6 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder = GREVLEX) -> list:
     """
     from .polymod import ModuleOrder, module_groebner
 
-    gens = list(gens)
-    for g in gens[1:]:
-        if g.ring != gens[0].ring:
-            raise DomainMismatchError("generators from different rings")
     return [v[0] for v in module_groebner([(g,) for g in gens], ModuleOrder(order))]
 
 
@@ -614,8 +610,11 @@ def _radical_member(f: Poly, gens: tuple) -> bool:
     if f.is_zero():
         return True
     ring = f.ring
-    big = ring_with_prefix(ring, ("_t",))
-    t = big.var("_t")
+    name = "_t"
+    while name in ring.variables:
+        name += "_"
+    big = ring_with_prefix(ring, (name,))
+    t = big.var(name)
     lifted = [lift_to_prefix(g, big, 1) for g in gens]
     lifted.append(big.one() - t * lift_to_prefix(f, big, 1))
     gb = buchberger(lifted, GREVLEX)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttkit import corpus, geometry, polymod, polyring, verify
+from ttkit import corpus, equivariant, geometry, polymod, polyring, verify
 from ttkit.errors import (
     DomainMismatchError,
     PreconditionError,
@@ -959,6 +959,77 @@ def test_fixed_stage_needs_a_character_table():
     pres = invariant_generators(ec.action)
     with pytest.raises(PreconditionError):
         tower(ec, pres, line_components(ec.action))
+
+
+# -- the stage memos ---------------------------------------------------------------------
+
+STAGE_MEMOS = (equivariant._support_reduction, equivariant._fixed_stage)
+
+
+def descent_tower_args(monkeypatch, build):
+    """The arguments of every tower that building a descent model runs."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return tower(*args)
+
+    monkeypatch.setattr(corpus, "tower", record)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+def test_memoised_towers_match_towers_recomputed_from_cleared_memos(monkeypatch):
+    """Every tower of the tower corpus and of both descent models, answered
+    from warm stage memos, equals the same tower recomputed with both memos
+    cleared first.  Each tower also runs with its components renamed: the
+    labels name the pieces, so a renamed stage must not share an entry."""
+    cases = [(case.obj, fam.pres, case.components, fam.table)
+             for fam in corpus.tower_corpus() for case in fam.cases]
+    cases += descent_tower_args(monkeypatch, corpus.c2_descent_model)
+    cases += descent_tower_args(monkeypatch, corpus.c3_descent_model)
+    cases += [(obj, pres, tuple((f"{label}'", c) for label, c in comps), table)
+              for obj, pres, comps, table in cases]
+    warm = [tower(*args) for args in cases]
+    misses = [memo.cache_info().misses for memo in STAGE_MEMOS]
+    assert [tower(*args) for args in cases] == warm
+    assert [memo.cache_info().misses for memo in STAGE_MEMOS] == misses
+    assert all(memo.cache_info().hits for memo in STAGE_MEMOS)
+    for args, want in zip(cases, warm):
+        for memo in STAGE_MEMOS:
+            memo.cache_clear()
+        assert tower(*args) == want
+
+
+def test_a_refused_stage_raises_again_and_is_not_kept():
+    act = line_action()
+    pres = invariant_generators(act)
+    x = act.ring.var("x")
+    sky = cyclic_equivariant(act, [x])
+    fat = cyclic_equivariant(act, [x**2])
+    held = [memo.cache_info().currsize for memo in STAGE_MEMOS]
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="fixed locus"):
+            support_reduction(sky, pres, shifts=(0,))
+        with pytest.raises(PreconditionError, match="character table"):
+            tower(sky, pres, line_components(act))
+        with pytest.raises(PreconditionError, match="radical"):
+            tower(fat, pres, [("fat", ClosedSet(act.ring, (x**2,)))],
+                  table=c2_character_table(QQ))
+    assert [memo.cache_info().currsize for memo in STAGE_MEMOS] == held
+
+
+def test_shifts_as_a_list_or_a_tuple_share_one_memo_entry():
+    act = line_action()
+    pres = invariant_generators(act)
+    x = act.ring.var("x")
+    m = direct_sum_equivariant(ring_as_equivariant(act), cyclic_equivariant(act, [x]))
+    equivariant._support_reduction.cache_clear()
+    first = support_reduction(m, pres, shifts=[0, 0])
+    assert support_reduction(m, pres, shifts=(0, 0)) is first
+    info = equivariant._support_reduction.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 # -- projection formula -----------------------------------------------------------------

@@ -291,6 +291,17 @@ def test_vector_divmod_is_a_division_with_reduced_remainder(case):
 RF7 = PolyRing(GF(7), ("x", "y"))
 
 
+def test_module_groebner_refuses_generators_from_another_ring():
+    """Unchecked, (x,) over QQ and (y,) over GF(7) gave a basis.  The one
+    check covers a zero entry and a mixed vector, and serves `buchberger`."""
+    for gens in ([V("x"), V("y", ring=RF7)], [V("x"), (RF7.zero(),)],
+                 [(P("x"), P("y", RF7))]):
+        with pytest.raises(DomainMismatchError, match="different rings"):
+            module_groebner(gens)
+    with pytest.raises(DomainMismatchError, match="different rings"):
+        buchberger([P("x"), P("y", RF7)])
+
+
 def test_module_groebner_coprime_criterion_only_at_rank_one():
     # The leads x*e0 and y*e0 are coprime, yet their S-vector (0, y - x)
     # does not reduce to zero: the coprime shortcut is wrong above rank 1.

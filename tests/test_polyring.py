@@ -529,6 +529,18 @@ def test_radical_memo_keeps_the_field_apart():
         assert radical_member(f, (g,)) == (ring is r7)
 
 
+def test_radical_membership_on_a_ring_with_a_variable_named_t():
+    """The extra variable takes a name the ring does not use.  It was always
+    `_t`, so on Q[_t, x] every radical question raised a duplicate-variable
+    error."""
+    for names in (("_t", "x"), ("_t", "_t_", "x")):
+        ring = PolyRing(QQ, names)
+        x, t = ring.var("x"), ring.var("_t")
+        assert radical_member(x, [x**2])
+        assert not radical_member(x + ring.one(), [x**2])
+        assert radical_equal([t**3], [t])
+
+
 @st.composite
 def radical_questions(draw):
     """Term data in x, y with coefficients in 1..6, so that it reads the same
@@ -565,6 +577,14 @@ def test_ideal_intersection_textbook():
     gb = GroebnerBasis.of(inter, GREVLEX)
     assert gb.contains(P("x*y", RXY))
     assert not gb.contains(P("x", RXY))
+
+
+def test_ideal_intersection_refuses_generators_from_another_ring():
+    """Unchecked, both answered [x*y]: over GF(7) 8*y reads as y, and v in
+    Q[u, v] has the exponents of y."""
+    for other in (P("8*y", PolyRing(GF(7), ("x", "y"))), P("v", PolyRing(QQ, ("u", "v")))):
+        with pytest.raises(DomainMismatchError):
+            ideal_intersection([P("x", RXY)], [other])
 
 
 def ref_ideal_intersection(a, b):
