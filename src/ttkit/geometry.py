@@ -260,6 +260,15 @@ class PrimeSite:
             if g.ring != self.ring:
                 raise DomainMismatchError("site generator from a different ring")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.label, self.ring, self.generators, self.kind))
+
+    def __hash__(self) -> int:
+        # `supermod._site_basis` looks every site up once per complex;
+        # hashing its generators on each lookup would cost more than the lookup
+        return self._hash
+
     def validate(self) -> None:
         if not ideal_is_proper(list(self.generators)):
             raise ValidationError(f"site {self.label!r} carries the unit ideal")

@@ -432,16 +432,29 @@ def _fibre_rank(columns, basis: GroebnerBasis) -> int:
     return rank
 
 
-def _fibre_is_exact(c: SuperComplex, columns, basis: GroebnerBasis) -> bool:
+def _fibre_is_exact(c: SuperComplex, matrices: list, which: list,
+                    basis: GroebnerBasis) -> bool:
     """Whether rank C_i = rank d_i + rank d_(i-1) over Frac(A/p) for every
-    parity and degree i; columns[k] holds the component columns of d_k."""
+    parity and degree i.
+
+    matrices lists the distinct component matrices of the differentials and
+    which[k][parity] is the index of the one of d_k.  A matrix is ranked
+    only when a degree check first needs it, at most once however many
+    parities and degrees share it, and the first failed check ends the call.
+    """
+    ranks: dict = {}
     for parity in (0, 1):
-        ranks = [_fibre_rank(cols[parity], basis) for cols in columns]
+        in_rank = 0
         for k, shape in enumerate(c.shapes):
-            out_rank = ranks[k] if k < len(ranks) else 0
-            in_rank = ranks[k - 1] if k > 0 else 0
+            out_rank = 0
+            if k < len(which):
+                m = which[k][parity]
+                if m not in ranks:
+                    ranks[m] = _fibre_rank(matrices[m], basis)
+                out_rank = ranks[m]
             if free_component_rank(c.algebra, shape, parity) != out_rank + in_rank:
                 return False
+            in_rank = out_rank
     return True
 
 
@@ -454,11 +467,20 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
     rank C_i - rank d_i - rank d_(i-1) nonzero over Frac(A/p).  Every other
     site falls back on site_in_closed with supph_super(c), computed at most
     once.
+
+    The component matrices are numbered once per complex, equal ones
+    sharing a number, so each distinct matrix is ranked at most once per
+    site.  Equal matrices are common: a differential without odd entries
+    often has equal even and odd components, since theta_w times an even
+    image keeps its coefficients, and equal maps recur in other degrees.
     """
     if space.ring != c.algebra.base:
         raise DomainMismatchError("site space and complex over different rings")
-    columns = [free_columns(c.algebra, c.shapes[k], c.shapes[k + 1], m)
-               for k, m in enumerate(c.matrices)]
+    number: dict = {}
+    which = [tuple(number.setdefault(cols, len(number))
+                   for cols in free_columns(c.algebra, c.shapes[k], c.shapes[k + 1], m))
+             for k, m in enumerate(c.matrices)]
+    matrices = list(number)
     supp = None
     out = set()
     for site in space.sites:
@@ -468,7 +490,7 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
                 supp = supph_super(c)
             inside = site_in_closed(site, supp)
         else:
-            inside = not _fibre_is_exact(c, columns, basis)
+            inside = not _fibre_is_exact(c, matrices, which, basis)
         if inside:
             out.add(site.label)
     return frozenset(out)
