@@ -24,7 +24,7 @@ from itertools import permutations as _permutations
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, TruncationError, ValidationError
-from .fields import Field, Matrix, kernel_basis, rank as matrix_rank, solve
+from .fields import Echelon, Field, Matrix, kernel_basis, rref, solve
 from .geometry import ClosedSet, closed_contains, image_closed_under_map
 from .grouprep import CharacterTable, FiniteGroup, cyclic_group, homomorphism_failure
 from .polyring import GroebnerBasis, Poly, PolyRing, eliminate, radical_equal, ring_with_prefix
@@ -256,8 +256,6 @@ def reynolds_poly(act: RingAction, p: Poly) -> Poly:
 
 def invariant_space_basis(act: RingAction, d: int) -> list:
     """Canonical basis of the degree-d invariants, via the Reynolds image."""
-    from .fields import rref
-
     monos = monomials_of_degree(act.ring, d)
     if not monos:
         return []
@@ -337,21 +335,6 @@ def _subalgebra_slice(gens: Sequence[Poly], degrees: Sequence[int], d: int,
     return out
 
 
-def _span_dim(polys: Sequence[Poly], ring: PolyRing, d: int) -> int:
-    monos = monomials_of_degree(ring, d)
-    index = {m: i for i, m in enumerate(monos)}
-    fld = ring.field
-    rows = []
-    for p in polys:
-        row = [fld.zero()] * len(monos)
-        for mono, c in p.terms:
-            row[index[mono]] = c
-        rows.append(row)
-    if not rows:
-        return 0
-    return matrix_rank(Matrix.from_rows(fld, rows))
-
-
 def invariant_generators(act: RingAction, prefix: str = "u") -> InvariantRingPresentation:
     """Algebra generators of the invariant ring, Molien-certified.
 
@@ -368,33 +351,14 @@ def invariant_generators(act: RingAction, prefix: str = "u") -> InvariantRingPre
         fixed = invariant_space_basis(act, d)
         if not fixed:
             continue
-        covered = _subalgebra_slice(
-            [g for g in gens], [g.total_degree() for g in gens], d, ring
-        ) if gens else ([ring.one()] if d == 0 else [])
-        monos = monomials_of_degree(ring, d)
-        index = {m: i for i, m in enumerate(monos)}
-
-        def coeff_row(p):
-            row = [fld.zero()] * len(monos)
-            for mono, c in p.terms:
-                row[index[mono]] = c
-            return row
-
-        base_rows = [coeff_row(p) for p in covered if p.total_degree() == d]
-        cur_rank = matrix_rank(Matrix.from_rows(fld, base_rows)) if base_rows else 0
-        for p in fixed:
-            trial = base_rows + [coeff_row(p)]
-            r = matrix_rank(Matrix.from_rows(fld, trial))
-            if r > cur_rank:
-                gens.append(p)
-                base_rows = trial
-                cur_rank = r
+        covered = _subalgebra_slice(gens, [g.total_degree() for g in gens], d, ring)
+        echelon = Echelon(fld, (p.terms for p in covered if p.total_degree() == d))
+        gens += [p for p in fixed if echelon.add(p.terms)]
 
     molien = molien_dimensions(act, 2 * order)
     degs = [g.total_degree() for g in gens]
     for d in range(0, 2 * order + 1):
-        slice_polys = _subalgebra_slice(gens, degs, d, ring)
-        have = _span_dim(slice_polys, ring, d)
+        have = len(Echelon(fld, (p.terms for p in _subalgebra_slice(gens, degs, d, ring))).pivots)
         if fld.from_int(have) != molien[d]:
             raise ValidationError(
                 f"invariant generators fail the Molien check at degree {d}"
@@ -788,17 +752,11 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
         if not fixed_vecs:
             continue
 
-        covered = []
-        for gd, lift in gens:
-            for mult in subalgebra_slice(d - gd):
-                v = tuple(mult * p for p in lift)
-                covered.append(vector_in_standard_coords(mod, pairs, v))
-        base = [list(r) for r in covered]
-        cur = matrix_rank(Matrix.from_rows(fld, base)) if base else 0
+        echelon = Echelon(fld, (
+            enumerate(vector_in_standard_coords(mod, pairs, tuple(mult * p for p in lift)))
+            for gd, lift in gens for mult in subalgebra_slice(d - gd)))
         for cand in fixed_vecs:
-            trial = base + [list(cand)]
-            r = matrix_rank(Matrix.from_rows(fld, trial))
-            if r > cur:
+            if echelon.add(enumerate(cand)):
                 lift = zero_vector(ring, mod.rank)
                 for (j, m), c in zip(pairs, cand):
                     if fld.is_zero(c):
@@ -806,8 +764,6 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
                     lift = vec_add(lift, vec_scale(ring.monomial(m).scale(c),
                                                    unit_vector(ring, mod.rank, j)))
                 gens.append((d, lift))
-                base = trial
-                cur = r
 
     if any(gd > bound - window for gd, _ in gens):
         raise TruncationError(

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic over Q and F_p, and dense matrices over those fields.
+"""Exact scalar arithmetic over Q and F_p, matrices over those fields, and
+the one sparse echelon behind every exact linear-algebra question.
 
 Scalars are plain Python values: `fractions.Fraction` over Q, `int` in
 [0, p) over F_p.  A `Field` object checks values and does the arithmetic
@@ -6,20 +7,23 @@ here; a value of the wrong kind, or matrices over different fields, raise
 `DomainMismatchError`.  The hot loops elsewhere write the representation
 out inline to save a method call per product (`Fraction` arithmetic when
 `p == 0`, else reduction `% p`): `Poly` sums and products in `polyring`,
-the division loop and the membership oracle in `polymod`, and the F_p
-polynomial arithmetic in `geometry`.  Everything here is immutable and
-deterministic:
-row reduction picks the first nonzero pivot scanning top to bottom, left
-to right, so equal inputs give identical outputs.  Matrices are stored
-dense, but row reduction is sparse in the pivot row: each elimination step
-touches only the columns where the pivot row is nonzero.
+the division loop in `polymod`, and the F_p polynomial arithmetic in
+`geometry`.  Everything here is immutable and deterministic, except that
+an `Echelon` grows as rows are added.
+
+Matrices are stored dense, and an `Echelon` eliminates their rows: `rank`
+counts its pivots, and `rref` reads the unique reduced form off them, as
+`solve` does for the augmented rows.  The `polymod` membership oracle and
+the invariant searches of `equivariant` build echelons directly, one row
+at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import DomainMismatchError, ValidationError
 
@@ -183,9 +187,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def _match(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise DomainMismatchError(f"mixed fields {self.field} and {other.field}")
@@ -218,16 +219,6 @@ class Matrix:
                 out.append(acc)
         return Matrix(f, self.rows, other.cols, tuple(out))
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._match(other)
-        if self.rows != other.rows:
-            raise DomainMismatchError("row mismatch in hstack")
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return Matrix(self.field, self.rows, self.cols + other.cols, tuple(ent))
-
     def is_zero(self) -> bool:
         return all(self.field.is_zero(a) for a in self.entries)
 
@@ -239,53 +230,138 @@ class Matrix:
         )
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with the pivot columns.
+class Echelon:
+    """A sparse row echelon over a field, grown one row at a time.
 
-    Deterministic: for each column left to right, the pivot row is the first
-    row (top to bottom, among unused rows) with a nonzero entry.  Every
-    column left of the pivot is zero in the unused rows, so each step scales
-    and eliminates with the pivot row's nonzero columns only.
+    A row comes in as (column, value) pairs with values in the field, zeros
+    allowed; columns are any keys that compare with each other, and a row's
+    least column with a nonzero value leads.  `pivots` maps each lead
+    column to (lc, tail), the row lc * e_lead + sum a * e_j over the (j, a)
+    of tail: over QQ a primitive integer vector with lc > 0, its
+    denominators cleared once on the way in, over GF(p) a monic one.  Rows
+    are only top-reduced, so elimination stays fraction-free: a pivot with
+    lc != 1 takes the pseudo-step of `_subtract` (Bareiss, Math. Comp. 22,
+    1968).  Equal rows in equal order give equal pivots.
     """
-    p = m.field.p
-    inverse = m.field.inv
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        inv = inverse(prow[c])
-        nz = [j for j in range(c, m.cols) if prow[j] != 0]
-        for j in nz:
-            prow[j] = inv * prow[j] if p == 0 else inv * prow[j] % p
-        for i, row in enumerate(rows):
-            factor = row[c]
-            if i == r or factor == 0:
-                continue
-            if p == 0:
-                for j in nz:
-                    row[j] = row[j] - factor * prow[j]
-            else:
-                for j in nz:
-                    row[j] = (row[j] - factor * prow[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    flat = tuple(a for row in rows for a in row)
-    return Matrix(m.field, m.rows, m.cols, flat), tuple(pivots)
+
+    def __init__(self, field: Field, rows: Iterable = ()) -> None:
+        self.field = field
+        self.pivots: dict = {}
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, row) -> Optional[Any]:
+        """The lead column of what top-reduction by the pivots leaves of
+        row, or None when row lies in their span."""
+        return self._top_reduce(self._integral(row))
+
+    def add(self, row) -> bool:
+        """Keep row as a pivot if it is independent of the pivots; True iff
+        the rank grew."""
+        v = self._integral(row)
+        lead = self._top_reduce(v)
+        if lead is None:
+            return False
+        self.pivots[lead] = self._normal(v, lead)
+        return True
+
+    def reduced(self) -> list:
+        """The reduced row echelon form as (lead, {column: value}) in
+        ascending lead order, each row 1 at its lead and 0 at every other
+        lead; unique, so independent of the order the rows came in.
+
+        Back-substitution, last lead first: a row's later lead columns are
+        cleared by the rows already reduced, which are 0 there."""
+        p = self.field.p
+        done: dict = {}
+        for lead in sorted(self.pivots, reverse=True):
+            lc, tail = self.pivots[lead]
+            v = dict(tail)
+            v[lead] = lc
+            for k in [j for j in v if j in done]:
+                _subtract(v, k, *done[k], p)
+            done[lead] = self._normal(v, lead)
+        one = self.field.one()
+        out = []
+        for lead in sorted(done):
+            lc, tail = done[lead]
+            row = {j: Fraction(a, lc) if p == 0 else a for j, a in tail}
+            row[lead] = one
+            out.append((lead, row))
+        return out
+
+    def _integral(self, row) -> dict:
+        """The nonzero entries of row, column -> int: over QQ times the
+        lcm of their denominators."""
+        v = {j: a for j, a in row if a}
+        if self.field.p == 0:
+            den = lcm(*(a.denominator for a in v.values()))
+            v = {j: a.numerator * (den // a.denominator) for j, a in v.items()}
+        return v
+
+    def _top_reduce(self, v: dict):
+        """Subtract pivots from v while its lead is a pivot lead.  Returns
+        the first lead that is not, or None once v is zero."""
+        pivots, p = self.pivots, self.field.p
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                return lead
+            _subtract(v, lead, *pivots[lead], p)
+        return None
+
+    def _normal(self, v: dict, lead) -> tuple:
+        """(lc, tail) of v with lead popped: primitive with lc > 0 over QQ,
+        monic over GF(p)."""
+        lc = v.pop(lead)
+        p = self.field.p
+        if p:
+            inv = pow(lc, p - 2, p)
+            return 1, [(j, a * inv % p) for j, a in v.items()]
+        content = gcd(lc, *v.values()) if lc > 0 else -gcd(lc, *v.values())
+        return lc // content, [(j, a // content) for j, a in v.items()]
+
+
+def _subtract(v: dict, col, lc: int, tail, p: int) -> None:
+    """Clear column col of the integer vector v with the row (lc, tail).
+    When lc != 1 (only over QQ), v is first scaled by lc / gcd(lc, v[col]),
+    so v stays integral."""
+    c = v.pop(col)
+    if lc != 1:
+        g = gcd(c, lc)
+        c //= g
+        if g != lc:
+            mult = lc // g
+            for i in v:
+                v[i] *= mult
+    for i, a in tail:
+        new = v.get(i, 0) - c * a
+        if p:
+            new %= p
+        if new:
+            v[i] = new
+        else:
+            v.pop(i, None)
+
+
+def _echelon(m: Matrix) -> Echelon:
+    return Echelon(m.field, (enumerate(m.row(i)) for i in range(m.rows)))
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with the pivot columns, read off the
+    `Echelon` of the rows; zero rows come last."""
+    f = m.field
+    ent = [f.zero()] * (m.rows * m.cols)
+    rows = _echelon(m).reduced()
+    for r, (_, row) in enumerate(rows):
+        for j, a in row.items():
+            ent[r * m.cols + j] = a
+    return Matrix(f, m.rows, m.cols, tuple(ent)), tuple(lead for lead, _ in rows)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m).pivots)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -312,14 +388,14 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 def solve(m: Matrix, b: Matrix):
     """One solution x of m x = b (b a column), or None if inconsistent."""
+    m._match(b)
     if b.cols != 1 or b.rows != m.rows:
         raise DomainMismatchError("right-hand side must be a column of matching height")
     f = m.field
-    red, pivots = rref(m.hstack(b))
-    if any(p == m.cols for p in pivots):
+    echelon = Echelon(f, (enumerate(m.row(i) + b.row(i)) for i in range(m.rows)))
+    if m.cols in echelon.pivots:
         return None
     x = [f.zero()] * m.cols
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = red.at(r_idx, m.cols)
+    for lead, row in echelon.reduced():
+        x[lead] = row.get(m.cols, f.zero())
     return Matrix(f, m.cols, 1, tuple(x))
-

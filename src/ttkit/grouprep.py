@@ -432,6 +432,7 @@ def _hom_fixed_basis(rep: Representation, forms: tuple, fld: Field) -> list:
     """Basis of equivariant maps V_lambda -> V as dim x d matrices."""
     g = rep.group
     d = forms[0].rows
+    n = rep.dim * d
     # unknowns F (dim x d): rho(g) F = F rho_lambda(g); flatten row-major
     rows = []
     for a in g.generators:
@@ -439,16 +440,17 @@ def _hom_fixed_basis(rep: Representation, forms: tuple, fld: Field) -> list:
         for i in range(rep.dim):
             for j in range(d):
                 # sum_k ra[i,k] F[k,j] - sum_l F[i,l] la[l,j] = 0
-                coeff = [fld.zero()] * (rep.dim * d)
+                coeff = [fld.zero()] * n
                 for k in range(rep.dim):
                     coeff[k * d + j] = fld.add(coeff[k * d + j], ra.at(i, k))
                 for l in range(d):
                     coeff[i * d + l] = fld.sub(coeff[i * d + l], la.at(l, j))
                 rows.append(coeff)
-    ker = kernel_basis(Matrix.from_rows(fld, rows))
+    # n unknowns even when rows is empty, as for a group with no generators
+    ker = kernel_basis(Matrix(fld, len(rows), n, tuple(x for row in rows for x in row)))
     out = []
     for c in range(ker.cols):
-        flat = [ker.at(i, c) for i in range(rep.dim * d)]
+        flat = [ker.at(i, c) for i in range(n)]
         out.append(Matrix.from_rows(fld, [flat[i * d:(i + 1) * d] for i in range(rep.dim)]))
     return out
 

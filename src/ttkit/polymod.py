@@ -51,7 +51,7 @@ from struct import Struct
 from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
-from .fields import Matrix
+from .fields import Echelon, Matrix
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -1000,91 +1000,34 @@ def bounded_membership(f: Poly, gens: Sequence[Poly], degree_bound: int) -> bool
     The Macaulay columns are eliminated by `_macaulay_echelon`, which keeps
     the echelon of the last (ring, gens, degree_bound) it was asked for, so
     consecutive queries on one ideal and bound eliminate once.  Then f is a
-    member iff top-reduction by the pivots drives its cleared terms to zero.
+    member iff the echelon reduces it to zero.
     """
     gens = tuple(gens)
     if any(g.ring != f.ring for g in gens):
         raise DomainMismatchError("generators from a different ring than the polynomial")
-    index, pivots = _macaulay_echelon(f.ring, gens, degree_bound)
-    target = {}
-    for m, c in _cleared(f.terms, f.ring.field.p):
-        if m not in index:
-            return False  # no column reaches this monomial
-        target[index[m]] = c
-    return _top_reduce(target, pivots, f.ring.field.p) is None
-
-
-def _cleared(terms, p: int):
-    """Over QQ the terms times the lcm of their denominators, with int
-    coefficients; over GF(p) the terms as they are."""
-    if p:
-        return terms
-    den = lcm(1, *(c.denominator for _, c in terms))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms]
+    index, echelon = _macaulay_echelon(f.ring, gens, degree_bound)
+    if any(m not in index for m, _ in f.terms):
+        return False  # no column reaches this monomial
+    return echelon.reduce((index[m], c) for m, c in f.terms) is None
 
 
 @lru_cache(maxsize=1)
 def _macaulay_echelon(ring: PolyRing, gens: tuple, degree_bound: int):
-    """(monomial index, pivots) of the Macaulay columns `shift * g` with
+    """(monomial index, `Echelon`) of the Macaulay columns `shift * g` with
     deg(shift * g) <= degree_bound; callers only read them.
 
-    Sparse elimination: monomials are numbered largest first under
-    grevlex, each column is top-reduced by the pivots found so far, and a
-    column whose lead is still new becomes a pivot (lc, tail): over QQ,
-    each generator's denominators cleared once, a primitive integer vector
-    with lc > 0, over GF(p) a monic one.  Only the last echelon is kept,
+    Monomials are numbered largest first under grevlex, so a column's lead
+    is its grevlex-largest monomial.  Only the last echelon is kept,
     because queries on one ideal come one after another.
     """
-    p = ring.field.p
     columns = []
     for g in gens:
         if g.is_zero():
             continue
-        terms = _cleared(g.terms, p)
         for shift_deg in range(degree_bound - g.total_degree() + 1):
             for shift in monomials_of_degree(ring, shift_deg):
-                columns.append([(tuple(map(add, shift, m)), c) for m, c in terms])
+                columns.append([(tuple(map(add, shift, m)), c) for m, c in g.terms])
     monos = sorted({m for col in columns for m, _ in col}, key=GREVLEX.neg_key)
     index = {m: i for i, m in enumerate(monos)}
-    pivots: dict = {}  # lead index -> (lc, the other terms)
-    for col in columns:
-        v = {index[m]: c for m, c in col}
-        lead = _top_reduce(v, pivots, p)
-        if lead is not None:
-            lc = v.pop(lead)
-            if p:
-                inv = ring.field.inv(lc)
-                pivots[lead] = (1, [(i, c * inv % p) for i, c in v.items()])
-            else:
-                content = gcd(lc, *v.values()) if lc > 0 else -gcd(lc, *v.values())
-                pivots[lead] = (lc // content, [(i, c // content) for i, c in v.items()])
-    return index, pivots
-
-
-def _top_reduce(v: dict, pivots: dict, p: int):
-    """Subtract pivots from v (index -> coeff) while its lead, the least
-    index, is a pivot lead.  Returns the first lead that is not, or None
-    once v is zero.  A pivot with lc != 1 takes the pseudo-step of
-    `_Reducers.divide`, so an integer v stays integral."""
-    while v:
-        lead = min(v)
-        if lead not in pivots:
-            return lead
-        lc, tail = pivots[lead]
-        c = v.pop(lead)
-        if lc != 1:
-            g = gcd(c, lc)
-            c //= g
-            if g != lc:
-                mult = lc // g
-                for i in v:
-                    v[i] *= mult
-        for i, a in tail:
-            new = v.get(i, 0) - c * a
-            if p:
-                new %= p
-            if new:
-                v[i] = new
-            else:
-                v.pop(i, None)
-    return None
+    echelon = Echelon(ring.field, ([(index[m], c) for m, c in col] for col in columns))
+    return index, echelon

@@ -1,12 +1,18 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
 from ttkit.errors import DomainMismatchError, ValidationError
-from ttkit.fields import GF, QQ, Field, Matrix, kernel_basis, rank, rref, solve
+from ttkit.fields import GF, QQ, Echelon, Field, Matrix, kernel_basis, rank, rref, solve
 
 
 def mat_q(rows):
@@ -74,6 +80,8 @@ def test_mixed_field_matrix_ops_rejected():
         a.add(b)
     with pytest.raises(DomainMismatchError):
         a.mul(b)
+    with pytest.raises(DomainMismatchError):
+        solve(a, b)
 
 
 def test_rref_hand_worked_rank_one():
@@ -228,3 +236,77 @@ def test_rref_matches_dense_elimination(m):
     assert red.entries == entries
     assert pivots == ref_pivots
     assert [type(a) for a in red.entries] == [type(a) for a in entries]
+
+
+# -- the sparse echelon against independent oracles --------------------------------
+
+
+@st.composite
+def row_sequences(draw):
+    """A field and rows over it, sparse, some of them combinations of two
+    earlier rows, so the rank often stays put."""
+    fld = draw(st.sampled_from([QQ, GF(7), GF(32003)]))
+    c = draw(st.integers(min_value=1, max_value=6))
+    value = st.one_of(st.just(Fraction(0)), small_rats)
+    scalar = lambda q: fld.from_fraction(q.numerator, q.denominator)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = scalar(draw(small_rats)), scalar(draw(small_rats))
+            rows.append([fld.add(fld.mul(a, x), fld.mul(b, y)) for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append([scalar(draw(value)) for _ in range(c)])
+    return fld, rows
+
+
+@given(row_sequences())
+@settings(max_examples=100, deadline=None)
+def test_echelon_grows_exactly_when_the_dense_rank_grows(case):
+    fld, rows = case
+
+    ranks = [len(dense_rref(Matrix.from_rows(fld, rows[:k]))[1]) for k in range(len(rows) + 1)]
+    echelon = Echelon(fld)
+    for k, row in enumerate(rows):
+        grows = ranks[k + 1] > ranks[k]
+        assert (echelon.reduce(enumerate(row)) is not None) == grows
+        assert echelon.add(enumerate(row)) == grows
+    assert len(echelon.pivots) == ranks[-1]
+    for lead, (lc, tail) in echelon.pivots.items():
+        coeffs = [lc] + [a for _, a in tail]
+        assert all(type(a) is int for a in coeffs) and all(j > lead for j, _ in tail)
+        if fld.is_rational:
+            assert lc > 0 and gcd(*coeffs) == 1
+        else:
+            assert lc == 1
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@given(q_matrices(max_dim=6))
+@settings(max_examples=60, deadline=None)
+def test_rref_matches_sympy_over_qq(m):
+    theirs, their_pivots = sympy.Matrix(
+        m.rows, m.cols, [sympy.Rational(a.numerator, a.denominator) for a in m.entries]).rref()
+    red, pivots = rref(m)
+    assert pivots == tuple(their_pivots)
+    assert red.entries == tuple(Fraction(int(a.p), int(a.q)) for a in theirs)
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_reads_the_dense_rref_of_the_augmented_matrix(m, data):
+    f = m.field
+    column = data.draw(st.lists(st.integers(min_value=-5, max_value=5),
+                                min_size=m.rows, max_size=m.rows))
+    b = Matrix.from_rows(f, [[a] for a in column])
+    aug = Matrix.from_rows(f, [list(m.row(i)) + [column[i]] for i in range(m.rows)])
+    entries, pivots = dense_rref(aug)
+    x = solve(m, b)
+    if m.cols in pivots:
+        assert x is None
+        return
+    want = [f.zero()] * m.cols
+    for r, pc in enumerate(pivots):
+        want[pc] = entries[r * aug.cols + m.cols]
+    assert x.entries == tuple(want)
+    assert m.mul(x).equals(b)

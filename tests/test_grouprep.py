@@ -280,6 +280,19 @@ class TestCanonicalDecompose:
             "triv": 1, "omega": 1, "omega2": 1,
         }
 
+    def test_trivial_group_keeps_every_unknown_of_the_hom_space(self):
+        # The trivial group has no generators, so the Hom-space equations
+        # have no rows and every one of the 2 unknowns is free.
+        g = cyclic_group(1, names=("e",))
+        assert g.generators == ()
+        rep = representation_from_forms(g, QQ, [Matrix.identity(QQ, 2)])
+        table = CharacterTable(g, QQ, ("triv",), (1,), ((Fraction(1),),))
+        table.validate()
+        pieces = canonical_decompose(rep, table)
+        assert [(p.name, p.multiplicity) for p in pieces] == [("triv", 2)]
+        assert [f.entries for f in pieces[0].hom_basis] == [
+            (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+
     def test_hom_bases_are_equivariant(self):
         t = s3_character_table(QQ)
         rep = regular_representation(s3_group(), QQ)

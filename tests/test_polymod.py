@@ -1520,7 +1520,8 @@ def test_the_integer_echelon_agrees_with_the_dense_oracle(field):
             if kind == "member":
                 assert verdict
             seen += verdict
-        _, pivots = polymod._macaulay_echelon(ring, tuple(gens), bound)
+        _, echelon = polymod._macaulay_echelon(ring, tuple(gens), bound)
+        pivots = echelon.pivots
         assert pivots
         for lc, tail in pivots.values():
             coeffs_of = [lc] + [c for _, c in tail]
