@@ -4,18 +4,18 @@ the one sparse echelon behind every exact linear-algebra question.
 Scalars are plain Python values: `fractions.Fraction` over Q, `int` in
 [0, p) over F_p.  A `Field` object checks values and does the arithmetic
 here; a value of the wrong kind, or matrices over different fields, raise
-`DomainMismatchError`.  The hot loops elsewhere write the representation
-out inline to save a method call per product (`Fraction` arithmetic when
-`p == 0`, else reduction `% p`): `Poly` sums and products in `polyring`,
-the division loop in `polymod`, and the F_p polynomial arithmetic in
-`geometry`.  Everything here is immutable and deterministic, except that
-an `Echelon` grows as rows are added.
+`DomainMismatchError`.  Sums of products reduce once per entry through
+`Field.from_sum`: `Matrix.mul` here and the tensor-power action of
+`grouprep`.  Still written inline (`Fraction` arithmetic when `p == 0`,
+else `% p`) are `Poly` sums and products in `polyring`, `_Reducers` in
+`polymod` and the F_p polynomial arithmetic in `geometry`.  Everything
+here is immutable and deterministic, except that an `Echelon` grows.
 
-Matrices are stored dense, and an `Echelon` eliminates their rows: `rank`
+Matrices are stored dense and multiplied sparsely, each row of the right
+factor read once as its nonzeros.  An `Echelon` eliminates rows: `rank`
 counts its pivots, and `rref` reads the unique reduced form off them, as
 `solve` does for the augmented rows.  The `polymod` membership oracle and
-the invariant searches of `equivariant` build echelons directly, one row
-at a time.
+the invariant searches of `equivariant` build echelons directly.
 """
 
 from __future__ import annotations
@@ -124,6 +124,13 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def from_sum(self, a):
+        """A raw sum of products of field values as a field value: reduced
+        mod p once, and an exact zero (the int 0 over QQ) made `zero()`."""
+        if self.p:
+            return a % self.p
+        return a if a else Fraction(0)
+
     def scalar_repr(self, a) -> str:
         if self.p == 0:
             if a.denominator == 1:
@@ -168,7 +175,7 @@ class Matrix:
             if len(row) != c:
                 raise ValidationError("ragged rows")
             flat.extend(row)
-        ent = tuple(field.from_int(a) if isinstance(a, int) else a for a in flat)
+        ent = tuple(field.from_int(a) if type(a) is int else a for a in flat)
         return Matrix(field, r, c, ent)
 
     @staticmethod
@@ -205,19 +212,21 @@ class Matrix:
         return Matrix(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """Row by row over the nonzeros of both factors, one reduction per entry."""
         self._match(other)
         if self.cols != other.rows:
             raise DomainMismatchError("shape mismatch in matrix product")
-        f = self.field
+        f, n = self.field, other.cols
+        sparse = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = f.zero()
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(ri[k], other.at(k, j)))
-                out.append(acc)
-        return Matrix(f, self.rows, other.cols, tuple(out))
+            acc = [0] * n
+            for a, row in zip(self.row(i), sparse):
+                if a:
+                    for j, b in row:
+                        acc[j] += a * b
+            out.extend(map(f.from_sum, acc))
+        return Matrix(f, self.rows, n, tuple(out))
 
     def is_zero(self) -> bool:
         return all(self.field.is_zero(a) for a in self.entries)

@@ -512,27 +512,23 @@ def trivial_summand_witness(rep: Representation, v: Sequence) -> tuple:
 
 
 def _apply_tensor_power(rep: Representation, a: int, w: Sequence) -> tuple:
-    """Apply rho(a) on every tensor factor of a vector in V^{tensor k}."""
-    fld, n = rep.field, rep.dim
-    k = rep.group.order
-    cur = list(w)
+    """Apply rho(a) on every tensor factor of a vector in V^{tensor k}: per
+    axis, nonzero entries times the nonzeros of their column, reduced once."""
+    fld, n, k = rep.field, rep.dim, rep.group.order
     m = rep.matrices[a]
+    cols = [[(i2, m.at(i2, i)) for i2 in range(n) if m.at(i2, i)] for i in range(n)]
+    cur = tuple(w)
     for axis in range(k):
         stride = n ** (k - 1 - axis)
-        nxt = [fld.zero()] * len(cur)
-        for idx in range(len(cur)):
-            if fld.is_zero(cur[idx]):
-                continue
-            i_axis = (idx // stride) % n
-            base = idx - i_axis * stride
-            for i2 in range(n):
-                c = m.at(i2, i_axis)
-                if fld.is_zero(c):
-                    continue
-                j = base + i2 * stride
-                nxt[j] = fld.add(nxt[j], fld.mul(c, cur[idx]))
-        cur = nxt
-    return tuple(cur)
+        nxt = [0] * len(cur)
+        for idx, x in enumerate(cur):
+            if x:
+                i_axis = (idx // stride) % n
+                base = idx - i_axis * stride
+                for i2, c in cols[i_axis]:
+                    nxt[base + i2 * stride] += c * x
+        cur = tuple(map(fld.from_sum, nxt))
+    return cur
 
 
 # -- bundled small groups, tables, and representations ---------------------------------

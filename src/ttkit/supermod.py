@@ -405,10 +405,13 @@ def _fibre_rank(columns, basis: GroebnerBasis) -> int:
     Fraction-free elimination on normal forms modulo p: A/p is a domain, so
     scaling a row by a nonzero pivot keeps its span over the fraction field.
     The pivot of least degree is made monic first, which keeps a constant
-    pivot from growing the other rows at all.
+    pivot from growing the other rows at all.  Zeros and units cost nothing:
+    a zero entry is its own normal form, a lead coefficient of 1 needs no
+    scaling, and pivot * e - a * f is zero where e and f are.  Each skipped
+    step would return its input unchanged, so the rank is exact.
     """
     nf = basis.normal_form
-    rows = [row for row in ([nf(e) for e in col] for col in columns)
+    rows = [row for row in ([e if e.is_zero() else nf(e) for e in col] for col in columns)
             if any(not e.is_zero() for e in row)]
     rank = 0
     while rows:
@@ -417,14 +420,16 @@ def _fibre_rank(columns, basis: GroebnerBasis) -> int:
                          for j, e in enumerate(row) if not e.is_zero())
         pivot_row = rows.pop(i)
         _, lead = pivot_row[j].leading(GREVLEX)
-        inv = pivot_row[j].ring.field.inv(lead)
-        pivot_row = [e.scale(inv) for e in pivot_row]
+        if lead != 1:
+            inv = pivot_row[j].ring.field.inv(lead)
+            pivot_row = [e.scale(inv) for e in pivot_row]
         pivot = pivot_row[j]
         rest = []
         for row in rows:
             a = row[j]
             if not a.is_zero():
-                row = [nf(pivot * e - a * f) for e, f in zip(row, pivot_row)]
+                row = [e if e.is_zero() and f.is_zero() else nf(pivot * e - a * f)
+                       for e, f in zip(row, pivot_row)]
             if any(not e.is_zero() for e in row):
                 rest.append(row)
         rows = rest

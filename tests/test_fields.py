@@ -61,16 +61,32 @@ def test_matrix_rejects_each_bad_entry_kind(field, bad, message):
 
 
 def test_matrix_from_rows_rejects_entries_outside_the_field():
-    # from_rows maps plain ints (and so bools) into the field first; what
-    # is left to reject is a scalar of the wrong kind.
+    # from_rows maps plain ints into the field first; what is left to
+    # reject is a scalar of the wrong kind.
     with pytest.raises(DomainMismatchError) as err:
         Matrix.from_rows(GF(5), [[1, Fraction(1, 2)], [0, 1]])
     assert str(err.value) == "expected residue mod 5, got Fraction(1, 2)"
     with pytest.raises(DomainMismatchError) as err:
         Matrix.from_rows(QQ, [[Fraction(1), 0.5]])
     assert str(err.value) == "expected rational scalar, got 0.5"
-    assert Matrix.from_rows(GF(5), [[True, 7, -1]]).entries == (1, 2, 4)
+    assert Matrix.from_rows(GF(5), [[7, -1]]).entries == (2, 4)
     assert Matrix.from_rows(QQ, [[3]]).entries == (Fraction(3),)
+
+
+@pytest.mark.parametrize(
+    "field, rows, message",
+    [
+        (GF(5), [[True, 7]], "expected residue mod 5, got True"),
+        (QQ, [[True]], "expected rational scalar, got True"),
+        (QQ, [[Fraction(1), False]], "expected rational scalar, got False"),
+    ],
+)
+def test_matrix_from_rows_passes_bools_to_the_check(field, rows, message):
+    # a bool is an int to Python but no scalar of either field, as for
+    # the constructor and Field.check
+    with pytest.raises(DomainMismatchError) as err:
+        Matrix.from_rows(field, rows)
+    assert str(err.value) == message
 
 
 def test_mixed_field_matrix_ops_rejected():
@@ -310,3 +326,66 @@ def test_solve_reads_the_dense_rref_of_the_augmented_matrix(m, data):
         want[pc] = entries[r * aug.cols + m.cols]
     assert x.entries == tuple(want)
     assert m.mul(x).equals(b)
+
+
+# -- the sparse product against the dense triple loop ------------------------------
+
+
+def dense_mul(a, b):
+    """The dense triple loop that the sparse `Matrix.mul` replaced."""
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        ri = a.row(i)
+        for j in range(b.cols):
+            acc = f.zero()
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(ri[k], b.at(k, j)))
+            out.append(acc)
+    return Matrix(f, a.rows, b.cols, tuple(out))
+
+
+def zero_heavy(draw, f, rows, cols):
+    """A rows x cols matrix over f, about two thirds of its entries zero."""
+    nonzero = (st.fractions(min_value=-4, max_value=4, max_denominator=3) if f.p == 0
+               else st.integers(min_value=1, max_value=f.p - 1))
+    entry = st.one_of(st.just(f.zero()), st.just(f.zero()), nonzero)
+    return Matrix(f, rows, cols, tuple(draw(entry) for _ in range(rows * cols)))
+
+
+@st.composite
+def products(draw):
+    """(a, b) with a r x k and b k x c over one field; any of r, k, c may
+    be 0, so r x 0 times 0 x c is drawn too."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(7), GF(32003)]))
+    r, k, c = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    return zero_heavy(draw, f, r, k), zero_heavy(draw, f, k, c)
+
+
+def assert_field_typed(m):
+    for a in m.entries:
+        if m.field.p == 0:
+            assert type(a) is Fraction
+        else:
+            assert type(a) is int and 0 <= a < m.field.p
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_sparse_product_matches_the_dense_triple_loop(case):
+    a, b = case
+    got, want = a.mul(b), dense_mul(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols) == (a.rows, b.cols)
+    assert got.entries == want.entries
+    assert_field_typed(got)
+
+
+def test_sums_become_field_values_once():
+    assert type(QQ.from_sum(0)) is Fraction and QQ.from_sum(0) == 0
+    assert QQ.from_sum(Fraction(1, 2) - Fraction(1, 2)) == Fraction(0)
+    assert QQ.from_sum(Fraction(3, 4)) == Fraction(3, 4)
+    assert GF(7).from_sum(6 * 6 + 5 * 3) == 51 % 7
+    assert GF(7).from_sum(0) == 0
+    zero = Matrix.from_rows(QQ, [[0, 0]]).mul(Matrix.from_rows(QQ, [[1], [2]]))
+    assert zero.entries == (Fraction(0),)
+    assert_field_typed(Matrix.zero(QQ, 2, 0).mul(Matrix.zero(QQ, 0, 3)))

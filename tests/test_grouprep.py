@@ -40,6 +40,7 @@ from ttkit.grouprep import (
     representation_from_forms,
     s3_character_table,
     s3_group,
+    _apply_tensor_power,
     _inv_order,
     trivial_summand_witness,
 )
@@ -396,6 +397,50 @@ def test_witness_matches_the_permutation_sum(case, fld, data):
     want = symmetrized_orbit_oracle(rep, v)
     assert w == want
     assert [type(c) for c in w] == [type(c) for c in want]
+
+
+def ref_apply_tensor_power(rep, a, w):
+    """The loop that `_apply_tensor_power` replaced: every product and sum
+    through `Field.mul` and `Field.add`, entry by entry."""
+    fld, n = rep.field, rep.dim
+    k = rep.group.order
+    cur = list(w)
+    m = rep.matrices[a]
+    for axis in range(k):
+        stride = n ** (k - 1 - axis)
+        nxt = [fld.zero()] * len(cur)
+        for idx in range(len(cur)):
+            if fld.is_zero(cur[idx]):
+                continue
+            i_axis = (idx // stride) % n
+            base = idx - i_axis * stride
+            for i2 in range(n):
+                c = m.at(i2, i_axis)
+                if fld.is_zero(c):
+                    continue
+                j = base + i2 * stride
+                nxt[j] = fld.add(nxt[j], fld.mul(c, cur[idx]))
+        cur = nxt
+    return tuple(cur)
+
+
+@pytest.mark.parametrize("case", WITNESS_REPS, ids=[name for name, _ in WITNESS_REPS])
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(11)], ids=repr)
+@given(st.data())
+@settings(max_examples=8, deadline=None)
+def test_tensor_power_action_matches_the_entrywise_loop(case, fld, data):
+    _, build = case
+    rep = build(fld)
+    size = rep.dim ** rep.group.order
+    nonzero = (st.fractions(min_value=-3, max_value=3, max_denominator=3) if fld.p == 0
+               else st.integers(min_value=1, max_value=fld.p - 1))
+    entry = st.one_of(st.just(fld.zero()), st.just(fld.zero()), nonzero)
+    for a in range(rep.group.order):
+        w = tuple(data.draw(st.lists(entry, min_size=size, max_size=size)))
+        got = _apply_tensor_power(rep, a, w)
+        assert got == ref_apply_tensor_power(rep, a, w)
+        assert all(type(c) is Fraction if fld.p == 0 else type(c) is int and 0 <= c < fld.p
+                   for c in got)
 
 
 # -- certification on generators ---------------------------------------------------------
