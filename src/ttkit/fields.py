@@ -5,11 +5,12 @@ Scalars are plain Python values: `fractions.Fraction` over Q, `int` in
 [0, p) over F_p.  A `Field` object checks values and does the arithmetic
 here; a value of the wrong kind, or matrices over different fields, raise
 `DomainMismatchError`.  Sums of products reduce once per entry through
-`Field.from_sum`: `Matrix.mul` here and the tensor-power action of
-`grouprep`.  Still written inline (`Fraction` arithmetic when `p == 0`,
-else `% p`) are `Poly` sums and products in `polyring`, `_Reducers` in
-`polymod` and the F_p polynomial arithmetic in `geometry`.  Everything
-here is immutable and deterministic, except that an `Echelon` grows.
+`Field.from_sum`: `Matrix.mul` here, the tensor-power action of
+`grouprep` and the fibre ranks of `supermod`.  Still written inline
+(`Fraction` arithmetic when `p == 0`, else `% p`) are `Poly` sums and
+products in `polyring`, `_Reducers` in `polymod` and the F_p polynomial
+arithmetic in `geometry`.  Everything here is immutable and
+deterministic, except that an `Echelon` grows.
 
 Matrices are stored dense and multiplied sparsely, each row of the right
 factor read once as its nonzeros.  An `Echelon` eliminates rows: `rank`

@@ -315,14 +315,6 @@ class Poly:
             n >>= 1
         return out
 
-    def leading(self, order: MonomialOrder):
-        """(monomial, coeff) maximal under the given order."""
-        if not self.terms:
-            raise ValidationError("zero polynomial has no leading term")
-        if order.kind == "grevlex":
-            return self.terms[0]  # the storage order
-        return max(self.terms, key=lambda t: order.key(t[0]))
-
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Evaluate at variable images, which live in the images' ring."""
         if len(images) != self.ring.nvars:
@@ -504,8 +496,7 @@ def normal_form(f: Poly, basis: "GroebnerBasis") -> Poly:
 # `polyring.s_poly.calls` of the benchmark has a function to wrap.
 def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     ring = f.ring
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+    (fm, fc), (gm, gc) = (max(h.terms, key=lambda t: order.key(t[0])) for h in (f, g))
     l = mono_lcm(fm, gm)
     a = ring.monomial(mono_div(l, fm), ring.field.inv(fc))
     b = ring.monomial(mono_div(l, gm), ring.field.inv(gc))

@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .polyring import GREVLEX, GroebnerBasis, Poly, PolyRing, buchberger
 from .polymod import (
+    _PAST_LIMIT,
     ModuleMap,
     PresentedComplex,
     PresentedModule,
@@ -399,38 +400,59 @@ def _site_basis(site: PrimeSite) -> Optional[GroebnerBasis]:
 
 
 def _fibre_rank(columns, basis: GroebnerBasis) -> int:
-    """Rank over Frac(A/p), p the ideal of the basis, of the matrix with
-    these columns.
+    """Rank over Frac(A/p), p the ideal of the grevlex basis, of the matrix
+    with these columns.
 
     Fraction-free elimination on normal forms modulo p: A/p is a domain, so
     scaling a row by a nonzero pivot keeps its span over the fraction field.
     The pivot of least degree is made monic first, which keeps a constant
-    pivot from growing the other rows at all.  Zeros and units cost nothing:
-    a zero entry is its own normal form, a lead coefficient of 1 needs no
-    scaling, and pivot * e - a * f is zero where e and f are.  Each skipped
-    step would return its input unchanged, so the rank is exact.
+    pivot from growing the other rows at all.  The elimination runs in the
+    packed terms of the basis's reducers (`polymod._Reducers`): an entry is
+    its remainder from `divide`, ascending [(key, c)] with the lead first
+    and empty for zero, and at position 0 a key k has degree -(k >> low).
+    Each nonzero entry is packed and reduced once; pivot * e - a * f adds
+    keys, sums raw products, reduces each sum once through `Field.from_sum`
+    and is divided again.  Zeros and units cost nothing: a zero entry is its
+    own normal form, a lead coefficient of 1 needs no scaling, and
+    pivot * e - a * f is zero where e and f are.  Each skipped step would
+    return its input unchanged, so the rank is exact.  A product past
+    MAX_EXPONENT raises ValidationError, as `_Reducers.s_vector` does.
     """
-    nf = basis.normal_form
-    rows = [row for row in ([e if e.is_zero() else nf(e) for e in col] for col in columns)
-            if any(not e.is_zero() for e in row)]
+    red = basis._reducers
+    pk, field = red.pk, basis.ring.field
+    low, guard, from_sum = pk.low.bit_length(), pk.guard, field.from_sum
+
+    def difference(pivot, e, minus_a, f) -> list:
+        acc: dict = {}
+        for x, y in ((pivot, e), (minus_a, f)):
+            for kx, cx in x:
+                for ky, cy in y:
+                    k = kx + ky
+                    acc[k] = acc.get(k, 0) + cx * cy
+        work = {k: s for k, s in zip(acc, map(from_sum, acc.values())) if s}
+        if any(k & guard for k in work):
+            raise ValidationError(_PAST_LIMIT)
+        return red.divide(work)[0] if work else []
+
+    rows = [row for row in ([e.terms and red.divide(pk.pack((e,)))[0] for e in col]
+                            for col in columns) if any(row)]
     rank = 0
     while rows:
-        _, _, i, j = min((e.total_degree(), len(e.terms), i, j)
-                         for i, row in enumerate(rows)
-                         for j, e in enumerate(row) if not e.is_zero())
+        _, _, i, j = min((-(e[0][0] >> low), len(e), i, j)
+                         for i, row in enumerate(rows) for j, e in enumerate(row) if e)
         pivot_row = rows.pop(i)
-        _, lead = pivot_row[j].leading(GREVLEX)
+        lead = pivot_row[j][0][1]
         if lead != 1:
-            inv = pivot_row[j].ring.field.inv(lead)
-            pivot_row = [e.scale(inv) for e in pivot_row]
+            inv, mul = field.inv(lead), field.mul
+            pivot_row = [[(k, mul(c, inv)) for k, c in e] for e in pivot_row]
         pivot = pivot_row[j]
         rest = []
         for row in rows:
-            a = row[j]
-            if not a.is_zero():
-                row = [e if e.is_zero() and f.is_zero() else nf(pivot * e - a * f)
+            if row[j]:
+                minus_a = [(k, -c) for k, c in row[j]]
+                row = [e if not (e or f) else difference(pivot, e, minus_a, f)
                        for e, f in zip(row, pivot_row)]
-            if any(not e.is_zero() for e in row):
+            if any(row):
                 rest.append(row)
         rows = rest
         rank += 1
@@ -471,7 +493,8 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
     certified prime site, membership means some parity and degree i with
     rank C_i - rank d_i - rank d_(i-1) nonzero over Frac(A/p).  Every other
     site falls back on site_in_closed with supph_super(c), computed at most
-    once.
+    once.  `_fibre_rank` eliminates on the packed terms of the site basis's
+    reducers and builds no `Poly`.
 
     The component matrices are numbered once per complex, equal ones
     sharing a number, so each distinct matrix is ranked at most once per

@@ -61,6 +61,11 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def leading(p, order):
+    """The (monomial, coeff) of the nonzero p largest under the ring order."""
+    return max(p.terms, key=lambda t: order.key(t[0]))
+
+
 def pot_key(order, term):
     """The position-over-term key of a term (pos, mono) under a
     `ModuleOrder`: the lower position wins, then the ring order."""
@@ -318,7 +323,7 @@ def test_module_groebner_coprime_criterion_only_at_rank_one():
 def ref_lead(v, order):
     for pos, p in enumerate(v):
         if p.terms:
-            mono, c = p.leading(order.ring_order)
+            mono, c = leading(p, order.ring_order)
             return (pos, mono), c
     raise ValueError("zero vector has no leading term")
 
@@ -1212,7 +1217,7 @@ def test_graded_dim_is_the_hilbert_function_of_the_initial_ideal(case):
     # Macaulay: R/I and R/in(I) have the same Hilbert function, and the
     # degree-d monomials outside in(I) count it with no linear algebra
     ring, gens = case
-    leads = [g.leading(GREVLEX)[0] for g in buchberger(gens)]
+    leads = [leading(g, GREVLEX)[0] for g in buchberger(gens)]
     mod = PresentedModule.cyclic(ring, gens)
     for d in range(5):
         standard = [m for m in monomials_of_degree(ring, d)
