@@ -7,7 +7,8 @@ that single device computes syzygies, annihilators, kernels, cokernels and
 cohomology of complexes.  `module_groebner` is ttkit's only Groebner
 engine: `polyring.buchberger` runs an ideal through it as a rank-1 module.
 The chain criterion prunes S-pairs at every rank; the coprime-lead
-criterion holds only for ideals, so it is applied at rank 1 alone.
+criterion holds only for ideals, so only rank-1 runs never queue a
+coprime pair.
 
 Division is done by reducers: vectors prepared once, with their lead
 found, and run through the one division loop that S-vectors,
@@ -385,17 +386,22 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     Pair selection: smallest lcm under the ring order (normal strategy),
     ties by index.  The open pairs sit in a min-heap of (minus the key of
     the lcm at position 0, i, j), pushed when a pair is made; pairs leave
-    it only by being selected, so it pops them in exactly that order.  A
-    pair is discarded by the chain criterion when a third lead at the same
-    position divides the lcm and both side pairs are done, and, at rank 1
-    only, when its leads are coprime (the lcm's key is the sum of theirs).
+    it only by being selected, so it pops them in exactly that order.  At
+    rank 1 only, a pair whose leads are coprime (the lcm's key is the sum
+    of theirs) is done when made and never pushed: its S-vector always has
+    a standard representation, so the chain criterion may count it as
+    treated.  A popped pair is discarded by the chain criterion when a
+    third lead at the same position divides the lcm and both side pairs
+    are done (Becker and Weispfenning, GTM 141, section 5.5).
     Ideals run here as rank-1 modules, through `polyring.buchberger`, and
     stop at [1] as soon as a constant generator or S-remainder appears.
-    Generators from different rings are refused.
+    Generators from different rings or of different lengths are refused.
     """
     ring = next((p.ring for v in gens for p in v), None)
     if any(p.ring is not ring and p.ring != ring for v in gens for p in v):
         raise DomainMismatchError("generators from different rings")
+    if len({len(v) for v in gens}) > 1:
+        raise ValidationError("generators of different lengths")
     nonzero = [g for g in gens if not vec_is_zero(g)]
     if not nonzero:
         return []
@@ -408,13 +414,17 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     leads = [pk.decode(r[0]) for r in red.reducers]  # (pos, mono) of each lead
 
     pairs: list = []  # heap of (-(key of the lcm at position 0), i, j, key of the lcm)
-    done = set()
+    done = [set() for _ in leads]  # done[i]: the j whose pair with i is done
 
     def add_pair(i, j):
         (pos, mi), (pj, mj) = leads[i], leads[j]
         if pos == pj:
             l = pk.key(0, mono_lcm(mi, mj))
-            heappush(pairs, (-l, i, j, l + (pos << shift)))
+            if rank == 1 and l == red.reducers[i][0] + red.reducers[j][0]:
+                done[i].add(j)  # coprime leads: the S-vector reduces to zero
+                done[j].add(i)
+            else:
+                heappush(pairs, (-l, i, j, l + (pos << shift)))
 
     for j in range(len(leads)):
         for i in range(j):
@@ -422,24 +432,24 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
 
     while pairs:
         _, i, j, l = heappop(pairs)
-        done.add((i, j))
-        pos = leads[i][0]
-        if rank == 1 and l + (pos << shift) == red.reducers[i][0] + red.reducers[j][0]:
-            continue  # coprime leading terms
-        if any(k != i and k != j and not (l - lk) & guard
-               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               for lk, k in red.leads_at[pos]):
-            continue
-        rem, _ = red.divide(red.s_vector(i, j, l))
-        if not rem:
-            continue
-        if rank == 1 and rem[0][0] == 0:
-            return [(ring.one(),)]
-        red.add(rem)
-        leads.append(pk.decode(red.reducers[-1][0]))
-        new = len(leads) - 1
-        for k in range(new):
-            add_pair(k, new)
+        done_i, done_j = done[i], done[j]
+        done_i.add(j)
+        done_j.add(i)
+        for lk, k in red.leads_at[leads[i][0]]:
+            if k in done_i and k in done_j and not (l - lk) & guard:
+                break  # chain criterion
+        else:
+            rem, _ = red.divide(red.s_vector(i, j, l))
+            if not rem:
+                continue
+            if rank == 1 and rem[0][0] == 0:
+                return [(ring.one(),)]
+            red.add(rem)
+            leads.append(pk.decode(red.reducers[-1][0]))
+            done.append(set())
+            new = len(leads) - 1
+            for k in range(new):
+                add_pair(k, new)
 
     one = ring.field.one()
     basis = []
@@ -456,19 +466,27 @@ def _module_interreduce(red: _Reducers) -> list:
 
     Drops each reducer whose lead another lead at its position divides (of
     equal leads the first stays), then reduces each survivor's tail by all
-    of them, those already reduced included.  No term below a lead is
-    divisible by it, and reducing never moves a lead, so one pass leaves
-    every vector reduced.
+    of them, those already reduced included, except that a survivor whose
+    tail no kept lead divides is kept as it is, already primitive over QQ.
+    No term below a lead is divisible by it, and reducing never moves a
+    lead, so one pass leaves every vector reduced.
     """
-    guard = red.pk.guard
-    keep = sorted(
-        a for at in red.leads_at.values() for la, a in at
-        if not any(b != a and not (la - lb) & guard and (lb != la or b < a) for lb, b in at)
-    )
+    half, shift, guard = red.pk.half, red.pk.shift, red.pk.guard
+    keep = []
+    for at in red.leads_at.values():
+        for la, a in at:
+            for lb, b in at:
+                if b != a and not (la - lb) & guard and (lb != la or b < a):
+                    break
+            else:
+                keep.append(a)
     kept = _Reducers(red.order, red.ring, red.integral)
-    for a in keep:
+    for a in sorted(keep):
         kept.append(red.reducers[a])
     for i, (lead, tail, lc) in enumerate(kept.reducers):
+        if not any(not (k - lk) & guard for k, _ in tail
+                   for lk, _ in kept.leads_at.get((k + half) >> shift, ())):
+            continue  # a reduced tail stays as it is
         rem, scale = kept.divide(dict(tail))
         lc *= scale
         if lc != 1:  # integral: take the content out again

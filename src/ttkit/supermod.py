@@ -412,7 +412,8 @@ def _fibre_rank(columns, basis: GroebnerBasis) -> int:
     and empty for zero, and at position 0 a key k has degree -(k >> low).
     Each nonzero entry is packed and reduced once; pivot * e - a * f adds
     keys, sums raw products, reduces each sum once through `Field.from_sum`
-    and is divided again.  Zeros and units cost nothing: a zero entry is its
+    and is divided again; with no reducers (the zero ideal) the terms are
+    sorted, not divided.  Zeros and units cost nothing: a zero entry is its
     own normal form, a lead coefficient of 1 needs no scaling, and
     pivot * e - a * f is zero where e and f are.  Each skipped step would
     return its input unchanged, so the rank is exact.  A product past
@@ -421,6 +422,7 @@ def _fibre_rank(columns, basis: GroebnerBasis) -> int:
     red = basis._reducers
     pk, field = red.pk, basis.ring.field
     low, guard, from_sum = pk.low.bit_length(), pk.guard, field.from_sum
+    divide = red.divide if red.reducers else lambda work: (sorted(work.items()), 1)
 
     def difference(pivot, e, minus_a, f) -> list:
         acc: dict = {}
@@ -432,9 +434,9 @@ def _fibre_rank(columns, basis: GroebnerBasis) -> int:
         work = {k: s for k, s in zip(acc, map(from_sum, acc.values())) if s}
         if any(k & guard for k in work):
             raise ValidationError(_PAST_LIMIT)
-        return red.divide(work)[0] if work else []
+        return divide(work)[0] if work else []
 
-    rows = [row for row in ([e.terms and red.divide(pk.pack((e,)))[0] for e in col]
+    rows = [row for row in ([e.terms and divide(pk.pack((e,)))[0] for e in col]
                             for col in columns) if any(row)]
     rank = 0
     while rows:
