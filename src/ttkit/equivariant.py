@@ -38,6 +38,7 @@ from .polymod import (
     graded_dim,
     graded_standard_pairs,
     map_cokernel,
+    map_is_isomorphism,
     map_kernel,
     module_is_graded,
     module_tensor,
@@ -133,15 +134,13 @@ def trivial_action(ring: PolyRing) -> RingAction:
 def fixed_locus(act: RingAction, h_indices: Sequence[int]) -> ClosedSet:
     """V of the twists g(x_i) - x_i over the subgroup elements."""
     _check_subgroup(act.group, h_indices)
-    gens = []
-    for a in h_indices:
-        if a == act.group.identity:
-            continue
-        for j, x in enumerate(act.ring.gens()):
-            t = act.apply(a, x) - x
-            if not t.is_zero():
-                gens.append(t)
-    return ClosedSet(act.ring, tuple(gens))
+    return ClosedSet(act.ring, tuple(t for a in h_indices if a != act.group.identity
+                                     for t in _twists(act, a)))
+
+
+def _twists(act: RingAction, a: int) -> list:
+    """The nonzero twists a(x) - x, one for each variable that a moves."""
+    return [t for t in (act.apply(a, x) - x for x in act.ring.gens()) if not t.is_zero()]
 
 
 def _check_subgroup(group: FiniteGroup, h_indices: Sequence[int]) -> None:
@@ -572,18 +571,27 @@ def equivariant_cohomology(ec: EquivariantComplex, i: int) -> EquivariantModule:
     boundary = prev.columns if prev is not None else ()
     # the ambient that `cohomology_with_lifts` presents in: term mod boundaries
     ambient = PresentedModule(ec.complex.ring, term.module.rank, boundary + term.module.relations)
+    return _induced_action(term, h, lifts, ambient)
+
+
+def _induced_action(em: EquivariantModule, sub: PresentedModule, gens: list,
+                    ambient: PresentedModule) -> EquivariantModule:
+    """The validated action of em on `sub`, the span of gens in `ambient`."""
+    act = em.action
     rho = []
     for a in range(act.group.order):
         cols = []
-        for z in lifts:
-            sol = submodule_lift(term.apply(a, z), lifts, ambient)
+        for v in gens:
+            sol = submodule_lift(em.apply(a, v), gens, ambient)
             if sol is None:
-                raise ValidationError("action does not preserve cocycles")
+                raise ValidationError(
+                    f"action of {act.group.names[a]} does not preserve the submodule"
+                )
             cols.append(tuple(sol))
         rho.append(tuple(cols))
-    em = EquivariantModule(act, h, tuple(rho))
-    em.validate()
-    return em
+    out = EquivariantModule(act, sub, tuple(rho))
+    out.validate()
+    return out
 
 
 def complex_to_module(ec: EquivariantComplex) -> EquivariantModule:
@@ -727,6 +735,16 @@ def _fixed_vectors(em: EquivariantModule, pairs) -> list:
     return [[ker.at(i, j) for i in range(n)] for j in range(ker.cols)]
 
 
+def _from_standard_coords(mod: PresentedModule, pairs, coords) -> tuple:
+    """The vector of A^rank with these coordinates over the standard pairs."""
+    ring, fld = mod.ring, mod.ring.field
+    out = [ring.zero()] * mod.rank
+    for (j, m), c in zip(pairs, coords):
+        if not fld.is_zero(c):
+            out[j] = out[j] + ring.monomial(m).scale(c)
+    return tuple(out)
+
+
 def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
     act, mod = em.action, em.module
     ring, fld = mod.ring, mod.ring.field
@@ -757,13 +775,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
             for gd, lift in gens for mult in subalgebra_slice(d - gd)))
         for cand in fixed_vecs:
             if echelon.add(enumerate(cand)):
-                lift = zero_vector(ring, mod.rank)
-                for (j, m), c in zip(pairs, cand):
-                    if fld.is_zero(c):
-                        continue
-                    lift = vec_add(lift, vec_scale(ring.monomial(m).scale(c),
-                                                   unit_vector(ring, mod.rank, j)))
-                gens.append((d, lift))
+                gens.append((d, _from_standard_coords(mod, pairs, cand)))
 
     if any(gd > bound - window for gd, _ in gens):
         raise TruncationError(
@@ -775,21 +787,15 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
     relations: list = []
     for d in range(0, bound + 1):
         pairs = standard[d]
-        unknowns = []  # (gen index, y-monomial)
-        for gi, (gd, lift) in enumerate(gens):
-            for alpha in weighted_exponents(fdegs, d - gd):
-                unknowns.append((gi, alpha))
+        # (gen index, y-monomial, its image in A), the images in slice order
+        unknowns = [(gi, alpha, mult) for gi, (gd, _) in enumerate(gens)
+                    for alpha, mult in zip(weighted_exponents(fdegs, d - gd),
+                                           subalgebra_slice(d - gd))]
         if not unknowns:
             continue
         if pairs:
-            cols = []
-            for gi, alpha in unknowns:
-                mult = ring.one()
-                for f, e in zip(pres.generators, alpha):
-                    if e:
-                        mult = mult * f ** e
-                v = tuple(mult * p for p in gens[gi][1])
-                cols.append(vector_in_standard_coords(mod, pairs, v))
+            cols = [vector_in_standard_coords(mod, pairs, tuple(mult * p for p in gens[gi][1]))
+                    for gi, _, mult in unknowns]
             mat_rows = [[cols[u][r] for u in range(len(unknowns))] for r in range(len(pairs))]
             ker = kernel_basis(Matrix.from_rows(fld, mat_rows))
             syz_cols = [[ker.at(i, j) for i in range(len(unknowns))] for j in range(ker.cols)]
@@ -801,7 +807,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
         partial = PresentedModule(yring, len(gens), tuple(relations))
         for s in syz_cols:
             rel = [yring.zero()] * len(gens)
-            for (gi, alpha), c in zip(unknowns, s):
+            for (gi, alpha, _), c in zip(unknowns, s):
                 if fld.is_zero(c):
                     continue
                 mono = yring.monomial(tuple(alpha))
@@ -823,7 +829,7 @@ def _invariants_graded(em, pres, shifts, degree_bound) -> InvariantsModule:
 
 def _invariants_finite(em, pres, pairs) -> InvariantsModule:
     mod = em.module
-    ring, fld = mod.ring, mod.ring.field
+    fld = mod.ring.field
     s0 = len(pairs)
     fixed = _fixed_vectors(em, pairs)
     s = len(fixed)
@@ -856,16 +862,8 @@ def _invariants_finite(em, pres, pairs) -> InvariantsModule:
                     rel[l] = rel[l] - yring.const(c)
             relations.append(tuple(rel))
     out = PresentedModule(yring, s, tuple(relations))
-
-    lifts = []
-    for j in range(s):
-        v = zero_vector(ring, mod.rank)
-        for (pos, m), c in zip(pairs, fixed[j]):
-            if fld.is_zero(c):
-                continue
-            v = vec_add(v, vec_scale(ring.monomial(m).scale(c), unit_vector(ring, mod.rank, pos)))
-        lifts.append(v)
-    return InvariantsModule(out, tuple(lifts), (None,) * s)
+    lifts = tuple(_from_standard_coords(mod, pairs, f) for f in fixed)
+    return InvariantsModule(out, lifts, (None,) * s)
 
 
 def restriction_of_scalars(em: EquivariantModule, pres: InvariantRingPresentation,
@@ -913,7 +911,10 @@ def isotypic_decompose_module(
     Strict mode asks the subgroup to fix the ring variables; relaxed mode
     only asks the variable twists to die in the relations, which is what
     the filtration layers provide.  Pieces are indexed by the character
-    table; the evaluation map out of the assembled sum is checked to be an
+    table.  Each is the part of W* (x) M fixed by the subgroup's
+    generators, cut out as the kernel of the stacked a - 1 over them; a
+    trivial subgroup has none and keeps the whole tensor module.  The
+    evaluation map out of the assembled sum is checked to be an
     isomorphism before anything is returned.
     """
     em.validate()
@@ -934,54 +935,30 @@ def isotypic_decompose_module(
                 raise PreconditionError(
                     "subgroup moves the ring variables; decomposition needs a linear action"
                 )
-        else:
-            for j in range(mod.rank):
-                for i, x in enumerate(ring.gens()):
-                    twist = act.apply(ga, x) - x
-                    if twist.is_zero():
-                        continue
-                    v = vec_scale(twist, unit_vector(ring, mod.rank, j))
-                    if not mod.contains_in_relations(v):
-                        raise PreconditionError(
-                            "variable twists do not vanish on the module; "
-                            "the subgroup action is not linear here"
-                        )
+        elif not all(mod.contains_in_relations(vec_scale(t, unit_vector(ring, mod.rank, j)))
+                     for j in range(mod.rank) for t in _twists(act, ga)):
+            raise PreconditionError(
+                "variable twists do not vanish on the module; "
+                "the subgroup action is not linear here"
+            )
 
     pieces = []
     for name in table.names:
         dim = table.degrees[table.irrep_index(name)]
         big = module_tensor(PresentedModule.free(ring, dim), mod)
         # the equivariance preconditions above make the semilinear action
-        # A-linear modulo relations, so generator images define module maps
-        diff_blocks = []
-        for a in range(h_group.order):
-            if a == h_group.identity:
-                continue
-            cols = []
-            for idx in range(big.rank):
-                e = unit_vector(ring, big.rank, idx)
-                img = _semilinear_tensor_apply(em, h_embed, table, name, a, e)
-                cols.append(vec_sub(img, e))
-            diff_blocks.append(cols)
-        if diff_blocks:
-            total_target = big
-            for _ in diff_blocks[1:]:
-                total_target = direct_sum(total_target, big)
-            stacked_cols = []
-            for j in range(big.rank):
-                col = []
-                for cols in diff_blocks:
-                    col.extend(cols[j])
-                stacked_cols.append(tuple(col))
-            stacked = ModuleMap(big, total_target, tuple(stacked_cols))
-            piece_mod, piece_gens = map_kernel(stacked)
-        else:
-            piece_mod, piece_gens = big, tuple(
-                unit_vector(ring, big.rank, j) for j in range(big.rank)
-            )
+        # A-linear modulo relations, so generator images define module maps,
+        # and what the generators fix the whole subgroup fixes
+        units = [unit_vector(ring, big.rank, idx) for idx in range(big.rank)]
+        target, cols = PresentedModule.zero(ring), [()] * big.rank
+        for a in h_group.generators:
+            target = direct_sum(target, big)
+            cols = [col + vec_sub(_semilinear_tensor_apply(em, h_embed, table, name, a, e), e)
+                    for col, e in zip(cols, units)]
+        piece_mod, piece_gens = map_kernel(ModuleMap(big, target, tuple(cols)))
         pieces.append(IsotypicPiece(name, piece_mod, tuple(piece_gens)))
 
-    _check_evaluation_iso(em, h_group, h_embed, table, pieces)
+    _check_evaluation_iso(em, table, pieces)
     return pieces
 
 
@@ -994,7 +971,7 @@ def _semilinear_tensor_apply(em: EquivariantModule, h_embed, table, name, a, v):
     hinv = table.group.inverse(a)
     wmat = forms[hinv]
     ga = h_embed[a]
-    out = zero_vector(ring, dim * mod.rank)
+    out = [ring.zero()] * (dim * mod.rank)
     for b in range(dim):
         for k in range(mod.rank):
             p = v[b * mod.rank + k]
@@ -1012,36 +989,21 @@ def _semilinear_tensor_apply(em: EquivariantModule, h_embed, table, name, a, v):
                     q = mcol[i]
                     if q.is_zero():
                         continue
-                    idx = c * mod.rank + i
-                    addv = vec_scale((gp * q).scale(coeff), unit_vector(ring, dim * mod.rank, idx))
-                    out = vec_add(out, addv)
-    return out
+                    out[c * mod.rank + i] = out[c * mod.rank + i] + (gp * q).scale(coeff)
+    return tuple(out)
 
 
-def _check_evaluation_iso(em, h_group, h_embed, table, pieces) -> None:
+def _check_evaluation_iso(em, table, pieces) -> None:
+    """Refuse pieces whose evaluation map into M is not an isomorphism."""
     mod = em.module
-    ring = mod.ring
-    src = None
-    cols = []
+    src, cols = PresentedModule.zero(mod.ring), []
     for name, piece in zip(table.names, pieces):
         dim = table.degrees[table.irrep_index(name)]
-        w_free = PresentedModule.free(ring, dim)
-        block = module_tensor(w_free, piece.module)  # index (b, k) -> b * piece.rank + k
-        src = block if src is None else direct_sum(src, block)
-        for b in range(dim):
-            for k in range(piece.module.rank):
-                kappa = piece.lift_columns[k]
-                col = zero_vector(ring, mod.rank)
-                for i in range(mod.rank):
-                    col = vec_add(col, vec_scale(kappa[b * mod.rank + i],
-                                                 unit_vector(ring, mod.rank, i)))
-                cols.append(col)
-    if src is None:
-        src = PresentedModule.zero(ring)
-    ev = ModuleMap(src, mod, tuple(cols))
-    from .polymod import map_is_isomorphism
-
-    if not map_is_isomorphism(ev):
+        block = module_tensor(PresentedModule.free(mod.ring, dim), piece.module)
+        src = direct_sum(src, block)  # generator (b, k) of a block at b * piece.rank + k
+        cols += [piece.lift_columns[k][b * mod.rank:(b + 1) * mod.rank]
+                 for b in range(dim) for k in range(piece.module.rank)]
+    if not map_is_isomorphism(ModuleMap(src, mod, tuple(cols))):
         raise ValidationError("isotypic pieces do not reassemble the module")
 
 
@@ -1112,18 +1074,7 @@ def _support_reduction(em: EquivariantModule, pres: InvariantRingPresentation,
 
     kmod, kgens = map_kernel(eta)
     if kmod.rank:
-        rho = []
-        for a in range(act.group.order):
-            cols = []
-            for kg in kgens:
-                img = source.apply(a, kg)
-                sol = submodule_lift(img, list(kgens), source.module)
-                if sol is None:
-                    raise ValidationError("counit kernel is not stable under the action")
-                cols.append(tuple(sol))
-            rho.append(tuple(cols))
-        kernel_em = EquivariantModule(act, kmod, tuple(rho))
-        kernel_em.validate()
+        kernel_em = _induced_action(source, kmod, list(kgens), source.module)
     else:
         kernel_em = EquivariantModule(act, kmod, identity_rho(act, 0))
 
@@ -1192,31 +1143,14 @@ def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
     ideal = [g for g in component.generators if not g.is_zero()]
     gb = GroebnerBasis.of(ideal)
     for a in act.group.generators:
-        for x in ring.gens():
-            twist = act.apply(a, x) - x
-            if not twist.is_zero() and not gb.contains(twist):
-                raise PreconditionError(
-                    f"twist by {act.group.names[a]} misses the component ideal; "
-                    "declare the component by its radical"
-                )
+        if not all(gb.contains(t) for t in _twists(act, a)):
+            raise PreconditionError(
+                f"twist by {act.group.names[a]} misses the component ideal; "
+                "declare the component by its radical"
+            )
         for t in ideal:
             if not gb.contains(act.apply(a, t)):
                 raise PreconditionError("component ideal is not stable under the action")
-
-    def presented_stage(gens):
-        sub, _ = submodule_presentation(list(gens), mod)
-        rho = []
-        for a in range(act.group.order):
-            cols = []
-            for v in gens:
-                sol = submodule_lift(em.apply(a, v), list(gens), mod)
-                if sol is None:
-                    raise ValidationError("filtration stage is not stable under the action")
-                cols.append(tuple(sol))
-            rho.append(tuple(cols))
-        stage = EquivariantModule(act, sub, tuple(rho))
-        stage.validate()
-        return stage
 
     def next_gens(gens):
         out = []
@@ -1241,7 +1175,7 @@ def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
             stages.append(([], EquivariantModule(act, PresentedModule.zero(ring),
                                                  identity_rho(act, 0))))
             break
-        stage_j = presented_stage(gens_j)
+        stage_j = _induced_action(em, submodule_presentation(gens_j, mod)[0], gens_j, mod)
         stages.append((list(gens_j), stage_j))
         if not closed_contains(module_support(stage_j.module), component):
             n_steps = j

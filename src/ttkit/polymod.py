@@ -357,11 +357,13 @@ def vector_divmod(
     and the division runs in the loop that `module_groebner` uses, in field
     arithmetic, so remainder and quotients are exact.  With
     quotients=False the quotients are not built and the first item
-    returned is None.
+    returned is None.  Every basis vector must have the length of v.
     """
     if not v:
         raise ValidationError("zero-rank vector")
     ring = v[0].ring
+    for k, b in enumerate(basis):
+        _check_vector(f"basis[{k}]", b, ring, len(v))
     red = _Reducers(order.ring_order, ring)
     scales = [red.add(red.pk.pack(b).items()) for b in basis]
     quots = [[] for _ in basis] if quotients else None

@@ -19,6 +19,7 @@ from ttkit.errors import (
 from ttkit.fields import GF, QQ, Matrix, kernel_basis
 from ttkit.geometry import ClosedSet, closed_equal
 from ttkit.grouprep import (
+    CharacterTable,
     c2_character_table,
     c3_character_table,
     cyclic_group,
@@ -590,16 +591,24 @@ def test_restriction_of_scalars_of_the_line():
     assert sorted(push.degrees) == [0, 1]
 
 
-def test_trivial_group_shortcut_renames_variables():
+@pytest.mark.parametrize("rels, want", [
+    ([("x^2",)], [("u0^2",)]),
+    # neither graded nor of finite length: only the shortcut answers, and
+    # without it this raises TruncationError
+    ([("x - 1", "0")], [("u0 - 1", "0")]),
+], ids=["cyclic-x2", "rank2-x-1"])
+def test_trivial_group_shortcut_renames_variables(rels, want):
     ring = PolyRing(QQ, ("x",))
     act = trivial_action(ring)
     pres = invariant_generators(act)
     assert pres.generators == (ring.var("x"),)
-    x = ring.var("x")
-    em = cyclic_equivariant(act, [x**2])
-    inv = invariants_module(em, pres, shifts=(0,))
-    u0 = pres.ring.var("u0")
-    assert inv.module.relations == ((u0**2,),)
+    rank = len(want[0])
+    mod = PresentedModule(ring, rank, tuple(tuple(map(ring.parse_poly, r)) for r in rels))
+    inv = invariants_module(EquivariantModule(act, mod, identity_rho(act, rank)), pres,
+                            shifts=(0,) * rank)
+    assert inv.module.relations == tuple(tuple(map(pres.ring.parse_poly, r)) for r in want)
+    assert inv.lifts == tuple(unit_vector(ring, rank, j) for j in range(rank))
+    assert inv.degrees == (0,) * rank
 
 
 def test_ungraded_infinite_module_raises_truncation():
@@ -701,6 +710,64 @@ def test_decomposition_checks_the_embedding():
     with pytest.raises(ValidationError):
         isotypic_decompose_module(em, cyclic_group(2), (0, 0),
                                   c2_character_table(QQ))
+
+
+def ref_isotypic_pieces(em, h_group, h_embed, table):
+    """(name, module, lift columns) of each piece as cut out before the
+    kernels read only the generators: a - 1 stacked over every non-identity
+    element, and the whole tensor module when there is none."""
+    ring, mod = em.module.ring, em.module
+    out = []
+    for name in table.names:
+        dim = table.degrees[table.irrep_index(name)]
+        big = polymod.module_tensor(PresentedModule.free(ring, dim), mod)
+        units = [unit_vector(ring, big.rank, j) for j in range(big.rank)]
+        blocks = [[vec_sub(equivariant._semilinear_tensor_apply(em, h_embed, table, name, a, e), e)
+                   for e in units]
+                  for a in range(h_group.order) if a != h_group.identity]
+        if blocks:
+            target = big
+            for _ in blocks[1:]:
+                target = polymod.direct_sum(target, big)
+            cols = tuple(tuple(p for block in blocks for p in block[j]) for j in range(big.rank))
+            piece, gens = polymod.map_kernel(ModuleMap(big, target, cols))
+        else:
+            piece, gens = big, units
+        out.append((name, piece, tuple(gens)))
+    return out
+
+
+def isotypic_cases():
+    s3 = s3_group()
+    s3_act = trivial_plane_action(s3)
+    yield "s3-regular-QQ", equivariant_from_matrices(
+        s3_act, PresentedModule.free(s3_act.ring, 6), regular_representation(s3, QQ).matrices
+    ), s3, tuple(range(6)), s3_character_table(QQ), True
+    f7, c3 = GF(7), cyclic_group(3)
+    ring7 = PolyRing(f7, ("x",))
+    c3_act = RingAction(c3, ring7, tuple(Matrix.identity(f7, 1) for _ in range(3)))
+    c3_act.validate()
+    yield "c3-regular-GF7", equivariant_from_matrices(
+        c3_act, PresentedModule.free(ring7, 3), regular_representation(c3, f7).matrices
+    ), c3, (0, 1, 2), c3_character_table(f7), True
+    line = line_action()
+    yield "c2-relaxed-A/(x)", cyclic_equivariant(line, [line.ring.var("x")]), \
+        line.group, (0, 1), c2_character_table(QQ), False
+    trivial = cyclic_group(1)
+    yield "trivial-subgroup", ring_as_equivariant(line), trivial, (0,), CharacterTable(
+        trivial, QQ, ("triv",), (1,), ((QQ.one(),),)), True
+
+
+@pytest.mark.parametrize("case", list(isotypic_cases()), ids=lambda case: case[0])
+def test_generator_kernels_give_the_all_element_pieces(case):
+    """The subgroup's generators fix what its elements fix, and each piece
+    is the reduced basis of that one submodule's syzygies, so the pieces
+    are equal to the all-element ones, not just isomorphic."""
+    _, em, h_group, h_embed, table, strict = case
+    pieces = isotypic_decompose_module(em, h_group, h_embed, table,
+                                       require_trivial_ring_action=strict)
+    assert [(p.name, p.module, p.lift_columns) for p in pieces] == \
+        ref_isotypic_pieces(em, h_group, h_embed, table)
 
 
 # -- cohomology of equivariant complexes ----------------------------------------------

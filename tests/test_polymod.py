@@ -315,6 +315,15 @@ def test_module_groebner_refuses_generators_of_different_lengths():
             module_groebner(gens)
 
 
+def test_vector_divmod_refuses_basis_vectors_of_another_length():
+    """Unchecked, the first two raised IndexError and the third read (y,)
+    as (y, 0)."""
+    for v, basis in ((V("x"), [V("x", "y")]), (V("x + y"), [V("y", "x")]),
+                     (V("x", "y"), [V("y")])):
+        with pytest.raises(ValidationError, match=r"basis\[0\] has length"):
+            vector_divmod(v, basis)
+
+
 def test_module_groebner_coprime_criterion_only_at_rank_one():
     # The leads x*e0 and y*e0 are coprime, yet their S-vector (0, y - x)
     # does not reduce to zero: the coprime shortcut is wrong above rank 1.
