@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Print the report and benchmark digests of one checkout as one JSON object.
 
-    python3 scripts/report_digests.py TREE [--seed N]
+    python3 scripts/report_digests.py TREE [--seed N] [--scenario PATH ...]
 
-For `ttkit verify-all --seed N` and for `ttkit run NAME` on each bundled
-scenario (the JSON files in TREE/src/ttkit/scenarios) the object holds the
-exit code and the sha256 of the text report and of the `--json` report.
+For `ttkit verify-all --seed N`, for `ttkit run NAME` on each bundled
+scenario (the JSON files in TREE/src/ttkit/scenarios) and for `ttkit run
+PATH` on each `--scenario` file, the object holds the exit code and the
+sha256 of the text report and of the `--json` report.  A scenario file is
+keyed by its absolute path, so two checkouts compared on the same file
+print the same key.
 For each workload named in TREE/BENCHMARK.json it holds the digest, the
 attempted count and the failure count of one
 `TREE/bench/job.py --workload NAME --seed N --mode plain` job.
@@ -39,12 +42,14 @@ def _python(args: list, env: dict, cwd: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True)
 
 
-def report_digests(tree: Path, seed: int) -> dict:
+def report_digests(tree: Path, seed: int, scenarios=()) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(tree / "src"))
     commands = {"verify-all": ["verify-all", "--seed", str(seed)]}
     for path in sorted((tree / "src" / "ttkit" / "scenarios").glob("*.json")):
         commands[f"run {path.stem}"] = ["run", path.stem]
+    for path in scenarios:
+        commands[f"run {path}"] = ["run", str(path)]
     workloads = [w["name"] for w in json.loads((tree / "BENCHMARK.json").read_text())["workloads"]]
 
     out = {"seed": seed, "reports": {}, "bench": {}}
@@ -71,8 +76,12 @@ def main(argv=None) -> int:
     parser.add_argument("tree", type=Path, help="root of the checkout")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"corpus and workload seed (default {DEFAULT_SEED})")
+    parser.add_argument("--scenario", type=Path, action="append", default=[],
+                        help="a scenario file to run as well; repeatable")
     args = parser.parse_args(argv)
-    print(json.dumps(report_digests(args.tree.resolve(), args.seed), indent=2, sort_keys=True))
+    scenarios = [path.resolve() for path in args.scenario]
+    print(json.dumps(report_digests(args.tree.resolve(), args.seed, scenarios),
+                     indent=2, sort_keys=True))
     return 0
 
 

@@ -27,7 +27,7 @@ from .errors import DomainMismatchError, PreconditionError, TruncationError, Val
 from .fields import Echelon, Field, Matrix, kernel_basis, rref, solve
 from .geometry import ClosedSet, closed_contains, image_closed_under_map
 from .grouprep import CharacterTable, FiniteGroup, cyclic_group, homomorphism_failure
-from .polyring import GroebnerBasis, Poly, PolyRing, eliminate, radical_equal, ring_with_prefix
+from .polyring import GroebnerBasis, Poly, PolyRing, radical_equal
 from .polymod import (
     ModuleMap,
     PresentedComplex,
@@ -53,6 +53,7 @@ from .polymod import (
     vec_scale,
     vec_sub,
     vector_in_standard_coords,
+    weighted_exponents,
     zero_vector,
 )
 
@@ -279,23 +280,6 @@ def invariant_space_basis(act: RingAction, d: int) -> list:
     return out
 
 
-def weighted_exponents(weights: Sequence[int], d: int) -> list:
-    """Exponent tuples alpha with sum alpha_i * weights_i = d."""
-    out = []
-
-    def rec(prefix, remaining, slot):
-        if slot == len(weights):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        top = remaining // weights[slot]
-        for e in range(top, -1, -1):
-            rec(prefix + [e], remaining - e * weights[slot], slot + 1)
-
-    rec([], d, 0)
-    return out
-
-
 @dataclass(frozen=True)
 class InvariantRingPresentation:
     """A^G presented as k[y_1..y_m]/K via y_i -> f_i."""
@@ -322,8 +306,6 @@ class InvariantRingPresentation:
 def _subalgebra_slice(gens: Sequence[Poly], degrees: Sequence[int], d: int,
                       ring: PolyRing) -> list:
     """Products of the generators spanning the degree-d slice of k[gens]."""
-    if d == 0:
-        return [ring.one()]
     out = []
     for alpha in weighted_exponents(list(degrees), d):
         p = ring.one()
@@ -340,10 +322,11 @@ def invariant_generators(act: RingAction, prefix: str = "u") -> InvariantRingPre
     Searches degree by degree up to |G| (the classical bound away from the
     modular case), keeping only invariants independent of products of the
     generators already chosen, then checks dimensions against the Molien
-    series through degree 2|G| and fails hard on any mismatch.
+    series through degree 2|G| and fails hard on any mismatch.  The
+    relations are the closed image of the whole space under the generators.
     """
     act.validate()
-    ring, fld, n = act.ring, act.ring.field, act.ring.nvars
+    ring, fld = act.ring, act.ring.field
     order = act.group.order
     gens: list = []
     for d in range(1, order + 1):
@@ -370,19 +353,7 @@ def invariant_generators(act: RingAction, prefix: str = "u") -> InvariantRingPre
     yring = PolyRing(fld, tuple(f"{prefix}{i}" for i in range(len(gens))))
     if set(yring.variables) & set(ring.variables):
         raise ValidationError("presentation variable prefix clashes with the ring")
-    if gens:
-        big = ring_with_prefix(yring, ring.variables)
-        pad = (0,) * len(gens)
-
-        def lift_x(p):
-            return Poly(big, tuple((m + pad, c) for m, c in p.terms))
-
-        ideal = []
-        for i, f in enumerate(gens):
-            ideal.append(big.var(yring.variables[i]) - lift_x(f))
-        rels = tuple(eliminate(ideal, n))
-    else:
-        rels = ()
+    rels = image_closed_under_map(ClosedSet.whole(ring), gens, yring).generators
     return InvariantRingPresentation(act, yring, tuple(gens), rels)
 
 
@@ -904,13 +875,12 @@ def isotypic_decompose_module(
     h_group: FiniteGroup,
     h_embed: Sequence[int],
     table: CharacterTable,
-    require_trivial_ring_action: bool = True,
 ) -> list:
     """Split M into canonical pieces under a subgroup acting linearly.
 
-    Strict mode asks the subgroup to fix the ring variables; relaxed mode
-    only asks the variable twists to die in the relations, which is what
-    the filtration layers provide.  Pieces are indexed by the character
+    The subgroup's variable twists must die in the relations, which is
+    what the filtration layers provide; a subgroup that fixes the ring
+    variables has no twists at all.  Pieces are indexed by the character
     table.  Each is the part of W* (x) M fixed by the subgroup's
     generators, cut out as the kernel of the stacked a - 1 over them; a
     trivial subgroup has none and keeps the whole tensor module.  The
@@ -929,14 +899,8 @@ def isotypic_decompose_module(
         raise DomainMismatchError("character table over the wrong field")
 
     for a in h_group.generators:
-        ga = h_embed[a]
-        if require_trivial_ring_action:
-            if not act.matrices[ga].equals(Matrix.identity(fld, ring.nvars)):
-                raise PreconditionError(
-                    "subgroup moves the ring variables; decomposition needs a linear action"
-                )
-        elif not all(mod.contains_in_relations(vec_scale(t, unit_vector(ring, mod.rank, j)))
-                     for j in range(mod.rank) for t in _twists(act, ga)):
+        if not all(mod.contains_in_relations(vec_scale(t, unit_vector(ring, mod.rank, j)))
+                   for j in range(mod.rank) for t in _twists(act, h_embed[a])):
             raise PreconditionError(
                 "variable twists do not vanish on the module; "
                 "the subgroup action is not linear here"
@@ -1204,8 +1168,7 @@ def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
         if layer.module.is_zero():
             continue
         decomposition = isotypic_decompose_module(
-            layer, act.group, list(range(act.group.order)), table,
-            require_trivial_ring_action=False,
+            layer, act.group, list(range(act.group.order)), table
         )
         for piece in decomposition:
             if piece.module.is_zero():

@@ -8,9 +8,8 @@ here; a value of the wrong kind, or matrices over different fields, raise
 `Field.from_sum`: `Matrix.mul` here, the tensor-power action of
 `grouprep` and the fibre ranks of `supermod`.  Still written inline
 (`Fraction` arithmetic when `p == 0`, else `% p`) are `Poly` sums and
-products in `polyring`, `_Reducers` in `polymod` and the F_p polynomial
-arithmetic in `geometry`.  Everything here is immutable and
-deterministic, except that an `Echelon` grows.
+products in `polyring` and `_Reducers` in `polymod`.  Everything here is
+immutable and deterministic, except that an `Echelon` grows.
 
 Matrices are stored dense and multiplied sparsely, each row of the right
 factor read once as its nonzeros.  An `Echelon` eliminates rows: `rank`

@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
+from .fields import GF
 from .polyring import (
+    GroebnerBasis,
     Poly,
     PolyRing,
     eliminate,
@@ -90,7 +92,7 @@ def closed_union_all(ring: PolyRing, parts: Iterable[ClosedSet]) -> ClosedSet:
 
 
 def _univariate_profile(p: Poly):
-    """(variable index, dense coefficient list) if p uses exactly one variable."""
+    """Dense coefficients, constant term first, if p uses exactly one variable."""
     used = set()
     for m, _ in p.terms:
         for i, e in enumerate(m):
@@ -104,17 +106,15 @@ def _univariate_profile(p: Poly):
     coeffs = [fld.zero()] * (deg + 1)
     for m, c in p.terms:
         coeffs[m[var]] = c
-    return var, coeffs
+    return coeffs
 
 
-def _rational_roots_exist(coeffs) -> bool:
-    """Rational root test for an integer-scaled polynomial."""
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
+def _rational_roots_exist(ints) -> bool:
+    """Rational root test for integer coefficients, constant term first.  A
+    quadratic has one exactly when its discriminant is a square."""
+    if len(ints) == 3:
+        disc = ints[1] ** 2 - 4 * ints[0] * ints[2]
+        return disc >= 0 and isqrt(disc) ** 2 == disc
     a0, an = ints[0], ints[-1]
     if a0 == 0:
         return True  # zero root
@@ -125,12 +125,6 @@ def _rational_roots_exist(coeffs) -> bool:
                 if sum(c * r ** i for i, c in enumerate(ints)) == 0:
                     return True
     return False
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):
@@ -146,80 +140,39 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-# Dense polynomials over F_p as coefficient lists, constant term first and
-# no trailing zero; [] is the zero polynomial.
-
-
-def _fp_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_rem(a: list, m: list, p: int) -> list:
-    """a mod m, for m nonzero."""
-    a = _fp_trim([c % p for c in a])
-    inv = pow(m[-1], p - 2, p)
-    dm = len(m) - 1
-    while len(a) > dm:
-        factor = a[-1] * inv % p
-        shift = len(a) - 1 - dm
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        _fp_trim(a)
-    return a
-
-
-def _fp_mulmod(a: list, b: list, m: list, p: int) -> list:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _fp_rem(prod, m, p)
-
-
-def _fp_gcd(a: list, b: list, p: int) -> list:
-    while b:
-        a, b = b, _fp_rem(a, b, p)
-    return a
-
-
 def _fp_irreducible(coeffs, p: int) -> bool:
     """Distinct-degree test: f of degree d over F_p is irreducible iff
     gcd(f, x^(p^k) - x) = 1 for every k <= d/2, since x^(p^k) - x is the
-    product of the monic irreducibles of degree dividing k.  Each
-    x^(p^k) mod f is the p-th power of the last, by repeated squaring."""
-    f = _fp_trim([c % p for c in coeffs])
-    deg = len(f) - 1
+    product of the monic irreducibles of degree dividing k.
+
+    f lives in GF(p)[x].  Each x^(p^k) mod f is the p-th power of the last,
+    by square-and-multiply through normal forms modulo (f); the gcd is 1
+    exactly when (f, x^(p^k) - x) is the unit ideal."""
+    ring = PolyRing(GF(p), ("x",))
+    f = ring.from_terms(((i,), c % p) for i, c in enumerate(coeffs) if c % p)
+    deg = f.total_degree()
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
-    x = [0, 1]  # x mod f, as deg f >= 2
-    h = x
+    mod_f = GroebnerBasis.of([f]).normal_form
+    h = x = ring.var("x")
     for _ in range(deg // 2):
-        power, e, h = h, p, [1]
+        power, e, h = h, p, ring.one()
         while e:  # h = power^p mod f
             if e & 1:
-                h = _fp_mulmod(h, power, f, p)
-            power = _fp_mulmod(power, power, f, p)
+                h = mod_f(h * power)
+            power = mod_f(power * power)
             e >>= 1
-        diff = _fp_trim([(u - v) % p for u, v in zip_longest(h, x, fillvalue=0)])
-        if len(_fp_gcd(f, diff, p)) > 1:
+        if not GroebnerBasis.of([f, h - x]).is_unit_ideal():
             return False
     return True
 
 
 def check_univariate_irreducible(g: Poly) -> None:
-    prof = _univariate_profile(g)
-    if prof is None:
+    coeffs = _univariate_profile(g)
+    if coeffs is None:
         raise ValidationError(
             "principal-irreducible site generator must involve exactly one variable"
         )
-    _, coeffs = prof
     fld = g.ring.field
     deg = g.total_degree()
     if deg == 1:
@@ -229,10 +182,16 @@ def check_univariate_irreducible(g: Poly) -> None:
             raise ValidationError(
                 "no irreducibility certificate for rational polynomials of degree > 3"
             )
-        if _rational_roots_exist(coeffs):
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        if deg == 3 and max(abs(ints[0]), abs(ints[3])) > 10 ** 12:  # trial division to 10^6
+            raise ValidationError(
+                "no irreducibility certificate for rational cubics with coefficients past 10^12"
+            )
+        if _rational_roots_exist(ints):
             raise ValidationError(f"{g} has a rational root, so it is reducible")
         return
-    if not _fp_irreducible([c % fld.p for c in coeffs], fld.p):
+    if not _fp_irreducible(coeffs, fld.p):
         raise ValidationError(f"{g} is reducible over GF({fld.p})")
 
 

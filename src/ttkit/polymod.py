@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd, lcm
 from operator import add
 from struct import Struct
@@ -854,30 +855,36 @@ def poly_weighted_degree(p: Poly, var_weights: Optional[Sequence[int]]) -> Optio
     return degs.pop()
 
 
-def monomials_of_degree(ring: PolyRing, d: int, var_weights: Optional[Sequence[int]] = None) -> list:
-    """Exponent tuples of (weighted) total degree d, grevlex-descending."""
+def weighted_exponents(weights: Sequence[int], d: int) -> list:
+    """Exponent tuples alpha with sum alpha_i * weights_i = d, the first
+    exponents descending: each slot but the last runs down from the most
+    that fits, and the last takes the rest when its weight divides it."""
     if d < 0:
         return []
-    n = ring.nvars
+    n = len(weights)
     if n == 0:
         return [()] if d == 0 else []
-    if var_weights is None:
-        var_weights = (1,) * n
-    if any(w < 1 for w in var_weights):
-        raise ValidationError("variable weights must be positive")
     out = []
 
     def rec(prefix, remaining, slot):
         if slot == n - 1:
-            if remaining % var_weights[slot] == 0:
-                out.append(prefix + (remaining // var_weights[slot],))
+            if remaining % weights[slot] == 0:
+                out.append(prefix + (remaining // weights[slot],))
             return
-        for e in range(remaining // var_weights[slot], -1, -1):
-            rec(prefix + (e,), remaining - e * var_weights[slot], slot + 1)
+        for e in range(remaining // weights[slot], -1, -1):
+            rec(prefix + (e,), remaining - e * weights[slot], slot + 1)
 
     rec((), d, 0)
-    out.sort(key=GREVLEX.neg_key)
     return out
+
+
+def monomials_of_degree(ring: PolyRing, d: int, var_weights: Optional[Sequence[int]] = None) -> list:
+    """Exponent tuples of (weighted) total degree d, grevlex-descending."""
+    if var_weights is None:
+        var_weights = (1,) * ring.nvars
+    if any(w < 1 for w in var_weights):
+        raise ValidationError("variable weights must be positive")
+    return sorted(weighted_exponents(var_weights, d), key=GREVLEX.neg_key)
 
 
 def relation_degree(rel: Vector, weights: Sequence[int],
@@ -953,32 +960,29 @@ def standard_pairs(mod: PresentedModule, cap: int = 4096) -> Optional[list]:
     These span coker as a vector space; returns None when the staircase is
     infinite (or larger than cap).  Order: generator index, then grevlex
     ascending, so multiplication matrices are reproducible.
+
+    Each staircase is read degree by degree through the lead filter of
+    `graded_standard_pairs`, up to the first degree with no standard
+    monomial: standard monomials are closed under division.  A staircase
+    with no pure power of some variable among its leads is infinite.
     """
-    by_pos = _relation_leads(mod)
-    ring = mod.ring
-    n = ring.nvars
+    leads = _relation_leads(mod)
+    n = mod.ring.nvars
     out = []
     for j in range(mod.rank):
-        blockers = by_pos.get(j, [])
-        seen = set()
-        frontier = [(0,) * n]
+        blockers = leads.get(j, ())
+        if len({i for b in blockers for i in range(n) if sum(b) == b[i]}) < n:
+            return None
         block = []
-        while frontier:
-            mono = frontier.pop(0)
-            if mono in seen:
-                continue
-            seen.add(mono)
-            if any(mono_divides(b, mono) for b in blockers):
-                continue
-            block.append(mono)
+        for d in count():
+            layer = [m for m in monomials_of_degree(mod.ring, d)
+                     if not any(mono_divides(b, m) for b in blockers)]
+            if not layer:
+                break
+            block += layer
             if len(out) + len(block) > cap:
                 return None
-            for k in range(n):
-                nxt = tuple(e + (1 if t == k else 0) for t, e in enumerate(mono))
-                if nxt not in seen:
-                    frontier.append(nxt)
-        block.sort(key=lambda m: GREVLEX.key(m))
-        out.extend((j, m) for m in block)
+        out.extend((j, m) for m in sorted(block, key=GREVLEX.key))
     return out
 
 

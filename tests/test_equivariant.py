@@ -682,7 +682,7 @@ def test_sign_module_has_no_trivial_piece():
     assert by_name == {"triv": 0, "sign": 1}
 
 
-def test_strict_mode_refuses_moving_variables():
+def test_twist_check_refuses_moving_variables():
     act = line_action()
     em = ring_as_equivariant(act)
     with pytest.raises(PreconditionError):
@@ -693,13 +693,10 @@ def test_relaxed_mode_needs_twists_to_die_in_relations():
     act = line_action()
     em = ring_as_equivariant(act)
     with pytest.raises(PreconditionError):
-        isotypic_decompose_module(em, act.group, (0, 1), c2_character_table(QQ),
-                                  require_trivial_ring_action=False)
+        isotypic_decompose_module(em, act.group, (0, 1), c2_character_table(QQ))
     x = act.ring.var("x")
     killed = cyclic_equivariant(act, [x])
-    pieces = isotypic_decompose_module(killed, act.group, (0, 1),
-                                       c2_character_table(QQ),
-                                       require_trivial_ring_action=False)
+    pieces = isotypic_decompose_module(killed, act.group, (0, 1), c2_character_table(QQ))
     by_name = {p.name: p.module.rank for p in pieces}
     assert by_name["triv"] == 1 and by_name["sign"] == 0
 
@@ -742,20 +739,20 @@ def isotypic_cases():
     s3_act = trivial_plane_action(s3)
     yield "s3-regular-QQ", equivariant_from_matrices(
         s3_act, PresentedModule.free(s3_act.ring, 6), regular_representation(s3, QQ).matrices
-    ), s3, tuple(range(6)), s3_character_table(QQ), True
+    ), s3, tuple(range(6)), s3_character_table(QQ)
     f7, c3 = GF(7), cyclic_group(3)
     ring7 = PolyRing(f7, ("x",))
     c3_act = RingAction(c3, ring7, tuple(Matrix.identity(f7, 1) for _ in range(3)))
     c3_act.validate()
     yield "c3-regular-GF7", equivariant_from_matrices(
         c3_act, PresentedModule.free(ring7, 3), regular_representation(c3, f7).matrices
-    ), c3, (0, 1, 2), c3_character_table(f7), True
+    ), c3, (0, 1, 2), c3_character_table(f7)
     line = line_action()
     yield "c2-relaxed-A/(x)", cyclic_equivariant(line, [line.ring.var("x")]), \
-        line.group, (0, 1), c2_character_table(QQ), False
+        line.group, (0, 1), c2_character_table(QQ)
     trivial = cyclic_group(1)
     yield "trivial-subgroup", ring_as_equivariant(line), trivial, (0,), CharacterTable(
-        trivial, QQ, ("triv",), (1,), ((QQ.one(),),)), True
+        trivial, QQ, ("triv",), (1,), ((QQ.one(),),))
 
 
 @pytest.mark.parametrize("case", list(isotypic_cases()), ids=lambda case: case[0])
@@ -763,9 +760,8 @@ def test_generator_kernels_give_the_all_element_pieces(case):
     """The subgroup's generators fix what its elements fix, and each piece
     is the reduced basis of that one submodule's syzygies, so the pieces
     are equal to the all-element ones, not just isomorphic."""
-    _, em, h_group, h_embed, table, strict = case
-    pieces = isotypic_decompose_module(em, h_group, h_embed, table,
-                                       require_trivial_ring_action=strict)
+    _, em, h_group, h_embed, table = case
+    pieces = isotypic_decompose_module(em, h_group, h_embed, table)
     assert [(p.name, p.module, p.lift_columns) for p in pieces] == \
         ref_isotypic_pieces(em, h_group, h_embed, table)
 

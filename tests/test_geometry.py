@@ -169,6 +169,11 @@ class TestIrreducibilityCertificates:
         ("x^2 + 1000000000000", True),
         ("x^2 - 1000000000000", False),
         ("4*x^2 - 1000000000000", False),
+        ("x^2 + 10000000000000000", True),
+        ("x^2 + 1000000000000000000", True),
+        # cubics past the bound get no certificate, reducible or not
+        ("x^3 - 1000000000000000", False),
+        ("x^3 - 2000000000000000", False),
     ])
     def test_large_constant_terms_are_decided_quickly(self, text, irreducible):
         start = time.perf_counter()

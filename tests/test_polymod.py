@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -53,6 +54,7 @@ from ttkit.polymod import (
     vec_sub,
     vector_divmod,
     vector_in_standard_coords,
+    weighted_exponents,
     zero_vector,
 )
 
@@ -1477,6 +1479,87 @@ def test_standard_pairs_finite_and_infinite():
     pairs = standard_pairs(m)
     assert pairs == [(0, (0,)), (0, (1,))]
     assert standard_pairs(PresentedModule.free(RX, 1), cap=64) is None
+
+
+def test_an_infinite_staircase_is_refused_before_any_degree_is_listed(monkeypatch):
+    # y - 1 leads with y and no power of x is a lead: read degree by degree
+    # up to the default cap, the x-axis would cost about 8 million monomials
+    listed = []
+    monkeypatch.setattr(polymod, "monomials_of_degree", lambda *args: listed.append(args) or [])
+    assert standard_pairs(PresentedModule.cyclic(RXY, [P("y - 1")])) is None
+    assert listed == []
+
+
+def ref_standard_pairs(mod, cap):
+    """The breadth-first walk `standard_pairs` replaced: from 1, step up one
+    variable at a time and keep what no relation lead divides."""
+    by_pos = polymod._relation_leads(mod)
+    n = mod.ring.nvars
+    out = []
+    for j in range(mod.rank):
+        blockers = by_pos.get(j, [])
+        seen = set()
+        frontier = [(0,) * n]
+        block = []
+        while frontier:
+            mono = frontier.pop(0)
+            if mono in seen:
+                continue
+            seen.add(mono)
+            if any(mono_divides(b, mono) for b in blockers):
+                continue
+            block.append(mono)
+            if len(out) + len(block) > cap:
+                return None
+            for k in range(n):
+                nxt = tuple(e + (1 if t == k else 0) for t, e in enumerate(mono))
+                if nxt not in seen:
+                    frontier.append(nxt)
+        block.sort(key=lambda m: GREVLEX.key(m))
+        out.extend((j, m) for m in block)
+    return out
+
+
+@st.composite
+def staircase_cases(draw):
+    """A module over QQ or GF(7) in x, y of rank 1 or 2, and a cap of 1-40.
+    Besides up to two random relations, each position may get relations led
+    by a pure power of x, of y or, half the time, of both, so that finite
+    staircases, within the cap and past it, are common."""
+    ring = draw(st.sampled_from([RXY, RF7]))
+    rank = draw(st.integers(min_value=1, max_value=2))
+    mono = st.tuples(*[st.integers(min_value=0, max_value=3)] * 2)
+    term = st.tuples(mono, st.integers(min_value=-3, max_value=3))
+
+    def poly(terms):
+        return ring.from_terms((m, ring.field.from_int(c)) for m, c in terms)
+
+    rels = [tuple(poly(draw(st.lists(term, max_size=3))) for _ in range(rank))
+            for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    for j in range(rank):
+        for var in draw(st.sampled_from([(0, 1), (0, 1), (0, 1), (0,), (1,), ()])):
+            e = draw(st.integers(min_value=1, max_value=4))
+            power = tuple(e if i == var else 0 for i in range(2))
+            lower = [(m, c) for m, c in draw(st.lists(term, max_size=2)) if sum(m) < e]
+            rels.append(tuple(poly([(power, 1)] + lower) if i == j else ring.zero()
+                              for i in range(rank)))
+    return PresentedModule(ring, rank, tuple(rels)), draw(st.integers(min_value=1, max_value=40))
+
+
+@given(staircase_cases())
+@settings(max_examples=150, deadline=None)
+def test_standard_pairs_match_the_breadth_first_walk(case):
+    mod, cap = case
+    assert standard_pairs(mod, cap) == ref_standard_pairs(mod, cap)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_weighted_exponents_match_the_product_filter(n):
+    for weights in product((1, 2, 3), repeat=n):
+        for d in range(-1, 9):
+            want = [alpha for alpha in product(range(d, -1, -1), repeat=n)
+                    if sum(e * w for e, w in zip(alpha, weights)) == d]
+            assert weighted_exponents(weights, d) == want, (weights, d)
 
 
 def test_multiplication_matrix_swap():

@@ -324,6 +324,59 @@ def test_an_exponent_past_the_limit_is_a_query_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _irreducible_sites_doc(quadratic):
+    """The superline over F_7 with the closed points x^2 + 1 and x^3 - 2,
+    neither of them rational, as `principal-irreducible` sites."""
+    return {
+        "name": "fp7_irreducible",
+        "ring": {"field": "Fp:7", "variables": ["x"]},
+        "superalgebra": {"odd_rank": 1},
+        "sites": [
+            {"label": "i", "generators": [quadratic], "kind": "principal-irreducible"},
+            {"label": "c", "generators": ["x^3 - 2"], "kind": "principal-irreducible"},
+            {"label": "generic", "generators": [], "kind": "declared"},
+        ],
+        "objects": {
+            "zero": {"kind": "super-zero"},
+            "unit": {"kind": "super-unit"},
+            "K[i]": {"kind": "super-koszul", "cuts": ["x^2 + 1"]},
+            "K[c]": {"kind": "super-koszul", "cuts": ["x^3 - 2"]},
+            "K[ic]": {"kind": "super-koszul", "cuts": ["x^5 + x^3 - 2*x^2 - 2"]},
+        },
+        "queries": [
+            {"label": "spectrum", "op": "spc",
+             "args": {"unit": "unit", "zero": "zero",
+                      "tensors": [["unit", "K[i]", "K[i]"]],
+                      "expect_profiles": {"K[i]": ["i"], "K[c]": ["c"], "K[ic]": ["i", "c"],
+                                          "unit": ["i", "c", "generic"]},
+                      "classify": True, "homeomorphism": True}},
+        ],
+    }
+
+
+def test_irreducible_sites_over_a_finite_field_give_the_spectrum(tmp_path, capsys):
+    p = tmp_path / "fp7_irreducible.json"
+    p.write_text(json.dumps(_irreducible_sites_doc("x^2 + 1")))
+    assert main(["run", str(p)]) == 0
+    out = capsys.readouterr().out
+    for line in ("profile of K[i]: {i} matches the expectation: yes",
+                 "profile of K[c]: {c} matches the expectation: yes",
+                 "profile of K[ic]: {i, c} matches the expectation: yes",
+                 "profile of unit: {i, c, generic} matches the expectation: yes",
+                 "classification round trips over 5 closed subsets: yes",
+                 "spectrum of 3 primes is the declared space: yes",
+                 "result: PASS (1/1 queries)"):
+        assert line in out
+
+
+def test_a_reducible_irreducible_site_is_an_input_error(tmp_path, capsys):
+    # x^2 - 2 = (x - 3)(x + 3) over F_7
+    p = tmp_path / "fp7_reducible.json"
+    p.write_text(json.dumps(_irreducible_sites_doc("x^2 - 2")))
+    assert main(["run", str(p)]) == 2
+    assert "$.sites: x^2 + 5 is reducible over GF(7)" in capsys.readouterr().err
+
+
 # -- loader details -----------------------------------------------------------------------
 
 
