@@ -6,7 +6,8 @@
 For `ttkit verify-all --seed N`, for `ttkit run NAME` on each bundled
 scenario (the JSON files in TREE/src/ttkit/scenarios) and for `ttkit run
 PATH` on each `--scenario` file, the object holds the exit code and the
-sha256 of the text report and of the `--json` report.  A scenario file is
+sha256 of the text report, of the `--json` report and of stderr, so a run
+that exits 2 is compared by its input-error message too.  A scenario file is
 keyed by its absolute path, so two checkouts compared on the same file
 print the same key.
 For each workload named in TREE/BENCHMARK.json it holds the digest, the
@@ -58,7 +59,8 @@ def report_digests(tree: Path, seed: int, scenarios=()) -> dict:
         for name, argv in commands.items():
             proc = _python(["-m", "ttkit.cli", *argv, "--json", str(report)], env, tmp)
             out["reports"][name] = {"exit": proc.returncode, "text": _sha(proc.stdout),
-                                    "json": _sha(report.read_bytes()) if report.exists() else None}
+                                    "json": _sha(report.read_bytes()) if report.exists() else None,
+                                    "stderr": _sha(proc.stderr)}
             report.unlink(missing_ok=True)
         for workload in workloads:
             proc = _python([str(tree / "bench" / "job.py"), "--workload", workload,

@@ -106,12 +106,6 @@ class AxiomVerdict:
     passed: bool
     counterexamples: tuple
 
-    def describe(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        lines = [f"{self.axiom}: {status}"]
-        lines.extend(f"  {c}" for c in self.counterexamples)
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class SupportReport:
@@ -126,9 +120,6 @@ class SupportReport:
             if v.axiom == axiom:
                 return v
         raise ValidationError(f"no verdict for {axiom!r}")
-
-    def describe(self) -> str:
-        return "\n".join(v.describe() for v in self.verdicts)
 
 
 def verify_support_datum(datum: SupportDatum) -> SupportReport:
@@ -319,18 +310,6 @@ class HomeoReport:
     basic_closed_rows: tuple     # (object id, matches: bool)
     order_rows: tuple            # (site a, site b, spc order, space order)
     passed: bool
-
-    def describe(self) -> str:
-        lines = [f"bijective: {self.bijective}"]
-        lines.extend(f"  collision: {a!r} and {b!r}" for a, b in self.collisions)
-        for obj, ok in self.basic_closed_rows:
-            lines.append(f"basic closed {obj!r}: {'pass' if ok else 'FAIL'}")
-        for a, b, spc_ord, sp_ord in self.order_rows:
-            if spc_ord != sp_ord:
-                lines.append(f"order mismatch on ({a!r}, {b!r}): "
-                             f"spc {spc_ord} vs space {sp_ord}")
-        lines.append(f"homeomorphism: {'pass' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
 
 
 def check_homeomorphism(spc: SpcSpace, space: SiteSpace) -> HomeoReport:

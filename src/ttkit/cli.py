@@ -11,6 +11,10 @@ failure, 2 on an input problem (unparseable file, schema violation,
 unresolved label).  Text reports are byte-identical across runs for a
 fixed (input, seed, version); `--json` additionally writes the machine
 report, which validates against the published report schema.
+
+The report format of both `verify-all` and the scenario commands lives
+here: `_report_text` lays out the text report and `_report_json` builds
+the machine report; `verify` and `scenario` only produce the entries.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from .scenario import (
     ScenarioError,
     bundled_scenarios,
     load_scenario,
-    render_report_text,
-    report_to_json,
     run_scenario,
 )
 
@@ -109,12 +111,49 @@ def _write_json(path: str, doc: dict) -> None:
         raise ScenarioError("--json", str(e)) from None
 
 
+def _report_text(header: list, headings: list, results, noun: str) -> str:
+    """The header lines, each entry's heading with its lines indented, and
+    the tally of passed entries."""
+    lines = [*header, ""]
+    for heading, r in zip(headings, results):
+        lines.append(heading)
+        lines.extend(f"  {l}" for l in r.lines)
+    passed = sum(1 for r in results if r.passed)
+    lines.append("")
+    lines.append(f"result: {'PASS' if passed == len(results) else 'FAIL'} "
+                 f"({passed}/{len(results)} {noun})")
+    return "\n".join(lines) + "\n"
+
+
+def _report_json(kind: str, name: str, seed: int, entries: list) -> dict:
+    """The machine report, matching the published report schema; timings
+    stay null so reports are deterministic."""
+    return {
+        "version": __version__,
+        "kind": kind,
+        "name": name,
+        "seed": seed,
+        "passed": all(e["status"] == "pass" for e in entries),
+        "timings": None,
+        "entries": entries,
+    }
+
+
+def _finish(args, text: str, doc: dict) -> int:
+    sys.stdout.write(text)
+    if args.json_path:
+        _write_json(args.json_path, doc)
+    return EXIT_PASS if doc["passed"] else EXIT_FAIL
+
+
 def _run_verify_all(args) -> int:
     results = verify.run_all(args.seed)
-    sys.stdout.write(verify.render_text(results, args.seed))
-    if args.json_path:
-        _write_json(args.json_path, verify.report_json(results, args.seed))
-    return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
+    header = [f"ttkit {__version__} verification report", f"seed: {args.seed}"]
+    headings = [f"criterion {r.number} ({r.title}): {r.status.upper()}" for r in results]
+    entries = [{"label": f"criterion {r.number}", "op": "verify", "status": r.status,
+                "lines": [r.title, *r.lines]} for r in results]
+    return _finish(args, _report_text(header, headings, results, "criteria"),
+                   _report_json("verify-all", "acceptance", args.seed, entries))
 
 
 def _run_scenario_command(args) -> int:
@@ -122,11 +161,13 @@ def _run_scenario_command(args) -> int:
     options = RunOptions(seed=args.seed, degree_bound=args.degree_bound,
                          strict=args.strict)
     results = run_scenario(scn, options, args.only_op)
-    sys.stdout.write(render_report_text("scenario", scn.name, results, args.seed))
-    if args.json_path:
-        _write_json(args.json_path,
-                    report_to_json("scenario", scn.name, results, args.seed))
-    return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
+    header = [f"ttkit {__version__} scenario report", f"scenario: {scn.name}",
+              f"seed: {args.seed}"]
+    headings = [f"[{r.label}] {r.op}: {r.status.upper()}" for r in results]
+    entries = [{"label": r.label, "op": r.op, "status": r.status, "lines": list(r.lines)}
+               for r in results]
+    return _finish(args, _report_text(header, headings, results, "queries"),
+                   _report_json("scenario", scn.name, args.seed, entries))
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -26,7 +26,13 @@ from typing import Optional, Sequence
 from .errors import DomainMismatchError, PreconditionError, TruncationError, ValidationError
 from .fields import Echelon, Field, Matrix, kernel_basis, rref, solve
 from .geometry import ClosedSet, closed_contains, image_closed_under_map
-from .grouprep import CharacterTable, FiniteGroup, cyclic_group, homomorphism_failure
+from .grouprep import (
+    CharacterTable,
+    FiniteGroup,
+    check_order_invertible,
+    cyclic_group,
+    homomorphism_failure,
+)
 from .polyring import GroebnerBasis, Poly, PolyRing, radical_equal
 from .polymod import (
     ModuleMap,
@@ -69,10 +75,7 @@ class RingAction:
 
     def validate(self) -> None:
         g, fld, n = self.group, self.ring.field, self.ring.nvars
-        if fld.p > 0 and g.order % fld.p == 0:
-            raise DomainMismatchError(
-                f"characteristic {fld.p} divides the group order {g.order}"
-            )
+        check_order_invertible(fld, g.order)
         if len(self.matrices) != g.order:
             raise ValidationError("one substitution matrix per group element required")
         for m in self.matrices:
@@ -115,9 +118,6 @@ class RingAction:
         if a == self.group.identity:
             return p
         return p.substitute(images)
-
-    def apply_vector(self, a: int, v: Sequence[Poly]) -> tuple:
-        return tuple(self.apply(a, p) for p in v)
 
 
 def _check_element(group: FiniteGroup, a: int) -> None:
@@ -244,6 +244,15 @@ def molien_dimensions(act: RingAction, upto: int) -> list:
         total = [fld.add(a, b) for a, b in zip(total, inv)]
     scale = fld.inv(fld.from_int(act.group.order))
     return [fld.mul(scale, a) for a in total]
+
+
+def molien_check(pres: InvariantRingPresentation, upto: int) -> tuple:
+    """The dimensions of k[y]/K in degrees 0..upto, each y_i weighted by the
+    degree of its generator, and whether they equal the Molien coefficients."""
+    ring_mod = PresentedModule(pres.ring, 1, tuple((r,) for r in pres.relations))
+    dims = [int(graded_dim(ring_mod, (0,), d, var_weights=list(pres.degrees)))
+            for d in range(upto + 1)]
+    return dims, dims == [int(m) for m in molien_dimensions(pres.action, upto)]
 
 
 def reynolds_poly(act: RingAction, p: Poly) -> Poly:
@@ -1073,6 +1082,15 @@ class TowerStage:
     pieces: tuple
     support_before: ClosedSet
     support_after: ClosedSet
+
+    def support_checks(self, pres: InvariantRingPresentation) -> tuple:
+        """Whether the support drops strictly, and whether every piece lies
+        inside the image of the support before the stage."""
+        drop = (closed_contains(self.support_before, self.support_after)
+                and not closed_contains(self.support_after, self.support_before))
+        image = image_closed_under_map(self.support_before, list(pres.generators),
+                                       pres.ring)
+        return drop, all(closed_contains(image, p.support) for p in self.pieces)
 
 
 @dataclass(frozen=True)

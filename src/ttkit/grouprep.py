@@ -238,10 +238,7 @@ class CharacterTable:
             raise ValidationError("irreducible labels must be nonempty and distinct")
         if not (len(self.degrees) == len(self.values) == len(self.matrix_forms) == len(self.names)):
             raise ValidationError("character table columns must align")
-        if fld.p > 0 and n % fld.p == 0:
-            raise DomainMismatchError(
-                f"characteristic {fld.p} divides the group order {n}"
-            )
+        check_order_invertible(fld, n)
         if sum(d * d for d in self.degrees) != n:
             raise ValidationError(
                 "squared degrees do not sum to the group order: table is not split"
@@ -328,10 +325,7 @@ class Representation:
 
     def validate(self) -> None:
         g, n = self.group, self.group.order
-        if self.field.p > 0 and n % self.field.p == 0:
-            raise DomainMismatchError(
-                f"characteristic {self.field.p} divides the group order {n}"
-            )
+        check_order_invertible(self.field, n)
         if len(self.matrices) != n:
             raise ValidationError("one matrix per group element required")
         for m in self.matrices:
@@ -360,9 +354,15 @@ def _dot(fld: Field, row, vec):
     return s
 
 
-def _inv_order(fld: Field, n: int):
+def check_order_invertible(fld: Field, n: int) -> None:
+    """Raise DomainMismatchError when the characteristic of fld divides the
+    group order n, where averaging over the group is undefined."""
     if fld.p > 0 and n % fld.p == 0:
-        raise DomainMismatchError(f"characteristic {fld.p} divides {n}")
+        raise DomainMismatchError(f"characteristic {fld.p} divides the group order {n}")
+
+
+def _inv_order(fld: Field, n: int):
+    check_order_invertible(fld, n)
     return fld.inv(fld.from_int(n))
 
 

@@ -734,11 +734,6 @@ class ModuleMap:
         z = zero_vector(target.ring, target.rank)
         return ModuleMap(source, target, tuple(z for _ in range(source.rank)))
 
-    @staticmethod
-    def identity(mod: PresentedModule) -> "ModuleMap":
-        cols = tuple(unit_vector(mod.ring, mod.rank, i) for i in range(mod.rank))
-        return ModuleMap(mod, mod, cols)
-
 
 def map_cokernel(f: ModuleMap) -> PresentedModule:
     rels = tuple(f.target.relations) + tuple(f.columns)

@@ -7,7 +7,9 @@ answers must be.  Loading validates everything that can be validated
 before any mathematics runs: the schema, every referenced label, every
 polynomial string.  Those problems are input errors.  A query whose
 declared expectation fails at run time is a verification failure, which
-is report content, not an exception.
+is report content, not an exception.  `run_scenario` returns one result
+per query; `cli` lays the results out as the text and JSON reports, in the
+same format as `verify-all`.
 
 Polynomials and scalars are strings in the printing grammar of the
 polynomial layer ("x^2 - 1/2*y"), matrices are row lists of scalar
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from . import __version__
 from .balmer import (
     SupportDatum,
     SupportProfile,
@@ -39,7 +40,7 @@ from .equivariant import (
     direct_sum_equivariant,
     invariant_generators,
     module_support,
-    molien_dimensions,
+    molien_check,
     ring_as_equivariant,
     tower,
     twist_by_character,
@@ -60,7 +61,7 @@ from .grouprep import (
     s3_character_table,
     s3_group,
 )
-from .polymod import PresentedModule, graded_dim
+from .polymod import PresentedModule
 from .polyring import GroebnerBasis, Poly, PolyRing
 from .supermod import (
     SuperAlgebra,
@@ -85,8 +86,6 @@ class ScenarioError(ValidationError):
 def _fail(path: str, message: str):
     raise ScenarioError(path, message)
 
-
-OPS = ("gb", "invariants", "decompose", "support", "tower", "spc")
 
 OBJECT_KINDS = (
     "module",
@@ -196,9 +195,6 @@ def _parse_matrix(ring: PolyRing, rows, path: str) -> Matrix:
         parsed.append([_parse_scalar(ring, v, f"{path}[{i}][{j}]")
                        for j, v in enumerate(row)])
     return Matrix.from_rows(ring.field, parsed)
-
-
-_BUILTIN_GROUPS = ("c2", "c3", "s3")
 
 
 def _build_group(desc, path: str):
@@ -343,11 +339,11 @@ def _resolve(scn: Scenario, ref, kinds, here: str):
 def _build_object(scn: Scenario, oid: str, kind: str, entry: dict, here: str):
     ring, alg = scn.ring, scn.superalgebra
     if kind == "module":
-        rank = entry["rank"]
+        rank = _required(entry, "rank", here)
         rels = []
         for i, rel in enumerate(entry.get("relations", ())):
-            if len(rel) != rank:
-                _fail(f"{here}.relations[{i}]", f"relation length must equal rank {rank}")
+            if not isinstance(rel, list) or len(rel) != rank:
+                _fail(f"{here}.relations[{i}]", f"a relation is an array of {rank} polynomials")
             rels.append(tuple(_parse_poly(ring, p, f"{here}.relations[{i}][{j}]")
                               for j, p in enumerate(rel)))
         return PresentedModule(ring, rank, tuple(rels))
@@ -367,7 +363,7 @@ def _build_object(scn: Scenario, oid: str, kind: str, entry: dict, here: str):
         return SuperComplex(alg, 0, ((0, 0),), ())
     if kind == "super-koszul":
         cuts = [_parse_poly(ring, p, f"{here}.cuts[{i}]")
-                for i, p in enumerate(entry["cuts"])]
+                for i, p in enumerate(_required(entry, "cuts", here))]
         return koszul_complex_super(alg, cuts)
     if kind == "super-sum":
         return _fold(scn, entry, _SUPER_KINDS, direct_sum_supercomplex, here)
@@ -380,6 +376,12 @@ def _build_object(scn: Scenario, oid: str, kind: str, entry: dict, here: str):
     if kind == "super-tensor":
         return _fold(scn, entry, _SUPER_KINDS, tensor_supercomplexes, here)
     raise AssertionError(kind)
+
+
+def _required(entry: dict, key: str, here: str):
+    if key not in entry:
+        _fail(f"{here}.{key}", f"a {entry['kind']} object needs {key!r}")
+    return entry[key]
 
 
 def _fold(scn: Scenario, entry: dict, kinds, join, here: str):
@@ -628,16 +630,10 @@ def _run_invariants(scn: Scenario, q: Query, options: RunOptions) -> QueryResult
     a = q.args
     pres = scn.presentation()
     upto = a.get("upto") or options.degree_bound or 2 * scn.action.group.order
-    mol = molien_dimensions(scn.action, upto)
-    ring_mod = PresentedModule(pres.ring, 1, tuple((r,) for r in pres.relations))
-    dims = [graded_dim(ring_mod, (0,), d, var_weights=list(pres.degrees))
-            for d in range(upto + 1)]
-    match = [int(x) for x in dims] == [int(x) for x in mol]
-    ok = match
+    dims, ok = molien_check(pres, upto)
     lines = [
         f"generators: {', '.join(str(g) for g in pres.generators)}",
-        f"degrees 0..{upto} dims {[int(x) for x in dims]} match the Molien "
-        f"series: {_yn(match)}",
+        f"degrees 0..{upto} dims {dims} match the Molien series: {_yn(ok)}",
     ]
     if "expect_degrees" in a:
         got = list(pres.degrees)
@@ -704,8 +700,6 @@ def _run_support(scn: Scenario, q: Query, options: RunOptions) -> QueryResult:
 
 
 def _run_tower(scn: Scenario, q: Query, options: RunOptions) -> QueryResult:
-    from .geometry import image_closed_under_map
-
     a = q.args
     obj = scn.object(a["object"])
     pres = scn.presentation()
@@ -718,11 +712,7 @@ def _run_tower(scn: Scenario, q: Query, options: RunOptions) -> QueryResult:
     ok = True
     lines = []
     for st in res.stages:
-        drop = (closed_contains(st.support_before, st.support_after)
-                and not closed_contains(st.support_after, st.support_before))
-        img = image_closed_under_map(st.support_before, list(pres.generators),
-                                     pres.ring)
-        inside = all(closed_contains(img, p.support) for p in st.pieces)
+        drop, inside = st.support_checks(pres)
         ok = ok and drop and inside
         lines.append(f"stage {st.component} ({st.kind}): "
                      f"pieces {[p.label for p in st.pieces]}, "
@@ -787,35 +777,3 @@ _RUNNERS = {
     "tower": _run_tower,
     "spc": _run_spc,
 }
-
-
-# -- reports ------------------------------------------------------------------------------
-
-
-def render_report_text(kind: str, name: str, results, seed: int) -> str:
-    lines = [f"ttkit {__version__} {kind} report", f"{kind}: {name}",
-             f"seed: {seed}", ""]
-    for r in results:
-        lines.append(f"[{r.label}] {r.op}: {r.status.upper()}")
-        lines.extend(f"  {l}" for l in r.lines)
-    passed = sum(1 for r in results if r.passed)
-    lines.append("")
-    lines.append(f"result: {'PASS' if passed == len(results) else 'FAIL'} "
-                 f"({passed}/{len(results)} queries)")
-    return "\n".join(lines) + "\n"
-
-
-def report_to_json(kind: str, name: str, results, seed: int) -> dict:
-    """The machine report; timings stay null so reports are deterministic."""
-    return {
-        "version": __version__,
-        "kind": kind,
-        "name": name,
-        "seed": seed,
-        "passed": all(r.passed for r in results),
-        "timings": None,
-        "entries": [
-            {"label": r.label, "op": r.op, "status": r.status, "lines": list(r.lines)}
-            for r in results
-        ],
-    }

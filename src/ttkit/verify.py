@@ -3,7 +3,9 @@
 Each criterion function runs one self-contained check over the corpus
 and returns a CriterionResult whose lines are deterministic for a fixed
 seed: no wall-clock values, no machine-dependent ordering.  Budgets are
-enforced but reported only as yes/no so reports stay byte-stable.
+enforced but reported only as yes/no so reports stay byte-stable.  The
+report that lays the results out is built in `cli`, which also lays out
+the scenario reports.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import __version__
 from .balmer import (
     build_spc,
     check_classification,
@@ -39,11 +40,10 @@ from .corpus import (
 from .equivariant import (
     check_projection_formula,
     invariant_generators,
-    molien_dimensions,
+    molien_check,
     tower,
 )
 from .fields import GF, QQ
-from .geometry import closed_contains, image_closed_under_map
 from .grouprep import (
     _apply_tensor_power,
     c2_character_table,
@@ -53,8 +53,9 @@ from .grouprep import (
     s3_group,
     trivial_summand_witness,
 )
-from .polymod import PresentedModule, bounded_membership, graded_dim
+from .polymod import bounded_membership, graded_dim
 from .polyring import GroebnerBasis, PolyRing
+from .scenario import _yn
 from .supermod import SuperAlgebra, j_filtration
 
 
@@ -64,6 +65,10 @@ class CriterionResult:
     title: str
     passed: bool
     lines: tuple
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def _result(number: int, title: str, passed: bool, lines) -> CriterionResult:
@@ -109,10 +114,6 @@ def criterion_1() -> CriterionResult:
     return _result(1, "ideal membership agrees with the linear oracle", ok, lines)
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "NO"
-
-
 # -- 2: invariant rings against the Molien series -----------------------------------------
 
 
@@ -121,15 +122,10 @@ def criterion_2() -> CriterionResult:
     lines = []
     ok = True
     for case in invariant_ring_corpus():
-        pres = invariant_generators(case.act)
-        mol = molien_dimensions(case.act, case.upto)
-        ring_mod = PresentedModule(pres.ring, 1, tuple((r,) for r in pres.relations))
-        dims = [graded_dim(ring_mod, (0,), d, var_weights=list(pres.degrees))
-                for d in range(case.upto + 1)]
-        match = [int(a) for a in dims] == [int(b) for b in mol]
+        dims, match = molien_check(invariant_generators(case.act), case.upto)
         ok = ok and match
         lines.append(f"{case.name}: degrees 0..{case.upto} dims "
-                     f"{[int(d) for d in dims]} match Molien: {_yn(match)}")
+                     f"{dims} match Molien: {_yn(match)}")
     in_budget = time.monotonic() - t0 < 5.0
     ok = ok and in_budget
     lines.append(f"within the 5 s budget: {_yn(in_budget)}")
@@ -206,18 +202,9 @@ def criterion_5() -> CriterionResult:
         for case in fam.cases:
             count += 1
             res = tower(case.obj, fam.pres, case.components, fam.table)
-            shrinking = True
-            contained = True
-            for st in res.stages:
-                if not closed_contains(st.support_before, st.support_after):
-                    shrinking = False
-                if closed_contains(st.support_after, st.support_before):
-                    shrinking = False
-                img = image_closed_under_map(
-                    st.support_before, list(fam.pres.generators), fam.pres.ring)
-                for p in st.pieces:
-                    if not closed_contains(img, p.support):
-                        contained = False
+            checks = [st.support_checks(fam.pres) for st in res.stages]
+            shrinking = all(drop for drop, _ in checks)
+            contained = all(inside for _, inside in checks)
             ok = ok and shrinking and contained
             lines.append(
                 f"{fam.name}/{case.name}: {len(res.stages)} stage(s) "
@@ -382,34 +369,3 @@ def run_all(seed: int = DEFAULT_SEED) -> tuple:
         criterion_9(),
         criterion_10(),
     )
-
-
-def render_text(results, seed: int) -> str:
-    lines = [f"ttkit {__version__} verification report", f"seed: {seed}", ""]
-    for r in results:
-        lines.append(f"criterion {r.number} ({r.title}): "
-                     f"{'PASS' if r.passed else 'FAIL'}")
-        lines.extend(f"  {l}" for l in r.lines)
-    passed = sum(1 for r in results if r.passed)
-    lines.append("")
-    lines.append(f"result: {'PASS' if passed == len(results) else 'FAIL'} "
-                 f"({passed}/{len(results)} criteria)")
-    return "\n".join(lines) + "\n"
-
-
-def report_json(results, seed: int) -> dict:
-    """The machine report, matching the published report schema."""
-    return {
-        "version": __version__,
-        "kind": "verify-all",
-        "name": "acceptance",
-        "seed": seed,
-        "passed": all(r.passed for r in results),
-        "timings": None,
-        "entries": [
-            {"label": f"criterion {r.number}", "op": "verify",
-             "status": "pass" if r.passed else "fail",
-             "lines": [r.title] + list(r.lines)}
-            for r in results
-        ],
-    }

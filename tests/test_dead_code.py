@@ -1,12 +1,14 @@
 """Every public top-level definition and public method in `src/ttkit` has a
-caller outside the tests, and every module-level import is used by its
-module.
+caller outside the tests, every module-level assignment is read, and every
+module-level import is used by its module.
 
 The roots are the command line (`cli`), the module-level statements of
-every ttkit module (imports aside), and the `scripts/*.py` and `bench/*.py`
-programs (`bench/test_bench.py` aside).  A top-level `def` or `class`, or a
-method other than a dunder, is reachable when a root or the body of a
-reachable definition uses its name, as a bare name or as an attribute.
+every ttkit module (imports and assignments aside), and the `scripts/*.py`
+and `bench/*.py` programs (`bench/test_bench.py` aside).  A top-level
+`def` or `class`, a method other than a dunder, or a name that a
+module-level assignment binds is reachable when a root or the body of a
+reachable definition uses its name, as a bare name or as an attribute; the
+body of an assignment is its value.
 Names are matched by spelling alone, so the walk can only over-approximate
 what is reachable: a name it reports is used by nothing that the roots
 reach.
@@ -28,6 +30,7 @@ KEEP = {
                      "and .zero_ratio wrap it by name; tests divide with it",
     "report_schema": "loads the published schema that --json reports follow",
     "closed_equal": "equality of the ClosedSet values the README names",
+    "LEX": "the public lex order that the tests select",
 }
 
 # Module-level imports kept although their module never uses them, keyed
@@ -60,8 +63,12 @@ def _is_method(node: ast.AST) -> bool:
             and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
+ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
+
+
 def _reachability():
-    """(module, qualified name, name) of every public definition, and the names reached.
+    """(module, qualified name, name) of every public definition, (module,
+    name) of every module-level assignment, and the names reached.
 
     A method is reached by its own name, like a function; the rest of its
     class (bases, decorators, fields and dunder methods, which run
@@ -69,6 +76,7 @@ def _reachability():
     """
     bodies = {}      # name -> names its definitions use
     defined = []     # (module, qualified name, name) of every public definition
+    assigned = []    # (module, name) of every name a module-level assignment binds
     roots = set()
     for path in sorted(SRC.glob("*.py")):
         tree = _parse(path)
@@ -92,6 +100,11 @@ def _reachability():
                     used.update(_used_names(part))
                 if not stmt.name.startswith("_"):
                     defined.append((path.stem, stmt.name, stmt.name))
+            elif isinstance(stmt, ASSIGNMENTS):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for name in set().union(*map(_used_names, targets)):
+                    bodies.setdefault(name, set()).update(_used_names(stmt.value))
+                    assigned.append((path.stem, name))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _used_names(stmt)
     programs = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("bench/*.py"))
@@ -106,18 +119,25 @@ def _reachability():
             continue
         reached.add(name)
         todo.extend(bodies.get(name, ()))
-    return defined, reached
+    return defined, assigned, reached
 
 
 def test_every_public_definition_is_reachable_or_kept():
-    defined, reached = _reachability()
+    defined, _, reached = _reachability()
     assert [(mod, qualname) for mod, qualname, name in defined
             if name not in reached and qualname not in KEEP] == []
 
 
+def test_every_module_level_assignment_is_read_or_kept():
+    _, assigned, reached = _reachability()
+    assert [f"{mod}.{name}" for mod, name in assigned
+            if name not in reached and name not in KEEP] == []
+
+
 def test_every_kept_name_is_defined_and_unreached():
     # A kept name that gains a caller, or loses its definition, leaves the list.
-    defined, reached = _reachability()
+    defined, assigned, reached = _reachability()
+    defined = defined + [(mod, name, name) for mod, name in assigned]
     kept = {qualname: name for _, qualname, name in defined if qualname in KEEP}
     assert set(kept) == set(KEEP)
     assert not set(kept.values()) & reached

@@ -79,17 +79,21 @@ def test_family_subcommand_filters_to_its_op(capsys):
     assert "result: PASS (1/1 queries)" in out
 
 
-def test_json_report_is_schema_valid(tmp_path, capsys):
+@pytest.mark.parametrize("argv, kind, name, labels", [
+    (["run", "superline"], "scenario", "superline", ["support-data", "origin-support"]),
+    (["verify-all"], "verify-all", "acceptance", [f"criterion {n}" for n in range(1, 11)]),
+], ids=["run", "verify-all"])
+def test_json_report_is_schema_valid(tmp_path, capsys, argv, kind, name, labels):
     out_path = tmp_path / "report.json"
-    assert main(["run", "superline", "--json", str(out_path)]) == 0
+    assert main(argv + ["--json", str(out_path)]) == 0
     capsys.readouterr()
     doc = json.loads(out_path.read_text())
     jsonschema.Draft202012Validator(report_schema()).validate(doc)
-    assert doc["kind"] == "scenario"
-    assert doc["name"] == "superline"
+    assert doc["kind"] == kind
+    assert doc["name"] == name
     assert doc["passed"] is True
     assert doc["timings"] is None
-    assert [e["label"] for e in doc["entries"]] == ["support-data", "origin-support"]
+    assert [e["label"] for e in doc["entries"]] == labels
 
 
 def test_bundled_scenarios_validate_against_the_published_schema():
@@ -163,6 +167,22 @@ def test_of_with_the_wrong_shape_is_an_input_error(tmp_path, capsys, kind, of):
     assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert "$.objects.S.of: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("objects, path", [
+    ({"M": {"kind": "module"}}, "$.objects.M.rank: "),
+    ({"K": {"kind": "super-koszul"}}, "$.objects.K.cuts: "),
+    ({"M": {"kind": "module", "rank": 2, "relations": ["xy"]}}, "$.objects.M.relations[0]: "),
+], ids=["module-without-rank", "koszul-without-cuts", "relation-as-a-string"])
+def test_a_missing_or_misshapen_object_key_is_an_input_error(tmp_path, capsys, objects, path):
+    doc = {"name": "keys", "ring": {"field": "Q", "variables": ["x", "y"]},
+           "superalgebra": {"odd_rank": 1}, "objects": objects, "queries": []}
+    p = tmp_path / "keys.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert path in err
     assert "Traceback" not in err
 
 
