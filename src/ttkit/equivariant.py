@@ -126,34 +126,26 @@ def _check_element(group: FiniteGroup, a: int) -> None:
 
 
 def trivial_action(ring: PolyRing) -> RingAction:
-    g = cyclic_group(1, names=("e",))
+    g = cyclic_group(1)
     act = RingAction(g, ring, (Matrix.identity(ring.field, ring.nvars),))
     act.validate()
     return act
 
 
-def fixed_locus(act: RingAction, h_indices: Sequence[int]) -> ClosedSet:
-    """V of the twists g(x_i) - x_i over the subgroup elements."""
-    _check_subgroup(act.group, h_indices)
-    return ClosedSet(act.ring, tuple(t for a in h_indices if a != act.group.identity
-                                     for t in _twists(act, a)))
+def fixed_locus(act: RingAction, a: int) -> ClosedSet:
+    """V of the twists a(x_i) - x_i: the points that element a fixes.
+
+    It is also the fixed locus of the cyclic subgroup a generates: for a
+    linear action a^k(x) - x = (M^(k-1) + ... + I)(Mx - x), so the twists of
+    every power of a lie in the ideal of the twists of a.
+    """
+    _check_element(act.group, a)
+    return ClosedSet(act.ring, tuple(_twists(act, a)))
 
 
 def _twists(act: RingAction, a: int) -> list:
     """The nonzero twists a(x) - x, one for each variable that a moves."""
     return [t for t in (act.apply(a, x) - x for x in act.ring.gens()) if not t.is_zero()]
-
-
-def _check_subgroup(group: FiniteGroup, h_indices: Sequence[int]) -> None:
-    h = set(h_indices)
-    if group.identity not in h:
-        raise ValidationError("subgroup must contain the identity")
-    for a in h:
-        if not (0 <= a < group.order):
-            raise ValidationError("subgroup index out of range")
-        for b in h:
-            if group.table[a][b] not in h:
-                raise ValidationError("indices are not closed under multiplication")
 
 
 def pointwise_stabilizer(act: RingAction, c: ClosedSet) -> tuple:
@@ -163,7 +155,7 @@ def pointwise_stabilizer(act: RingAction, c: ClosedSet) -> tuple:
         if a == act.group.identity:
             out.append(a)
             continue
-        xg = fixed_locus(act, act.group.closure((a,)))
+        xg = fixed_locus(act, a)
         if closed_contains(xg, c):
             out.append(a)
     return tuple(sorted(out))
@@ -325,8 +317,9 @@ def _subalgebra_slice(gens: Sequence[Poly], degrees: Sequence[int], d: int,
     return out
 
 
-def invariant_generators(act: RingAction, prefix: str = "u") -> InvariantRingPresentation:
-    """Algebra generators of the invariant ring, Molien-certified.
+def invariant_generators(act: RingAction) -> InvariantRingPresentation:
+    """Algebra generators of the invariant ring, Molien-certified, as the
+    variables u0, u1, ... of the presentation ring.
 
     Searches degree by degree up to |G| (the classical bound away from the
     modular case), keeping only invariants independent of products of the
@@ -359,7 +352,7 @@ def invariant_generators(act: RingAction, prefix: str = "u") -> InvariantRingPre
         if reynolds_poly(act, g) != g:
             raise ValidationError("chosen generator is not an invariant")
 
-    yring = PolyRing(fld, tuple(f"{prefix}{i}" for i in range(len(gens))))
+    yring = PolyRing(fld, tuple(f"u{i}" for i in range(len(gens))))
     if set(yring.variables) & set(ring.variables):
         raise ValidationError("presentation variable prefix clashes with the ring")
     rels = image_closed_under_map(ClosedSet.whole(ring), gens, yring).generators
@@ -846,13 +839,6 @@ def _invariants_finite(em, pres, pairs) -> InvariantsModule:
     return InvariantsModule(out, lifts, (None,) * s)
 
 
-def restriction_of_scalars(em: EquivariantModule, pres: InvariantRingPresentation,
-                           shifts: Optional[Sequence[int]] = None,
-                           degree_bound: Optional[int] = None) -> InvariantsModule:
-    """The underlying module seen over k[y]; invariants under nobody."""
-    return invariants_module(restrict_to_trivial_group(em), pres, shifts, degree_bound)
-
-
 # -- isotypic decomposition -------------------------------------------------------------
 
 
@@ -863,56 +849,33 @@ class IsotypicPiece:
     lift_columns: tuple  # generators inside W* (x) M, index (a, j) -> a * rankM + j
 
 
-def _embedding_check(h_group: FiniteGroup, g_group: FiniteGroup,
-                     h_embed: Sequence[int]) -> None:
-    if len(h_embed) != h_group.order:
-        raise ValidationError("embedding must list an image for every element")
-    if h_embed[h_group.identity] != g_group.identity:
-        raise ValidationError("embedding must send identity to identity")
-    if len(set(h_embed)) != len(h_embed):
-        raise ValidationError("embedding must be injective")
-    for a in h_group.generators:
-        for b in range(h_group.order):
-            lhs = h_embed[h_group.table[a][b]]
-            rhs = g_group.table[h_embed[a]][h_embed[b]]
-            if lhs != rhs:
-                raise ValidationError("embedding is not a homomorphism")
+def isotypic_decompose_module(em: EquivariantModule, table: CharacterTable) -> list:
+    """Split M into canonical pieces under its group acting linearly.
 
-
-def isotypic_decompose_module(
-    em: EquivariantModule,
-    h_group: FiniteGroup,
-    h_embed: Sequence[int],
-    table: CharacterTable,
-) -> list:
-    """Split M into canonical pieces under a subgroup acting linearly.
-
-    The subgroup's variable twists must die in the relations, which is
-    what the filtration layers provide; a subgroup that fixes the ring
-    variables has no twists at all.  Pieces are indexed by the character
-    table.  Each is the part of W* (x) M fixed by the subgroup's
-    generators, cut out as the kernel of the stacked a - 1 over them; a
-    trivial subgroup has none and keeps the whole tensor module.  The
+    The group's variable twists must die in the relations, which is what
+    the filtration layers provide; a group that fixes the ring variables
+    has no twists at all.  Pieces are indexed by the character table of
+    the module's group.  Each is the part of W* (x) M fixed by the group's
+    generators, cut out as the kernel of the stacked a - 1 over them; the
+    trivial group has none and keeps the whole tensor module.  The
     evaluation map out of the assembled sum is checked to be an
     isomorphism before anything is returned.
     """
     em.validate()
     table.validate()
-    if table.group is not h_group:
-        if table.group.table != h_group.table:
-            raise DomainMismatchError("character table is for a different group")
-    _embedding_check(h_group, em.action.group, h_embed)
     act, mod = em.action, em.module
+    if table.group is not act.group and table.group.table != act.group.table:
+        raise DomainMismatchError("character table is for a different group")
     ring, fld = mod.ring, mod.ring.field
     if table.field != fld:
         raise DomainMismatchError("character table over the wrong field")
 
-    for a in h_group.generators:
+    for a in act.group.generators:
         if not all(mod.contains_in_relations(vec_scale(t, unit_vector(ring, mod.rank, j)))
-                   for j in range(mod.rank) for t in _twists(act, h_embed[a])):
+                   for j in range(mod.rank) for t in _twists(act, a)):
             raise PreconditionError(
                 "variable twists do not vanish on the module; "
-                "the subgroup action is not linear here"
+                "the group action is not linear here"
             )
 
     pieces = []
@@ -921,12 +884,12 @@ def isotypic_decompose_module(
         big = module_tensor(PresentedModule.free(ring, dim), mod)
         # the equivariance preconditions above make the semilinear action
         # A-linear modulo relations, so generator images define module maps,
-        # and what the generators fix the whole subgroup fixes
+        # and what the generators fix the whole group fixes
         units = [unit_vector(ring, big.rank, idx) for idx in range(big.rank)]
         target, cols = PresentedModule.zero(ring), [()] * big.rank
-        for a in h_group.generators:
+        for a in act.group.generators:
             target = direct_sum(target, big)
-            cols = [col + vec_sub(_semilinear_tensor_apply(em, h_embed, table, name, a, e), e)
+            cols = [col + vec_sub(_semilinear_tensor_apply(em, table, name, a, e), e)
                     for col, e in zip(cols, units)]
         piece_mod, piece_gens = map_kernel(ModuleMap(big, target, tuple(cols)))
         pieces.append(IsotypicPiece(name, piece_mod, tuple(piece_gens)))
@@ -935,7 +898,7 @@ def isotypic_decompose_module(
     return pieces
 
 
-def _semilinear_tensor_apply(em: EquivariantModule, h_embed, table, name, a, v):
+def _semilinear_tensor_apply(em: EquivariantModule, table, name, a, v):
     """Action of a on W* (x) M, index (b, k) -> b * rank + k."""
     act, mod = em.action, em.module
     ring, fld = mod.ring, mod.ring.field
@@ -943,15 +906,14 @@ def _semilinear_tensor_apply(em: EquivariantModule, h_embed, table, name, a, v):
     dim = table.degrees[table.irrep_index(name)]
     hinv = table.group.inverse(a)
     wmat = forms[hinv]
-    ga = h_embed[a]
     out = [ring.zero()] * (dim * mod.rank)
     for b in range(dim):
         for k in range(mod.rank):
             p = v[b * mod.rank + k]
             if p.is_zero():
                 continue
-            gp = act.apply(ga, p)
-            mcol = em.rho[ga][k]
+            gp = act.apply(a, p)
+            mcol = em.rho[a][k]
             for c in range(dim):
                 # hom-space action a.F = rho_a F rho_W(a)^{-1}; on coordinates
                 # the W-side contributes entry (b, c) of rho_W(a^{-1})
@@ -997,9 +959,8 @@ class ReductionStep:
 
 
 def support_reduction(
-    em,
+    em: EquivariantModule,
     pres: InvariantRingPresentation,
-    shifts: Optional[Sequence[int]] = None,
     degree_bound: Optional[int] = None,
 ) -> ReductionStep:
     """Split off the invariants of a module the group moves honestly.
@@ -1008,23 +969,16 @@ def support_reduction(
     kernel and cokernel carry induced actions and together form the
     residual.  The residual support must shrink strictly, and a module
     concentrated inside some element's fixed locus is refused up front.
-    Equal stages are decided once per process: a repeated (module,
-    presentation, shifts, degree bound) is answered from a bounded memo,
-    and a refused one raises again.
+    Generator weights are all 0.  Equal stages are decided once per
+    process: a repeated (module, presentation, degree bound) is answered
+    from a bounded memo, and a refused one raises again.
     """
-    if isinstance(em, EquivariantComplex):
-        if len(em.complex.modules) != 1:
-            raise PreconditionError(
-                "reduction works on modules; collapse a longer complex to "
-                "its cohomology first"
-            )
-        em = em.term(em.complex.start)
-    return _support_reduction(em, pres, None if shifts is None else tuple(shifts), degree_bound)
+    return _support_reduction(em, pres, degree_bound)
 
 
 @lru_cache(maxsize=1024)
 def _support_reduction(em: EquivariantModule, pres: InvariantRingPresentation,
-                       shifts: Optional[tuple], degree_bound: Optional[int]) -> ReductionStep:
+                       degree_bound: Optional[int]) -> ReductionStep:
     em.validate()
     act = em.action
     if em.module.is_zero():
@@ -1033,14 +987,14 @@ def _support_reduction(em: EquivariantModule, pres: InvariantRingPresentation,
     for a in range(act.group.order):
         if a == act.group.identity:
             continue
-        xg = fixed_locus(act, act.group.closure((a,)))
+        xg = fixed_locus(act, a)
         if closed_contains(xg, supp):
             raise PreconditionError(
                 f"support lies inside the fixed locus of {act.group.names[a]}; "
                 "peel that stratum with the filtration instead"
             )
 
-    inv = invariants_module(em, pres, shifts, degree_bound)
+    inv = invariants_module(em, pres, degree_bound=degree_bound)
     source = pullback(inv.module, pres)
     eta = ModuleMap(source.module, em.module, tuple(inv.lifts))
     eta.check_well_defined()
@@ -1185,10 +1139,7 @@ def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
         layer.validate()
         if layer.module.is_zero():
             continue
-        decomposition = isotypic_decompose_module(
-            layer, act.group, list(range(act.group.order)), table
-        )
-        for piece in decomposition:
+        for piece in isotypic_decompose_module(layer, table):
             if piece.module.is_zero():
                 continue
             wrapped = restrict_to_trivial_group(
@@ -1208,7 +1159,6 @@ def tower(
     pres: InvariantRingPresentation,
     components: Sequence,
     table: Optional[CharacterTable] = None,
-    shifts: Optional[Sequence[int]] = None,
     degree_bound: Optional[int] = None,
 ) -> TowerResult:
     """Peel the module along declared invariant components until it dies.
@@ -1235,7 +1185,6 @@ def tower(
 
     stages = []
     current = em
-    cur_shifts = shifts
     guard = len(list(components)) + act.ring.nvars + 3
     for _ in range(guard):
         if current.module.is_zero():
@@ -1254,7 +1203,7 @@ def tower(
         label, c = chosen
         stab = pointwise_stabilizer(act, c)
         if len(stab) == 1:
-            step = support_reduction(current, pres, cur_shifts, degree_bound)
+            step = support_reduction(current, pres, degree_bound)
             supp_b = _piece_support_downstairs(step.piece, pres, supp)
             stages.append(TowerStage(
                 label, stab, "free",
@@ -1262,7 +1211,6 @@ def tower(
                 supp, step.support_after,
             ))
             current = step.residual
-            cur_shifts = None
         elif len(stab) == act.group.order:
             if table is None:
                 raise PreconditionError("fixed components need a character table")
@@ -1274,7 +1222,6 @@ def tower(
                 raise ValidationError("fixed stage failed to shrink the support")
             stages.append(TowerStage(label, stab, "fixed", pieces, supp, supp_after))
             current = nxt
-            cur_shifts = None
         else:
             raise PreconditionError(
                 f"component {label} has a proper nontrivial stabilizer; "
@@ -1312,7 +1259,7 @@ def check_projection_formula(
     if not module_is_graded(lhs_mod, lhs_shifts):
         raise ValidationError("upstairs tensor is not graded with the given shifts")
 
-    push = restriction_of_scalars(em, pres, em_shifts)
+    push = invariants_module(restrict_to_trivial_group(em), pres, em_shifts)
     if any(d is None for d in push.degrees):
         raise ValidationError("pushforward came back ungraded; use a graded module")
     rhs_mod = module_tensor(n, push.module)

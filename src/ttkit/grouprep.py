@@ -61,8 +61,9 @@ class FiniteGroup:
         return g
 
     @staticmethod
-    def from_permutations(gens: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> "FiniteGroup":
-        """Generate the closure of permutation generators acting on 0..m-1."""
+    def from_permutations(gens: Sequence[Sequence[int]]) -> "FiniteGroup":
+        """Generate the closure of permutation generators acting on 0..m-1,
+        each element named by its cycle notation (`perm_cycle_name`)."""
         if not gens:
             raise ValidationError("at least one permutation generator required")
         m = len(gens[0])
@@ -91,9 +92,7 @@ class FiniteGroup:
         table = tuple(
             tuple(index[tuple(a[b[i]] for i in range(m))] for b in elems) for a in elems
         )
-        if names is None:
-            names = tuple(perm_cycle_name(p) for p in elems)
-        return FiniteGroup.from_table(names, table)
+        return FiniteGroup.from_table(tuple(perm_cycle_name(p) for p in elems), table)
 
     def validate(self) -> None:
         n = self.order
@@ -534,9 +533,9 @@ def _apply_tensor_power(rep: Representation, a: int, w: Sequence) -> tuple:
 # -- bundled small groups, tables, and representations ---------------------------------
 
 
-def cyclic_group(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
-    if names is None:
-        names = ("e",) + tuple(f"g{i}" if i > 1 else "g" for i in range(1, n))
+def cyclic_group(n: int) -> FiniteGroup:
+    """Z/n with elements e, g, g2, ..., g(n-1), where gi is the i-th power of g."""
+    names = ("e",) + tuple(f"g{i}" if i > 1 else "g" for i in range(1, n))
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup.from_table(names, table)
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import count
 from math import gcd, lcm
 from operator import add
 from struct import Struct
@@ -949,34 +948,38 @@ def graded_dim(mod: PresentedModule, weights: Sequence[int], d: int,
 # -- finite-dimensional modules ------------------------------------------------------
 
 
-def standard_pairs(mod: PresentedModule, cap: int = 4096) -> Optional[list]:
+STANDARD_PAIRS_CAP = 4096  # a staircase with more pairs than this counts as infinite
+
+
+def standard_pairs(mod: PresentedModule) -> Optional[list]:
     """The (generator, monomial) pairs not under a relation leading term.
 
     These span coker as a vector space; returns None when the staircase is
-    infinite (or larger than cap).  Order: generator index, then grevlex
-    ascending, so multiplication matrices are reproducible.
+    infinite (or has more than `STANDARD_PAIRS_CAP` pairs).  Order:
+    generator index, then grevlex ascending, so multiplication matrices
+    are reproducible.
 
-    Each staircase is read degree by degree through the lead filter of
-    `graded_standard_pairs`, up to the first degree with no standard
-    monomial: standard monomials are closed under division.  A staircase
-    with no pure power of some variable among its leads is infinite.
+    Each staircase is read degree by degree, up to the first degree with no
+    standard monomial.  Standard monomials are closed under division, so
+    those of degree d + 1 are among the standard ones of degree d times a
+    variable, and a staircase costs its size times the number of variables.
+    A staircase with no pure power of some variable among its leads is
+    infinite.
     """
     leads = _relation_leads(mod)
     n = mod.ring.nvars
+    steps = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     out = []
     for j in range(mod.rank):
         blockers = leads.get(j, ())
         if len({i for b in blockers for i in range(n) if sum(b) == b[i]}) < n:
             return None
-        block = []
-        for d in count():
-            layer = [m for m in monomials_of_degree(mod.ring, d)
-                     if not any(mono_divides(b, m) for b in blockers)]
-            if not layer:
-                break
+        block, layer = [], {(0,) * n}
+        while layer := [m for m in layer if not any(mono_divides(b, m) for b in blockers)]:
             block += layer
-            if len(out) + len(block) > cap:
+            if len(out) + len(block) > STANDARD_PAIRS_CAP:
                 return None
+            layer = {tuple(map(add, m, e)) for m in layer for e in steps}
         out.extend((j, m) for m in sorted(block, key=GREVLEX.key))
     return out
 

@@ -328,7 +328,7 @@ def _build_objects(scn: Scenario, entries: dict, path: str) -> None:
 
 
 def _resolve(scn: Scenario, ref, kinds, here: str):
-    if ref not in scn.objects:
+    if not isinstance(ref, str) or ref not in scn.objects:
         _fail(here, f"unresolved object label {ref!r}")
     obj = scn.objects[ref]
     if obj.kind not in kinds:
@@ -404,76 +404,90 @@ def _maybe_twist(scn: Scenario, em: EquivariantModule, entry: dict, here: str):
 # -- query validation at load time --------------------------------------------------------
 
 
+_JSON_KINDS = {list: "an array", dict: "an object", int: "an integer"}
+
+
+def _typed(value, kind: type, path: str):
+    """value, refused unless it is a JSON array, object or integer (as kind
+    is list, dict or int); true and false are not integers."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        _fail(path, f"expected {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _arg(a: dict, key: str, kind: type, path: str):
+    """The query arg under key, typed as by `_typed`; empty when absent."""
+    return _typed(a.get(key, kind()), kind, f"{path}.args.{key}")
+
+
 def _check_query(scn: Scenario, q: Query, path: str) -> None:
     a = q.args
     if q.op == "gb":
         for key in ("generators", "members", "nonmembers", "basis"):
-            for i, p in enumerate(a.get(key, ())):
+            for i, p in enumerate(_arg(a, key, list, path)):
                 _parse_poly(scn.ring, p, f"{path}.args.{key}[{i}]")
         if not a.get("generators"):
             _fail(f"{path}.args.generators", "at least one generator is required")
     elif q.op == "invariants":
         if scn.action is None:
             _fail(path, "an invariants query needs an action")
+        _arg(a, "upto", int, path)
+        _arg(a, "expect_degrees", list, path)
     elif q.op == "decompose":
         if scn.action is None:
             _fail(path, "a decompose query needs an action")
         if ("degree" in a) == bool(a.get("regular")):
             _fail(f"{path}.args", "give exactly one of degree or regular")
-        expect = a.get("expect")
-        if expect is not None:
-            for name in expect:
-                if name not in scn.table.names:
-                    _fail(f"{path}.args.expect", f"unknown character {name!r}")
+        _arg(a, "degree", int, path)
+        for name in _arg(a, "expect", dict, path):
+            if name not in scn.table.names:
+                _fail(f"{path}.args.expect", f"unknown character {name!r}")
     elif q.op == "support":
         _require_object(scn, a, "object", OBJECT_KINDS, path)
         if "expect" in a:
-            _require_sites(scn, a["expect"], f"{path}.args.expect")
-        for i, p in enumerate(a.get("expect_vanishing", ())):
+            _require_sites(scn, _arg(a, "expect", list, path), f"{path}.args.expect")
+        for i, p in enumerate(_arg(a, "expect_vanishing", list, path)):
             _parse_poly(scn.ring, p, f"{path}.args.expect_vanishing[{i}]")
     elif q.op == "tower":
         if scn.action is None or scn.table is None:
             _fail(path, "a tower query needs an action and a character table")
         _require_object(scn, a, "object", _EQUIVARIANT_KINDS, path)
-        comps = a.get("components", ())
+        comps = _arg(a, "components", list, path)
         if not comps:
             _fail(f"{path}.args.components", "at least one component is required")
         for i, comp in enumerate(comps):
-            if len(comp) != 2 or not isinstance(comp[0], str):
-                _fail(f"{path}.args.components[{i}]",
-                      "a component is a [label, generator list] pair")
-            for j, p in enumerate(comp[1]):
-                _parse_poly(scn.ring, p, f"{path}.args.components[{i}][1][{j}]")
+            here = f"{path}.args.components[{i}]"
+            if not isinstance(comp, list) or len(comp) != 2 or not isinstance(comp[0], str):
+                _fail(here, "a component is a [label, generator list] pair")
+            for j, p in enumerate(_typed(comp[1], list, f"{here}[1]")):
+                _parse_poly(scn.ring, p, f"{here}[1][{j}]")
+        _arg(a, "expect_pieces", list, path)
     elif q.op == "spc":
         if scn.space is None:
             _fail(path, "an spc query needs a site space")
-        ids = a.get("objects") or [oid for oid, o in scn.objects.items()
-                                   if o.kind in _SUPER_KINDS]
+        ids = _arg(a, "objects", list, path) or [oid for oid, o in scn.objects.items()
+                                                 if o.kind in _SUPER_KINDS]
         for i, r in enumerate(ids):
             _resolve(scn, r, _SUPER_KINDS, f"{path}.args.objects[{i}]")
         for key in ("unit", "zero"):
             if a.get(key) not in ids:
                 _fail(f"{path}.args.{key}", f"{key} must name a registered object")
-        for key in ("tensors", "sums", "triangles"):
-            for i, t in enumerate(a.get(key, ())):
-                if len(t) != 3:
-                    _fail(f"{path}.args.{key}[{i}]", "witness must be a triple")
+        for key, size, what in (("tensors", 3, "triple"), ("sums", 3, "triple"),
+                                ("triangles", 3, "triple"), ("shifts", 2, "pair")):
+            for i, t in enumerate(_arg(a, key, list, path)):
+                if not isinstance(t, list) or len(t) != size:
+                    _fail(f"{path}.args.{key}[{i}]", f"witness must be a {what}")
                 for r in t:
                     if r not in ids:
                         _fail(f"{path}.args.{key}[{i}]", f"unresolved object label {r!r}")
-        for i, t in enumerate(a.get("shifts", ())):
-            if len(t) != 2:
-                _fail(f"{path}.args.shifts[{i}]", "shift witness must be a pair")
-            for r in t:
-                if r not in ids:
-                    _fail(f"{path}.args.shifts[{i}]", f"unresolved object label {r!r}")
-        for r in a.get("twisted_units", ()):
+        for r in _arg(a, "twisted_units", list, path):
             if r not in ids:
                 _fail(f"{path}.args.twisted_units", f"unresolved object label {r!r}")
-        for oid, labels in a.get("expect_profiles", {}).items():
+        for oid, labels in _arg(a, "expect_profiles", dict, path).items():
             if oid not in ids:
                 _fail(f"{path}.args.expect_profiles", f"unresolved object label {oid!r}")
-            _require_sites(scn, labels, f"{path}.args.expect_profiles.{oid}")
+            here = f"{path}.args.expect_profiles.{oid}"
+            _require_sites(scn, _typed(labels, list, here), here)
     else:
         _fail(f"{path}.op", f"unknown op {q.op!r}")
 
@@ -490,7 +504,7 @@ def _require_sites(scn: Scenario, labels, path: str) -> None:
         _fail(path, "site expectations need a site space")
     known = set(scn.space.labels())
     for l in labels:
-        if l not in known:
+        if not isinstance(l, str) or l not in known:
             _fail(path, f"unknown site {l!r}")
 
 

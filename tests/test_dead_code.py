@@ -1,10 +1,12 @@
 """Every public top-level definition and public method in `src/ttkit` has a
-caller outside the tests, every module-level assignment is read, and every
-module-level import is used by its module.
+caller outside the tests, every module-level assignment is read, every
+module-level import is used by its module, and every optional parameter of
+a public function is passed by some caller outside the tests.
 
-The roots are the command line (`cli`), the module-level statements of
-every ttkit module (imports and assignments aside), and the `scripts/*.py`
-and `bench/*.py` programs (`bench/test_bench.py` aside).  A top-level
+The roots are the module-level statements of every ttkit module (imports
+and assignments aside), among them the `__main__` block of `cli` that
+reaches `main`, and the `scripts/*.py` and `bench/*.py` programs
+(`bench/test_bench.py` aside).  A top-level
 `def` or `class`, a method other than a dunder, or a name that a
 module-level assignment binds is reachable when a root or the body of a
 reachable definition uses its name, as a bare name or as an attribute; the
@@ -55,6 +57,13 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _programs() -> list:
+    """The `scripts/*.py` and `bench/*.py` programs, `bench/test_bench.py`
+    aside."""
+    paths = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    return [path for path in paths if path.name != "test_bench.py"]
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -79,10 +88,7 @@ def _reachability():
     assigned = []    # (module, name) of every name a module-level assignment binds
     roots = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = _parse(path)
-        if path.stem == "cli":
-            roots |= _used_names(tree)
-        for stmt in tree.body:
+        for stmt in _parse(path).body:
             if isinstance(stmt, FUNCTIONS + (ast.ClassDef,)):
                 parts = [stmt]
                 if isinstance(stmt, ast.ClassDef):
@@ -107,10 +113,8 @@ def _reachability():
                     assigned.append((path.stem, name))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _used_names(stmt)
-    programs = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("bench/*.py"))
-    for path in programs:
-        if path.name != "test_bench.py":
-            roots |= _used_names(_parse(path))
+    for path in _programs():
+        roots |= _used_names(_parse(path))
 
     reached, todo = set(), list(roots)
     while todo:
@@ -168,3 +172,87 @@ def test_every_module_level_import_is_used_or_kept():
 def test_every_kept_import_is_unused():
     # A kept import that gains a use, or goes, leaves the list.
     assert set(KEEP_IMPORTS) <= set(_unused_imports())
+
+
+# Optional parameters kept although no caller outside the tests passes
+# them, keyed as "function.parameter" or "Class.method.parameter", with the
+# reason.
+KEEP_PARAMS = {
+    "GroebnerBasis.of.order": "tests select LEX, which is kept too",
+    "super_support_corpus.count": "the pinned-profile test draws 6",
+    "vector_divmod.order": "the benchmark wraps vector_divmod by name",
+    "vector_divmod.quotients": "the benchmark wraps vector_divmod by name",
+}
+
+
+def _optional_parameters() -> list:
+    """(key, callee, parameter, position) of each defaulted parameter of a
+    public function, of a public method, or of the `__init__` of a public
+    class.  The callee is the name a call spells (the class, for
+    `__init__`); the position counts the arguments such a call passes
+    before it, so `self` and `cls` are not counted, and is None for a
+    keyword-only parameter."""
+    functions = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _parse(path).body:
+            if isinstance(stmt, FUNCTIONS) and not stmt.name.startswith("_"):
+                functions.append((stmt.name, stmt.name, stmt, 0))
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                for item in stmt.body:
+                    if isinstance(item, FUNCTIONS) and (item.name == "__init__"
+                                                        or not item.name.startswith("_")):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        callee = stmt.name if item.name == "__init__" else item.name
+                        functions.append((f"{stmt.name}.{item.name}", callee, item,
+                                          0 if static else 1))
+    out = []
+    for qualname, callee, fn, bound in functions:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(f"{qualname}.{arg.arg}", callee, arg.arg, i - bound)
+                for i, arg in enumerate(positional) if i >= first]
+        out += [(f"{qualname}.{arg.arg}", callee, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _calls() -> dict:
+    """Callee name -> every call of that name in `src`, `scripts/*.py` and
+    `bench/*.py` (`bench/test_bench.py` aside), as a bare name or as an
+    attribute."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")) + _programs():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.setdefault(callee, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether the call passes the parameter: by keyword, by position, or
+    possibly through *args or **kwargs."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def _unpassed_parameters() -> list:
+    calls = _calls()
+    return [key for key, callee, name, position in _optional_parameters()
+            if not any(_passes(c, name, position) for c in calls.get(callee, ()))]
+
+
+def test_every_optional_parameter_is_passed_or_kept():
+    # An option that only tests set is a second code path no product runs:
+    # give the one value in use as a constant instead.
+    assert [key for key in _unpassed_parameters() if key not in KEEP_PARAMS] == []
+
+
+def test_every_kept_parameter_is_defined_and_unpassed():
+    # A kept parameter that gains a caller, or goes, leaves the list.
+    assert set(KEEP_PARAMS) <= set(_unpassed_parameters())

@@ -58,7 +58,6 @@ from ttkit.equivariant import (
     pointwise_stabilizer,
     pullback,
     restrict_to_trivial_group,
-    restriction_of_scalars,
     ring_as_equivariant,
     support_reduction,
     tower,
@@ -219,7 +218,7 @@ def test_apply_is_a_substitution():
 def test_fixed_locus_of_the_swap_is_the_diagonal():
     act = swap_action()
     x, y = act.ring.var("x"), act.ring.var("y")
-    fl = fixed_locus(act, (0, 1))
+    fl = fixed_locus(act, 1)
     assert closed_equal(fl, ClosedSet(act.ring, (x - y,)))
 
 
@@ -585,7 +584,7 @@ def test_restriction_of_scalars_of_the_line():
     # k[x] over k[x^2] is free on 1 and x
     act = line_action()
     pres = invariant_generators(act)
-    push = restriction_of_scalars(ring_as_equivariant(act), pres, shifts=(0,))
+    push = invariants_module(restrict_to_trivial_group(ring_as_equivariant(act)), pres)
     assert push.module.rank == 2
     assert push.module.relations == ()
     assert sorted(push.degrees) == [0, 1]
@@ -657,7 +656,7 @@ def test_regular_module_splits_with_known_ranks():
     reg = regular_representation(grp, QQ)
     em = equivariant_from_matrices(act, PresentedModule.free(act.ring, 6), reg.matrices)
     table = s3_character_table(QQ)
-    pieces = isotypic_decompose_module(em, grp, list(range(6)), table)
+    pieces = isotypic_decompose_module(em, table)
     assert [(p.name, p.module.rank) for p in pieces] == \
         [("triv", 1), ("sign", 1), ("std", 2)]
 
@@ -670,14 +669,14 @@ def test_cyclic_regular_module_over_f7():
     act.validate()
     reg = regular_representation(grp, f7)
     em = equivariant_from_matrices(act, PresentedModule.free(ring, 3), reg.matrices)
-    pieces = isotypic_decompose_module(em, grp, (0, 1, 2), c3_character_table(f7))
+    pieces = isotypic_decompose_module(em, c3_character_table(f7))
     assert sorted(p.module.rank for p in pieces) == [1, 1, 1]
 
 
 def test_sign_module_has_no_trivial_piece():
     act = trivial_plane_action(cyclic_group(2))
     em = twist_by_character(ring_as_equivariant(act), (QQ.one(), QQ.from_int(-1)))
-    pieces = isotypic_decompose_module(em, act.group, (0, 1), c2_character_table(QQ))
+    pieces = isotypic_decompose_module(em, c2_character_table(QQ))
     by_name = {p.name: p.module.rank for p in pieces}
     assert by_name == {"triv": 0, "sign": 1}
 
@@ -686,30 +685,22 @@ def test_twist_check_refuses_moving_variables():
     act = line_action()
     em = ring_as_equivariant(act)
     with pytest.raises(PreconditionError):
-        isotypic_decompose_module(em, act.group, (0, 1), c2_character_table(QQ))
+        isotypic_decompose_module(em, c2_character_table(QQ))
 
 
 def test_relaxed_mode_needs_twists_to_die_in_relations():
     act = line_action()
     em = ring_as_equivariant(act)
     with pytest.raises(PreconditionError):
-        isotypic_decompose_module(em, act.group, (0, 1), c2_character_table(QQ))
+        isotypic_decompose_module(em, c2_character_table(QQ))
     x = act.ring.var("x")
     killed = cyclic_equivariant(act, [x])
-    pieces = isotypic_decompose_module(killed, act.group, (0, 1), c2_character_table(QQ))
+    pieces = isotypic_decompose_module(killed, c2_character_table(QQ))
     by_name = {p.name: p.module.rank for p in pieces}
     assert by_name["triv"] == 1 and by_name["sign"] == 0
 
 
-def test_decomposition_checks_the_embedding():
-    act = trivial_plane_action(cyclic_group(2))
-    em = ring_as_equivariant(act)
-    with pytest.raises(ValidationError):
-        isotypic_decompose_module(em, cyclic_group(2), (0, 0),
-                                  c2_character_table(QQ))
-
-
-def ref_isotypic_pieces(em, h_group, h_embed, table):
+def ref_isotypic_pieces(em, table):
     """(name, module, lift columns) of each piece as cut out before the
     kernels read only the generators: a - 1 stacked over every non-identity
     element, and the whole tensor module when there is none."""
@@ -719,9 +710,10 @@ def ref_isotypic_pieces(em, h_group, h_embed, table):
         dim = table.degrees[table.irrep_index(name)]
         big = polymod.module_tensor(PresentedModule.free(ring, dim), mod)
         units = [unit_vector(ring, big.rank, j) for j in range(big.rank)]
-        blocks = [[vec_sub(equivariant._semilinear_tensor_apply(em, h_embed, table, name, a, e), e)
+        group = em.action.group
+        blocks = [[vec_sub(equivariant._semilinear_tensor_apply(em, table, name, a, e), e)
                    for e in units]
-                  for a in range(h_group.order) if a != h_group.identity]
+                  for a in range(group.order) if a != group.identity]
         if blocks:
             target = big
             for _ in blocks[1:]:
@@ -739,31 +731,31 @@ def isotypic_cases():
     s3_act = trivial_plane_action(s3)
     yield "s3-regular-QQ", equivariant_from_matrices(
         s3_act, PresentedModule.free(s3_act.ring, 6), regular_representation(s3, QQ).matrices
-    ), s3, tuple(range(6)), s3_character_table(QQ)
+    ), s3_character_table(QQ)
     f7, c3 = GF(7), cyclic_group(3)
     ring7 = PolyRing(f7, ("x",))
     c3_act = RingAction(c3, ring7, tuple(Matrix.identity(f7, 1) for _ in range(3)))
     c3_act.validate()
     yield "c3-regular-GF7", equivariant_from_matrices(
         c3_act, PresentedModule.free(ring7, 3), regular_representation(c3, f7).matrices
-    ), c3, (0, 1, 2), c3_character_table(f7)
+    ), c3_character_table(f7)
     line = line_action()
     yield "c2-relaxed-A/(x)", cyclic_equivariant(line, [line.ring.var("x")]), \
-        line.group, (0, 1), c2_character_table(QQ)
-    trivial = cyclic_group(1)
-    yield "trivial-subgroup", ring_as_equivariant(line), trivial, (0,), CharacterTable(
-        trivial, QQ, ("triv",), (1,), ((QQ.one(),),))
+        c2_character_table(QQ)
+    trivial = restrict_to_trivial_group(ring_as_equivariant(line))
+    yield "trivial-group", trivial, CharacterTable(
+        trivial.action.group, QQ, ("triv",), (1,), ((QQ.one(),),))
 
 
 @pytest.mark.parametrize("case", list(isotypic_cases()), ids=lambda case: case[0])
 def test_generator_kernels_give_the_all_element_pieces(case):
-    """The subgroup's generators fix what its elements fix, and each piece
-    is the reduced basis of that one submodule's syzygies, so the pieces
-    are equal to the all-element ones, not just isomorphic."""
-    _, em, h_group, h_embed, table = case
-    pieces = isotypic_decompose_module(em, h_group, h_embed, table)
+    """The group's generators fix what its elements fix, and each piece is
+    the reduced basis of that one submodule's syzygies, so the pieces are
+    equal to the all-element ones, not just isomorphic."""
+    _, em, table = case
+    pieces = isotypic_decompose_module(em, table)
     assert [(p.name, p.module, p.lift_columns) for p in pieces] == \
-        ref_isotypic_pieces(em, h_group, h_embed, table)
+        ref_isotypic_pieces(em, table)
 
 
 # -- cohomology of equivariant complexes ----------------------------------------------
@@ -845,7 +837,7 @@ def test_reduction_of_mixed_module_leaves_the_fixed_point():
     x = act.ring.var("x")
     m = direct_sum_equivariant(ring_as_equivariant(act),
                                cyclic_equivariant(act, [x]))
-    step = support_reduction(m, pres, shifts=(0, 0))
+    step = support_reduction(m, pres)
     assert step.cokernel.module.is_zero()
     assert step.kernel.module.rank == 1
     assert step.kernel.module.relations == ((x,),)
@@ -858,7 +850,7 @@ def test_reduction_refuses_a_module_inside_a_fixed_locus():
     pres = invariant_generators(act)
     x = act.ring.var("x")
     with pytest.raises(PreconditionError):
-        support_reduction(cyclic_equivariant(act, [x]), pres, shifts=(0,))
+        support_reduction(cyclic_equivariant(act, [x]), pres)
 
 
 def test_reduction_refuses_the_zero_module():
@@ -873,7 +865,7 @@ def test_reduction_counit_lifts_are_the_invariant_generators():
     act = line_action()
     pres = invariant_generators(act)
     em = twist_by_character(ring_as_equivariant(act), (QQ.one(), QQ.from_int(-1)))
-    step = support_reduction(em, pres, shifts=(0,))
+    step = support_reduction(em, pres)
     x = act.ring.var("x")
     assert step.counit.columns == ((x,),)
     # the odd part misses the even functions at the fixed point
@@ -899,7 +891,7 @@ def test_two_stage_tower_on_the_line():
     m = direct_sum_equivariant(ring_as_equivariant(act),
                                cyclic_equivariant(act, [x]))
     result = tower(m, pres, line_components(act),
-                   table=c2_character_table(QQ), shifts=(0, 0))
+                   table=c2_character_table(QQ))
     assert [s.kind for s in result.stages] == ["free", "fixed"]
     assert [s.component for s in result.stages] == ["eta", "origin"]
     assert result.stages[0].stabilizer == (0,)
@@ -938,7 +930,7 @@ def test_skew_plane_tower_lands_on_the_parabola():
     em = twist_by_character(ring_as_equivariant(act), (QQ.one(), QQ.from_int(-1)))
     comps = [("eta", ClosedSet(act.ring, ())),
              ("diag", ClosedSet(act.ring, (x - y,)))]
-    result = tower(em, pres, comps, table=c2_character_table(QQ), shifts=(0,))
+    result = tower(em, pres, comps, table=c2_character_table(QQ))
     assert [s.kind for s in result.stages] == ["free", "fixed"]
     last = result.stages[1].pieces
     assert [p.label for p in last] == ["diag/layer0/sign"]
@@ -1074,7 +1066,7 @@ def test_a_refused_stage_raises_again_and_is_not_kept():
     held = [memo.cache_info().currsize for memo in STAGE_MEMOS]
     for _ in range(2):
         with pytest.raises(PreconditionError, match="fixed locus"):
-            support_reduction(sky, pres, shifts=(0,))
+            support_reduction(sky, pres)
         with pytest.raises(PreconditionError, match="character table"):
             tower(sky, pres, line_components(act))
         with pytest.raises(PreconditionError, match="radical"):
@@ -1083,14 +1075,14 @@ def test_a_refused_stage_raises_again_and_is_not_kept():
     assert [memo.cache_info().currsize for memo in STAGE_MEMOS] == held
 
 
-def test_shifts_as_a_list_or_a_tuple_share_one_memo_entry():
+def test_a_repeated_reduction_is_answered_from_the_memo():
     act = line_action()
     pres = invariant_generators(act)
     x = act.ring.var("x")
     m = direct_sum_equivariant(ring_as_equivariant(act), cyclic_equivariant(act, [x]))
     equivariant._support_reduction.cache_clear()
-    first = support_reduction(m, pres, shifts=[0, 0])
-    assert support_reduction(m, pres, shifts=(0, 0)) is first
+    first = support_reduction(m, pres)
+    assert support_reduction(m, pres) is first
     info = equivariant._support_reduction.cache_info()
     assert (info.hits, info.misses) == (1, 1)
 

@@ -284,7 +284,7 @@ class TestCanonicalDecompose:
     def test_trivial_group_keeps_every_unknown_of_the_hom_space(self):
         # The trivial group has no generators, so the Hom-space equations
         # have no rows and every one of the 2 unknowns is free.
-        g = cyclic_group(1, names=("e",))
+        g = cyclic_group(1)
         assert g.generators == ()
         rep = representation_from_forms(g, QQ, [Matrix.identity(QQ, 2)])
         table = CharacterTable(g, QQ, ("triv",), (1,), ((Fraction(1),),))
@@ -326,7 +326,7 @@ class TestCanonicalDecompose:
 
 class TestTrivialSummandWitness:
     def test_trivial_group_returns_vector(self):
-        g = cyclic_group(1, names=("e",))
+        g = cyclic_group(1)
         rep = representation_from_forms(g, QQ, [Matrix.identity(QQ, 2)])
         v = (Fraction(3), Fraction(-1))
         assert trivial_summand_witness(rep, v) == v

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -1478,16 +1480,30 @@ def test_standard_pairs_finite_and_infinite():
     m = PresentedModule.cyclic(RX, [P("x^2 - 1", RX)])
     pairs = standard_pairs(m)
     assert pairs == [(0, (0,)), (0, (1,))]
-    assert standard_pairs(PresentedModule.free(RX, 1), cap=64) is None
+    assert standard_pairs(PresentedModule.free(RX, 1)) is None
+
+
+@pytest.mark.parametrize("ring, rels, arm", [
+    (RXY, ["x^1500", "y"], 1500),
+    (RXYZ, ["x^200", "y", "z"], 200),
+], ids=["two-variables", "three-variables"])
+def test_a_long_thin_staircase_costs_its_size(ring, rels, arm):
+    # listing every monomial of each degree up to the top of the arm took
+    # seconds for x^1500 in two variables, and grows with the cube in three
+    mod = PresentedModule.cyclic(ring, [P(r, ring) for r in rels])
+    start = time.perf_counter()
+    pairs = standard_pairs(mod)
+    assert time.perf_counter() - start < 0.5
+    assert pairs == [(0, (e,) + (0,) * (ring.nvars - 1)) for e in range(arm)]
 
 
 def test_an_infinite_staircase_is_refused_before_any_degree_is_listed(monkeypatch):
-    # y - 1 leads with y and no power of x is a lead: read degree by degree
-    # up to the default cap, the x-axis would cost about 8 million monomials
-    listed = []
-    monkeypatch.setattr(polymod, "monomials_of_degree", lambda *args: listed.append(args) or [])
+    # y - 1 leads with y and no power of x is a lead: without the check on
+    # pure powers the x-axis would be walked up to the cap
+    tested = []
+    monkeypatch.setattr(polymod, "mono_divides", lambda *args: tested.append(args) or False)
     assert standard_pairs(PresentedModule.cyclic(RXY, [P("y - 1")])) is None
-    assert listed == []
+    assert tested == []
 
 
 def ref_standard_pairs(mod, cap):
@@ -1550,7 +1566,8 @@ def staircase_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_standard_pairs_match_the_breadth_first_walk(case):
     mod, cap = case
-    assert standard_pairs(mod, cap) == ref_standard_pairs(mod, cap)
+    with patch.object(polymod, "STANDARD_PAIRS_CAP", cap):
+        assert standard_pairs(mod) == ref_standard_pairs(mod, cap)
 
 
 @pytest.mark.parametrize("n", range(4))

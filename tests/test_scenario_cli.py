@@ -243,6 +243,30 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, edit, field, path)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d["queries"][0]["args"].update(generators=5),
+     "$.queries[0].args.generators"),
+    (lambda d: d["queries"][2]["args"].update(degree="1"), "$.queries[2].args.degree"),
+    (lambda d: d["queries"][1]["args"].update(upto="4"), "$.queries[1].args.upto"),
+    (lambda d: d["queries"][6]["args"].update(expect=5), "$.queries[6].args.expect"),
+    (lambda d: d["queries"][4]["args"]["components"].__setitem__(0, ["line", 5]),
+     "$.queries[4].args.components[0][1]"),
+    # a string would be read letter by letter: as members x, or as the
+    # vanishing polynomial x, which passes
+    (lambda d: d["queries"][0]["args"].update(members="x"), "$.queries[0].args.members"),
+    (lambda d: d["queries"][6]["args"].update(expect_vanishing="x"),
+     "$.queries[6].args.expect_vanishing"),
+], ids=["generators-number", "degree-string", "upto-string", "support-expect-number",
+        "component-generators-number", "members-string", "expect-vanishing-string"])
+def test_a_mistyped_query_arg_is_an_input_error(tmp_path, capsys, edit, path):
+    p = tmp_path / "mistyped.json"
+    p.write_text(json.dumps(_c2_line_with(edit)))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: expected an" in err
+    assert "Traceback" not in err
+
+
 KLEIN_FOUR = {"names": ["e", "a", "b", "c"],
               "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
 
