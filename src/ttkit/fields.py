@@ -1,15 +1,21 @@
 """Exact scalar arithmetic over Q and F_p, matrices over those fields, and
 the one sparse echelon behind every exact linear-algebra question.
 
-Scalars are plain Python values: `fractions.Fraction` over Q, `int` in
-[0, p) over F_p.  A `Field` object checks values and does the arithmetic
-here; a value of the wrong kind, or matrices over different fields, raise
-`DomainMismatchError`.  Sums of products reduce once per entry through
-`Field.from_sum`: `Matrix.mul` here, the tensor-power action of
-`grouprep` and the fibre ranks of `supermod`.  Still written inline
-(`Fraction` arithmetic when `p == 0`, else `% p`) are `Poly` sums and
-products in `polyring` and `_Reducers` in `polymod`.  Everything here is
-immutable and deterministic, except that an `Echelon` grows.
+Scalars are plain Python values: over Q an `int` when the denominator is
+1 and a `fractions.Fraction` otherwise, over F_p an `int` in [0, p).  Over
+Q an integral `Fraction` is still a value (a product such as 2 * 1/2 makes
+one), but `zero`, `one`, `from_int`, `from_fraction`, `inv`, `from_sum`,
+the rows of `Echelon.reduced` (so `rref`, `solve` and `kernel_basis`) and
+the reduced bases of `polymod.module_groebner` return the int.  A `Field`
+object checks values and does the arithmetic here; a value of the wrong
+kind (a bool or a float included), or matrices over different fields,
+raise `DomainMismatchError`.  Sums of products reduce once per entry
+through `Field.from_sum`: `Matrix.mul` here, the tensor-power action of
+`grouprep` and the fibre ranks of `supermod`.  Still written inline (plain
+`+` and `*` when `p == 0`, else `% p`) are `_subtract` here, `Poly.__mul__`
+and `_merge_terms` in `polyring`, and `_Reducers.divide` and `s_vector` in
+`polymod`.  Everything here is immutable and deterministic, except that an
+`Echelon` grows.
 
 Matrices are stored dense and multiplied sparsely, each row of the right
 factor read once as its nonzeros.  An `Echelon` eliminates rows: `rank`
@@ -43,7 +49,8 @@ def _is_prime(p: int) -> bool:
 class Field:
     """A coefficient field: the rationals (p == 0) or F_p (p prime).
 
-    Values of the field are Fraction (p == 0) or int in [0, p).
+    Values of the field are int or Fraction (p == 0) or int in [0, p).  Over
+    QQ the methods here return an int exactly when the value is integral.
     """
 
     p: int = 0
@@ -75,24 +82,24 @@ class Field:
     # -- scalar construction ------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p == 0 else n % self.p
+        return n if self.p == 0 else n % self.p
 
     def from_fraction(self, num: int, den: int):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if self.p == 0:
-            return Fraction(num, den)
+            return num // den if num % den == 0 else Fraction(num, den)
         return (num % self.p) * self.inv(den % self.p) % self.p
 
     def check(self, a) -> None:
         if self.p == 0:
-            if not isinstance(a, Fraction):
+            if not isinstance(a, (int, Fraction)) or isinstance(a, bool):
                 raise DomainMismatchError(f"expected rational scalar, got {a!r}")
         else:
             if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.p:
@@ -116,7 +123,7 @@ class Field:
         if self.p == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / a
+            return self.from_fraction(a.denominator, a.numerator)
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
@@ -126,10 +133,10 @@ class Field:
 
     def from_sum(self, a):
         """A raw sum of products of field values as a field value: reduced
-        mod p once, and an exact zero (the int 0 over QQ) made `zero()`."""
+        mod p once, and over QQ an int when its denominator is 1."""
         if self.p:
             return a % self.p
-        return a if a else Fraction(0)
+        return a.numerator if a.denominator == 1 else a
 
     def scalar_repr(self, a) -> str:
         if self.p == 0:
@@ -290,12 +297,12 @@ class Echelon:
             for k in [j for j in v if j in done]:
                 _subtract(v, k, *done[k], p)
             done[lead] = self._normal(v, lead)
-        one = self.field.one()
+        frac = self.field.from_fraction
         out = []
         for lead in sorted(done):
             lc, tail = done[lead]
-            row = {j: Fraction(a, lc) if p == 0 else a for j, a in tail}
-            row[lead] = one
+            row = dict(tail) if lc == 1 else {j: frac(a, lc) for j, a in tail}
+            row[lead] = 1
             out.append((lead, row))
         return out
 

@@ -43,7 +43,6 @@ normal forms give the coordinates over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -228,7 +227,7 @@ class _Reducers:
                 content = -content
             lc //= content
             tail = [(k, b // content) for k, b in tail]
-            scale = Fraction(den, content)
+            scale = self.ring.field.from_fraction(den, content)
         elif c == 1:
             lc, scale = 1, c
         else:
@@ -382,7 +381,8 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
     division loop over those reducers, on packed keys.  Over QQ the run
     keeps every reducer as a primitive integer vector and divides by
     pseudo-steps, so only integers occur in the loop, and makes the basis
-    monic in `Fraction`s on output.  Otherwise the reducers are monic and
+    monic on output (`Field.from_fraction`, so an int where the lead
+    coefficient divides).  Otherwise the reducers are monic and
     the arithmetic is the field's.  Both give the same basis.
 
     Pair selection: smallest lcm under the ring order (normal strategy),
@@ -453,12 +453,12 @@ def module_groebner(gens: Sequence[Vector], order: ModuleOrder = POT) -> list:
             for k in range(new):
                 add_pair(k, new)
 
-    one = ring.field.one()
+    frac = ring.field.from_fraction
     basis = []
     for lead, tail, lc in _module_interreduce(red):
-        if integral:
-            tail = [(k, Fraction(c, lc)) for k, c in tail]
-        basis.append(pk.unpack(ring, rank, [(lead, one)] + tail))
+        if lc != 1:
+            tail = [(k, frac(c, lc)) for k, c in tail]
+        basis.append(pk.unpack(ring, rank, [(lead, 1)] + tail))
     return basis
 
 

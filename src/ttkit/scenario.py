@@ -431,14 +431,16 @@ def _check_query(scn: Scenario, q: Query, path: str) -> None:
     elif q.op == "invariants":
         if scn.action is None:
             _fail(path, "an invariants query needs an action")
-        _arg(a, "upto", int, path)
+        if _arg(a, "upto", int, path) < 1 and "upto" in a:
+            _fail(f"{path}.args.upto", f"expected an integer >= 1, got {a['upto']}")
         _arg(a, "expect_degrees", list, path)
     elif q.op == "decompose":
         if scn.action is None:
             _fail(path, "a decompose query needs an action")
         if ("degree" in a) == bool(a.get("regular")):
             _fail(f"{path}.args", "give exactly one of degree or regular")
-        _arg(a, "degree", int, path)
+        if _arg(a, "degree", int, path) < 0:
+            _fail(f"{path}.args.degree", f"expected an integer >= 0, got {a['degree']}")
         for name in _arg(a, "expect", dict, path):
             if name not in scn.table.names:
                 _fail(f"{path}.args.expect", f"unknown character {name!r}")

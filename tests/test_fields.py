@@ -11,8 +11,11 @@ try:
 except ImportError:
     sympy = None
 
+from ttkit import polymod
 from ttkit.errors import DomainMismatchError, ValidationError
 from ttkit.fields import GF, QQ, Echelon, Field, Matrix, kernel_basis, rank, rref, solve
+from ttkit.polymod import module_groebner
+from ttkit.polyring import GREVLEX, PolyRing
 
 
 def mat_q(rows):
@@ -36,8 +39,13 @@ def test_composite_characteristic_rejected():
 def test_scalar_domain_checks():
     with pytest.raises(DomainMismatchError):
         GF(5).check(Fraction(1, 2))
-    with pytest.raises(DomainMismatchError):
-        QQ.check(3)  # plain int is not a rational scalar
+    # an int stands for an integral rational; a bool and a float do not
+    QQ.check(3)
+    QQ.check(Fraction(3))
+    for bad in (True, 0.5):
+        with pytest.raises(DomainMismatchError) as err:
+            QQ.check(bad)
+        assert str(err.value) == f"expected rational scalar, got {bad!r}"
     with pytest.raises(DomainMismatchError):
         GF(5).check(7)  # out of range residue
 
@@ -46,10 +54,11 @@ def test_scalar_domain_checks():
     "field, bad, message",
     [
         (GF(5), True, "expected residue mod 5, got True"),
-        (QQ, 3, "expected rational scalar, got 3"),
+        (QQ, True, "expected rational scalar, got True"),
         (GF(5), 5, "expected residue mod 5, got 5"),
         (GF(5), -1, "expected residue mod 5, got -1"),
         (GF(5), Fraction(1, 2), "expected residue mod 5, got Fraction(1, 2)"),
+        (QQ, 0.5, "expected rational scalar, got 0.5"),
     ],
 )
 def test_matrix_rejects_each_bad_entry_kind(field, bad, message):
@@ -251,7 +260,7 @@ def test_rref_matches_dense_elimination(m):
     entries, ref_pivots = dense_rref(m)
     assert red.entries == entries
     assert pivots == ref_pivots
-    assert [type(a) for a in red.entries] == [type(a) for a in entries]
+    assert_field_typed(red)
 
 
 # -- the sparse echelon against independent oracles --------------------------------
@@ -362,12 +371,17 @@ def products(draw):
     return zero_heavy(draw, f, r, k), zero_heavy(draw, f, k, c)
 
 
+def is_canonical(f, a) -> bool:
+    """Over QQ an int exactly when the denominator is 1, otherwise a
+    Fraction, never a bool; over GF(p) an int in [0, p)."""
+    if f.p == 0:
+        return type(a) is int or type(a) is Fraction and a.denominator != 1
+    return type(a) is int and 0 <= a < f.p
+
+
 def assert_field_typed(m):
     for a in m.entries:
-        if m.field.p == 0:
-            assert type(a) is Fraction
-        else:
-            assert type(a) is int and 0 <= a < m.field.p
+        assert is_canonical(m.field, a), a
 
 
 @given(products())
@@ -381,11 +395,46 @@ def test_sparse_product_matches_the_dense_triple_loop(case):
 
 
 def test_sums_become_field_values_once():
-    assert type(QQ.from_sum(0)) is Fraction and QQ.from_sum(0) == 0
+    assert type(QQ.from_sum(0)) is int and QQ.from_sum(0) == 0
     assert QQ.from_sum(Fraction(1, 2) - Fraction(1, 2)) == Fraction(0)
+    assert type(QQ.from_sum(Fraction(1, 2) + Fraction(1, 2))) is int
     assert QQ.from_sum(Fraction(3, 4)) == Fraction(3, 4)
     assert GF(7).from_sum(6 * 6 + 5 * 3) == 51 % 7
     assert GF(7).from_sum(0) == 0
     zero = Matrix.from_rows(QQ, [[0, 0]]).mul(Matrix.from_rows(QQ, [[1], [2]]))
     assert zero.entries == (Fraction(0),)
     assert_field_typed(Matrix.zero(QQ, 2, 0).mul(Matrix.zero(QQ, 0, 3)))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_qq_value_is_canonical(data):
+    """Over QQ every constructor, inverse, sum, echelon answer and reduced
+    module basis gives an int exactly when the denominator is 1, and
+    `inv` never a float: `1 / n` on an int would be one."""
+    n = data.draw(st.integers(min_value=-12, max_value=12))
+    d = data.draw(st.integers(min_value=-4, max_value=4).filter(bool))
+    q = data.draw(small_rats)
+    values = [QQ.zero(), QQ.one(), QQ.from_int(n), QQ.from_fraction(n, d),
+              QQ.from_fraction(n * d, d), QQ.from_sum(q), QQ.from_sum(q + (n - q))]
+    values += [QQ.inv(a) for a in (n, d, q, Fraction(1, d)) if a]
+    assert all(is_canonical(QQ, a) for a in values), values
+
+    m = data.draw(q_matrices())
+    b = Matrix(QQ, m.rows, 1, tuple(data.draw(small_rats) for _ in range(m.rows)))
+    for got in (rref(m)[0], kernel_basis(m), solve(m, b)):
+        if got is not None:
+            assert_field_typed(got)
+
+    ring = PolyRing(QQ, ("x", "y"))
+    rank_ = data.draw(st.integers(min_value=1, max_value=2))
+    term = st.tuples(st.tuples(*[st.integers(min_value=0, max_value=2)] * 2), small_rats)
+    poly = st.lists(term, max_size=3).map(ring.from_terms)
+    gens = data.draw(st.lists(st.tuples(*[poly] * rank_), min_size=1, max_size=3))
+    for v in module_groebner(gens):
+        assert all(is_canonical(QQ, c) for p in v for _, c in p.terms), v
+    # the scalar an integral reducer is of its vector, e.g. 2x + 1 of x + 1/2
+    red = polymod._Reducers(GREVLEX, ring, integral=True)
+    for v in gens:
+        if any(p.terms for p in v):
+            assert is_canonical(QQ, red.add(red.pk.pack(v).items()))

@@ -439,8 +439,9 @@ def test_tensor_power_action_matches_the_entrywise_loop(case, fld, data):
         w = tuple(data.draw(st.lists(entry, min_size=size, max_size=size)))
         got = _apply_tensor_power(rep, a, w)
         assert got == ref_apply_tensor_power(rep, a, w)
-        assert all(type(c) is Fraction if fld.p == 0 else type(c) is int and 0 <= c < fld.p
-                   for c in got)
+        # over QQ an int exactly when integral, otherwise a Fraction, never a bool
+        assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                   if fld.p == 0 else type(c) is int and 0 <= c < fld.p for c in got)
 
 
 # -- certification on generators ---------------------------------------------------------

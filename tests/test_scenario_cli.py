@@ -256,8 +256,13 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, edit, field, path)
     (lambda d: d["queries"][0]["args"].update(members="x"), "$.queries[0].args.members"),
     (lambda d: d["queries"][6]["args"].update(expect_vanishing="x"),
      "$.queries[6].args.expect_vanishing"),
+    # integers out of range: upto is at least 1, degree at least 0
+    (lambda d: d["queries"][1]["args"].update(upto=-1), "$.queries[1].args.upto"),
+    (lambda d: d["queries"][1]["args"].update(upto=0), "$.queries[1].args.upto"),
+    (lambda d: d["queries"][2]["args"].update(degree=-1), "$.queries[2].args.degree"),
 ], ids=["generators-number", "degree-string", "upto-string", "support-expect-number",
-        "component-generators-number", "members-string", "expect-vanishing-string"])
+        "component-generators-number", "members-string", "expect-vanishing-string",
+        "upto-negative", "upto-zero", "degree-negative"])
 def test_a_mistyped_query_arg_is_an_input_error(tmp_path, capsys, edit, path):
     p = tmp_path / "mistyped.json"
     p.write_text(json.dumps(_c2_line_with(edit)))
