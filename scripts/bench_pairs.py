@@ -13,8 +13,9 @@ PYTHONDONTWRITEBYTECODE=1 so that neither copy ever holds bytecode.  The
 parent runs first in even-numbered pairs (0, 2, ...) and second in odd
 ones.  For each workload and each end-to-end metric the output gives every
 run, each side's median and quartiles, the parent's interquartile range,
-the ratio of the medians and the number of pairs in which the change read
-lower; with the failed counts and the output digests of both sides.
+the ratio of the medians, the median of the per-pair ratios (change over
+parent) and the number of pairs in which the change read lower; with the
+failed counts and the output digests of both sides.
 
 The script reads the benchmark's output only; it imports nothing from
 ttkit and writes nothing under bench/ of this checkout.
@@ -82,16 +83,20 @@ def spread(values: list) -> dict:
 
 def compare(runs: list) -> dict:
     """Per metric: both sides' spreads, the parent's interquartile range,
-    the ratio of the medians and the pairs the change read lower."""
+    the ratio of the medians, the median of the per-pair ratios (None when
+    the parent read 0 in some pair) and the pairs the change read lower."""
     out = {}
     for name in runs[0]["parent"]["metrics"]:
         sides = {side: [r[side]["metrics"][name]["value"] for r in runs]
                  for side in ("parent", "change")}
         parent, change = spread(sides["parent"]), spread(sides["change"])
-        wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
+        pairs = list(zip(sides["parent"], sides["change"]))
+        wins = sum(c < p for p, c in pairs)
         out[name] = {"parent": parent, "change": change,
                      "parent_iqr": parent["q3"] - parent["q1"],
                      "ratio": change["median"] / parent["median"] if parent["median"] else None,
+                     "pair_ratio_median": (statistics.median(c / p for p, c in pairs)
+                                           if all(p for p, _ in pairs) else None),
                      "change_lower_in_pairs": f"{wins}/{len(runs)}"}
     for key in ("failed", "attempted", "digest"):
         out[key] = {side: sorted({r[side][key] for r in runs}) for side in ("parent", "change")}

@@ -158,8 +158,7 @@ def _run_verify_all(args) -> int:
 
 def _run_scenario_command(args) -> int:
     scn = load_scenario(args.scenario, args.field)
-    options = RunOptions(seed=args.seed, degree_bound=args.degree_bound,
-                         strict=args.strict)
+    options = RunOptions(degree_bound=args.degree_bound, strict=args.strict)
     results = run_scenario(scn, options, args.only_op)
     header = [f"ttkit {__version__} scenario report", f"scenario: {scn.name}",
               f"seed: {args.seed}"]

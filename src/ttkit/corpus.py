@@ -399,7 +399,6 @@ def _line_tower_family() -> TowerFamily:
     d = ModuleMap(free_mod, free_mod, ((x,),))
     cx = PresentedComplex(ring, 0, (free_mod, free_mod), (d,))
     two_term = EquivariantComplex(act, cx, (structure.rho, sign.rho))
-    two_term.validate()
 
     cases = (
         TowerCase("structure-sheaf", structure, comps),
@@ -540,14 +539,12 @@ class _DatumRegistry:
         return cid
 
     def finish(self, unit: str, zero: str) -> SupportDatum:
-        datum = SupportDatum(
+        return SupportDatum(
             self.space, unit, zero, tuple(self.profiles),
             tensors=tuple(self.tensors), triangles=tuple(self.triangles),
             sums=tuple(self.sums), shifts=tuple(self.shifts),
             twisted_units=tuple(self.twisted),
         )
-        datum.validate()
-        return datum
 
 
 def _scalar_cone(alg: SuperAlgebra, f: Poly, g: Poly) -> tuple:
@@ -807,8 +804,6 @@ def _descent_model(name, act, components, table, x_sites, y_sites,
     )
     datum_x = SupportDatum(space_x, "unitX", "zeroX", profiles_x)
     datum_y = SupportDatum(space_y, "unitY", "zeroY", profiles_y)
-    datum_x.validate()
-    datum_y.validate()
     return DescentModel(name, act, pres, space_x, space_y, datum_x, datum_y,
                         pullbacks, towers, dict(expected_site_map),
                         modules_x, modules_y)

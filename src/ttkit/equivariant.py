@@ -127,9 +127,7 @@ def _check_element(group: FiniteGroup, a: int) -> None:
 
 def trivial_action(ring: PolyRing) -> RingAction:
     g = cyclic_group(1)
-    act = RingAction(g, ring, (Matrix.identity(ring.field, ring.nvars),))
-    act.validate()
-    return act
+    return RingAction(g, ring, (Matrix.identity(ring.field, ring.nvars),))
 
 
 def fixed_locus(act: RingAction, a: int) -> ClosedSet:
@@ -377,7 +375,12 @@ class EquivariantModule:
 
     def validate(self) -> None:
         """Check the module once per object; a failing check raises on
-        every call, since nothing is kept for it."""
+        every call, since nothing is kept for it.
+
+        It runs where a module enters: a character twist, and the
+        invariants, isotypic, reduction, tower and complex computations.
+        Modules built here from checked parts are not checked again when
+        built; the tests check those constructions."""
         self._valid
 
     @cached_property
@@ -442,9 +445,7 @@ def identity_rho(act: RingAction, rank: int) -> tuple:
 
 
 def ring_as_equivariant(act: RingAction) -> EquivariantModule:
-    em = EquivariantModule(act, PresentedModule.free(act.ring, 1), identity_rho(act, 1))
-    em.validate()
-    return em
+    return EquivariantModule(act, PresentedModule.free(act.ring, 1), identity_rho(act, 1))
 
 
 def cyclic_equivariant(act: RingAction, ideal_gens: Sequence[Poly]) -> EquivariantModule:
@@ -456,9 +457,7 @@ def cyclic_equivariant(act: RingAction, ideal_gens: Sequence[Poly]) -> Equivaria
                 if not gb.contains(act.apply(a, f)):
                     raise ValidationError("ideal is not stable under the action")
     mod = PresentedModule.cyclic(act.ring, list(ideal_gens))
-    em = EquivariantModule(act, mod, identity_rho(act, mod.rank))
-    em.validate()
-    return em
+    return EquivariantModule(act, mod, identity_rho(act, mod.rank))
 
 
 def twist_by_character(em: EquivariantModule, values: Sequence) -> EquivariantModule:
@@ -489,9 +488,7 @@ def direct_sum_equivariant(a: EquivariantModule, b: EquivariantModule) -> Equiva
         for j in range(rb):
             cols.append(zero_vector(ring, ra) + tuple(b.rho[g][j]))
         rho.append(tuple(cols))
-    out = EquivariantModule(a.action, mod, tuple(rho))
-    out.validate()
-    return out
+    return EquivariantModule(a.action, mod, tuple(rho))
 
 
 def restrict_to_trivial_group(em: EquivariantModule) -> EquivariantModule:
@@ -549,7 +546,8 @@ def equivariant_cohomology(ec: EquivariantComplex, i: int) -> EquivariantModule:
 
 def _induced_action(em: EquivariantModule, sub: PresentedModule, gens: list,
                     ambient: PresentedModule) -> EquivariantModule:
-    """The validated action of em on `sub`, the span of gens in `ambient`."""
+    """The action of em on `sub`, the span of gens in `ambient`; refused
+    when some element moves a generator out of the span."""
     act = em.action
     rho = []
     for a in range(act.group.order):
@@ -562,9 +560,7 @@ def _induced_action(em: EquivariantModule, sub: PresentedModule, gens: list,
                 )
             cols.append(tuple(sol))
         rho.append(tuple(cols))
-    out = EquivariantModule(act, sub, tuple(rho))
-    out.validate()
-    return out
+    return EquivariantModule(act, sub, tuple(rho))
 
 
 def complex_to_module(ec: EquivariantComplex) -> EquivariantModule:
@@ -604,9 +600,7 @@ def pullback(n: PresentedModule, pres: InvariantRingPresentation) -> Equivariant
         if not vec_is_zero(v):
             rels.append(v)
     mod = PresentedModule(act.ring, n.rank, tuple(rels))
-    em = EquivariantModule(act, mod, identity_rho(act, n.rank))
-    em.validate()
-    return em
+    return EquivariantModule(act, mod, identity_rho(act, n.rank))
 
 
 @dataclass(frozen=True)
@@ -1000,14 +994,9 @@ def _support_reduction(em: EquivariantModule, pres: InvariantRingPresentation,
     eta.check_well_defined()
 
     kmod, kgens = map_kernel(eta)
-    if kmod.rank:
-        kernel_em = _induced_action(source, kmod, list(kgens), source.module)
-    else:
-        kernel_em = EquivariantModule(act, kmod, identity_rho(act, 0))
+    kernel_em = _induced_action(source, kmod, list(kgens), source.module)
 
-    cmod = map_cokernel(eta)
-    cokernel_em = EquivariantModule(act, cmod, em.rho)
-    cokernel_em.validate()
+    cokernel_em = EquivariantModule(act, map_cokernel(eta), em.rho)
 
     residual = direct_sum_equivariant(kernel_em, cokernel_em)
     supp_after = module_support(residual.module)
@@ -1136,7 +1125,6 @@ def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
             ring, layer_stage.module.rank, layer_stage.module.relations + tuple(extra)
         )
         layer = EquivariantModule(act, layer_mod, layer_stage.rho)
-        layer.validate()
         if layer.module.is_zero():
             continue
         for piece in isotypic_decompose_module(layer, table):

@@ -206,9 +206,9 @@ class _Reducers:
         for v in vectors:
             self.add(self.pk.pack(v).items())
 
-    def add(self, terms):
+    def add(self, terms) -> None:
         """Prepare the nonzero vector with these (key, c) terms as the next
-        reducer; return the scalar the reducer is that vector times.
+        reducer.
 
         Field reducers divide by the lead coefficient.  Integral ones clear
         the denominators, `numerator * (L // denominator)`, then divide out
@@ -227,14 +227,12 @@ class _Reducers:
                 content = -content
             lc //= content
             tail = [(k, b // content) for k, b in tail]
-            scale = self.ring.field.from_fraction(den, content)
         elif c == 1:
-            lc, scale = 1, c
+            lc = 1
         else:
-            mul, scale = self.ring.field.mul, self.ring.field.inv(c)
-            lc, tail = 1, [(k, mul(b, scale)) for k, b in tail]
+            mul, inv = self.ring.field.mul, self.ring.field.inv(c)
+            lc, tail = 1, [(k, mul(b, inv)) for k, b in tail]
         self.append((lead, tail, lc))
-        return scale
 
     def append(self, reducer) -> None:
         lead = reducer[0]
@@ -363,13 +361,13 @@ def vector_divmod(
     ring = v[0].ring
     for k, b in enumerate(basis):
         _check_vector(f"basis[{k}]", b, ring, len(v))
-    red = _Reducers(order.ring_order, ring)
-    scales = [red.add(red.pk.pack(b).items()) for b in basis]
+    red = _Reducers(order.ring_order, ring, vectors=basis)
     quots = [[] for _ in basis] if quotients else None
     rem, _ = red.divide(red.pk.pack(v), quots)
-    if quotients:
+    if quotients:  # the reducer of b is b over its lead coefficient
+        inverses = [ring.field.inv(min(red.pk.pack(b).items())[1]) for b in basis]
         quots = [red.pk.unpack(ring, 1, [(m, ring.field.mul(c, s)) for m, c in q])[0]
-                 for q, s in zip(quots, scales)]
+                 for q, s in zip(quots, inverses)]
     return quots, red.pk.unpack(ring, len(v), rem)
 
 

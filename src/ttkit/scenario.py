@@ -404,26 +404,40 @@ def _maybe_twist(scn: Scenario, em: EquivariantModule, entry: dict, here: str):
 # -- query validation at load time --------------------------------------------------------
 
 
-_JSON_KINDS = {list: "an array", dict: "an object", int: "an integer"}
+_JSON_KINDS = {list: "an array", dict: "an object", int: "an integer", bool: "true or false"}
+
+# The args each op reads; any other key is refused.
+_ARG_KEYS = {
+    "gb": ("generators", "members", "nonmembers", "basis"),
+    "invariants": ("upto", "expect_degrees"),
+    "decompose": ("degree", "regular", "expect"),
+    "support": ("object", "expect", "expect_vanishing"),
+    "tower": ("object", "components", "expect_pieces"),
+    "spc": ("objects", "unit", "zero", "tensors", "sums", "triangles", "shifts",
+            "twisted_units", "expect_profiles", "classify", "homeomorphism"),
+}
 
 
 def _typed(value, kind: type, path: str):
-    """value, refused unless it is a JSON array, object or integer (as kind
-    is list, dict or int); true and false are not integers."""
-    if not isinstance(value, kind) or isinstance(value, bool):
+    """value, refused unless it is a JSON array, object, integer or boolean
+    (as kind is list, dict, int or bool); true and false are not integers."""
+    if type(value) is not kind:
         _fail(path, f"expected {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _arg(a: dict, key: str, kind: type, path: str):
-    """The query arg under key, typed as by `_typed`; empty when absent."""
+    """The query arg under key, typed as by `_typed`; `kind()` when absent."""
     return _typed(a.get(key, kind()), kind, f"{path}.args.{key}")
 
 
 def _check_query(scn: Scenario, q: Query, path: str) -> None:
     a = q.args
+    for key in a:
+        if key not in _ARG_KEYS[q.op]:
+            _fail(f"{path}.args.{key}", f"unknown arg {key!r} for op {q.op!r}")
     if q.op == "gb":
-        for key in ("generators", "members", "nonmembers", "basis"):
+        for key in _ARG_KEYS["gb"]:
             for i, p in enumerate(_arg(a, key, list, path)):
                 _parse_poly(scn.ring, p, f"{path}.args.{key}[{i}]")
         if not a.get("generators"):
@@ -437,7 +451,7 @@ def _check_query(scn: Scenario, q: Query, path: str) -> None:
     elif q.op == "decompose":
         if scn.action is None:
             _fail(path, "a decompose query needs an action")
-        if ("degree" in a) == bool(a.get("regular")):
+        if ("degree" in a) == _arg(a, "regular", bool, path):
             _fail(f"{path}.args", "give exactly one of degree or regular")
         if _arg(a, "degree", int, path) < 0:
             _fail(f"{path}.args.degree", f"expected an integer >= 0, got {a['degree']}")
@@ -471,6 +485,8 @@ def _check_query(scn: Scenario, q: Query, path: str) -> None:
                                                  if o.kind in _SUPER_KINDS]
         for i, r in enumerate(ids):
             _resolve(scn, r, _SUPER_KINDS, f"{path}.args.objects[{i}]")
+        for key in ("classify", "homeomorphism"):
+            _arg(a, key, bool, path)
         for key in ("unit", "zero"):
             if a.get(key) not in ids:
                 _fail(f"{path}.args.{key}", f"{key} must name a registered object")
@@ -490,8 +506,6 @@ def _check_query(scn: Scenario, q: Query, path: str) -> None:
                 _fail(f"{path}.args.expect_profiles", f"unresolved object label {oid!r}")
             here = f"{path}.args.expect_profiles.{oid}"
             _require_sites(scn, _typed(labels, list, here), here)
-    else:
-        _fail(f"{path}.op", f"unknown op {q.op!r}")
 
 
 def _require_object(scn: Scenario, args: dict, key: str, kinds, path: str) -> None:
@@ -584,7 +598,6 @@ def _scenario_text(path_or_name: str) -> str:
 
 @dataclass(frozen=True)
 class RunOptions:
-    seed: int = 0
     degree_bound: Optional[int] = None
     strict: bool = False
 

@@ -143,6 +143,21 @@ def test_descent_models_cover_their_objects_with_towers():
             assert model.pullbacks[down] in upstairs
 
 
+def test_built_corpus_objects_and_support_data_are_valid():
+    """The corpus builds these from checked parts and leaves validation to
+    the checks that read them; here each is validated directly."""
+    for fam in tower_corpus():
+        for case in fam.cases:
+            case.obj.validate()  # a module, or the two-term complex
+    for fam in super_support_corpus(5, count=6) + (superline_spectrum_model(),):
+        fam.datum.validate()
+    for model in (c2_descent_model(), c3_descent_model()):
+        model.datum_x.validate()
+        model.datum_y.validate()
+        for em in model.modules_x.values():
+            em.validate()  # pullbacks among them
+
+
 # Site profiles of super_support_corpus(5, count=6) and the odd line model;
 # how the complexes are built may change, these may not.
 PINNED_SUPER_PROFILES = {

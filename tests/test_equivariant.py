@@ -5,6 +5,8 @@ fixed-space dimensions come from stacking substitution matrices on the
 monomial basis, never from the Reynolds/greedy machinery being checked.
 """
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1035,15 +1037,21 @@ def descent_tower_args(monkeypatch, build):
     return seen
 
 
+def corpus_tower_args(monkeypatch):
+    """The arguments of every tower of the tower corpus and of both descent
+    models."""
+    cases = [(case.obj, fam.pres, case.components, fam.table)
+             for fam in corpus.tower_corpus() for case in fam.cases]
+    cases += descent_tower_args(monkeypatch, corpus.c2_descent_model)
+    return cases + descent_tower_args(monkeypatch, corpus.c3_descent_model)
+
+
 def test_memoised_towers_match_towers_recomputed_from_cleared_memos(monkeypatch):
     """Every tower of the tower corpus and of both descent models, answered
     from warm stage memos, equals the same tower recomputed with both memos
     cleared first.  Each tower also runs with its components renamed: the
     labels name the pieces, so a renamed stage must not share an entry."""
-    cases = [(case.obj, fam.pres, case.components, fam.table)
-             for fam in corpus.tower_corpus() for case in fam.cases]
-    cases += descent_tower_args(monkeypatch, corpus.c2_descent_model)
-    cases += descent_tower_args(monkeypatch, corpus.c3_descent_model)
+    cases = corpus_tower_args(monkeypatch)
     cases += [(obj, pres, tuple((f"{label}'", c) for label, c in comps), table)
               for obj, pres, comps, table in cases]
     warm = [tower(*args) for args in cases]
@@ -1170,3 +1178,175 @@ def test_criterion_5_decides_each_question_once(monkeypatch):
     assert counts["buchberger"] <= 99
     assert counts["prepared"] <= 813
     assert counts["validated"] <= 60
+
+
+# -- constructions ---------------------------------------------------------------------
+# An object is validated where it enters (an action, a twist, a tower's input).
+# What ttkit builds from checked parts is not validated again when built, so
+# each construction is built here over drawn or corpus inputs and validated.
+
+
+# (action, character table): the corpus actions and S3 on the plane
+ACTION_FAMILIES = (
+    (corpus.c2_line_action(QQ), c2_character_table(QQ)),
+    (corpus.swap_plane_action(QQ), c2_character_table(QQ)),
+    (corpus.minus_plane_action(QQ), c2_character_table(QQ)),
+    (corpus.c3_plane_action_f7(), c3_character_table(GF(7))),
+    (corpus.c3_line_action_f7(), c3_character_table(GF(7))),
+    (s3_plane_action(), s3_character_table(QQ)),
+)
+
+
+def polys(ring, max_terms=2):
+    """Polynomials of up to max_terms terms, exponents at most 2, small
+    nonzero coefficients."""
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * ring.nvars),
+                     st.sampled_from((1, -1, 2)).map(ring.field.from_int))
+    return st.lists(term, min_size=1, max_size=max_terms).map(ring.from_terms)
+
+
+def orbit(act, f):
+    return [act.apply(a, f) for a in range(act.group.order)]
+
+
+def linear_characters(table):
+    return [v for v, d in zip(table.values, table.degrees) if d == 1]
+
+
+def drawn_parts(data, act, table, max_terms=2):
+    """The ring, an orbit quotient and an orbit quotient twisted by a linear
+    character, built by the constructions under test from drawn inputs."""
+    ring = act.ring
+    quotient = cyclic_equivariant(
+        act, orbit(act, data.draw(polys(ring, max_terms), label="f")))
+    chi = data.draw(st.sampled_from(linear_characters(table)), label="character")
+    twisted = twist_by_character(
+        cyclic_equivariant(act, orbit(act, data.draw(polys(ring, max_terms), label="g"))),
+        chi)
+    return ring_as_equivariant(act), quotient, twisted
+
+
+def drawn_module(data, act, table, max_terms=2):
+    """One of the drawn parts, or the direct sum of two."""
+    parts = drawn_parts(data, act, table, max_terms)
+    summands = data.draw(st.lists(st.sampled_from(range(3)), min_size=1, max_size=2),
+                         label="summands")
+    return reduce(direct_sum_equivariant, [parts[i] for i in summands])
+
+
+@given(fld=st.sampled_from((QQ, GF(7), GF(32003))), nvars=st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_trivial_actions_are_valid(fld, nvars):
+    ring = PolyRing(fld, tuple(f"x{i}" for i in range(nvars)))
+    act = trivial_action(ring)
+    act.validate()
+    ring_as_equivariant(act).validate()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_ring_orbit_quotients_and_sums_are_valid(data):
+    act, table = data.draw(st.sampled_from(ACTION_FAMILIES), label="family")
+    structure, quotient, twisted = drawn_parts(data, act, table)
+    for em in (structure, quotient, direct_sum_equivariant(quotient, twisted),
+               direct_sum_equivariant(twisted, structure)):
+        em.validate()
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_pullbacks_are_valid(data):
+    act, _ = data.draw(st.sampled_from(ACTION_FAMILIES), label="family")
+    pres = invariant_generators(act)
+    rank = data.draw(st.integers(1, 2), label="rank")
+    rels = data.draw(st.lists(st.tuples(*[polys(pres.ring)] * rank), max_size=2),
+                     label="relations")
+    up = pullback(PresentedModule(pres.ring, rank, tuple(rels)), pres)
+    up.validate()
+
+
+def semi_invariant(act, m):
+    """(f, chi): f is the monomial m when every element scales it, else the
+    product of its orbit, which every element fixes; chi is the character
+    for which d = f is equivariant from M to M twisted by chi."""
+    fld = act.ring.field
+    scales = []
+    for a in range(act.group.order):
+        img = act.apply(a, m)
+        if len(img.terms) != 1 or img.terms[0][0] != m.terms[0][0]:
+            f = act.ring.one()
+            for p in orbit(act, m):
+                f = f * p
+            return f, (fld.one(),) * act.group.order
+        scales.append(fld.mul(m.terms[0][1], fld.inv(img.terms[0][1])))
+    return m, tuple(scales)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_induced_actions_on_cohomology_are_valid(data):
+    act, table = data.draw(st.sampled_from(ACTION_FAMILIES), label="family")
+    em = drawn_module(data, act, table)
+    m = data.draw(polys(act.ring, max_terms=1), label="monomial")
+    f, chi = semi_invariant(act, m)
+    target = twist_by_character(em, chi)
+    rank = em.module.rank
+    d = ModuleMap(em.module, target.module,
+                  tuple(tuple(f if i == j else act.ring.zero() for i in range(rank))
+                        for j in range(rank)))
+    cx = PresentedComplex(act.ring, 0, (em.module, target.module), (d,))
+    ec = EquivariantComplex(act, cx, (em.rho, target.rho))
+    ec.validate()
+    for i in (0, 1):
+        equivariant_cohomology(ec, i).validate()
+    complex_to_module(ec).validate()
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_reduction_steps_of_drawn_modules_are_valid(data):
+    act, table = data.draw(st.sampled_from(ACTION_FAMILIES), label="family")
+    em = drawn_module(data, act, table, max_terms=1)  # graded, so M^G is found
+    try:
+        step = support_reduction(em, invariant_generators(act))
+    except PreconditionError:
+        return  # zero, or inside a fixed locus: a fixed stage peels it instead
+    for built in (step.kernel, step.cokernel, step.residual):
+        built.validate()
+
+
+def test_reduction_steps_and_filtration_stages_are_valid(monkeypatch):
+    """Every tower of the tower corpus and of both descent models, run with
+    cleared stage memos: the kernel, cokernel and residual of each reduction
+    step, each filtration layer, and the module each fixed stage leaves."""
+    cases = corpus_tower_args(monkeypatch)
+    steps, layers, rests = [], [], []
+
+    def reduction(*args):
+        steps.append(support_reduction(*args))
+        return steps[-1]
+
+    def split(layer, table):
+        layers.append(layer)
+        return isotypic_decompose_module(layer, table)
+
+    def fixed(*args):
+        pieces, rest = stage(*args)
+        rests.append(rest)
+        return pieces, rest
+
+    stage = equivariant._fixed_stage
+    monkeypatch.setattr(equivariant, "support_reduction", reduction)
+    monkeypatch.setattr(equivariant, "isotypic_decompose_module", split)
+    monkeypatch.setattr(equivariant, "_fixed_stage", fixed)
+    for memo in STAGE_MEMOS:
+        memo.cache_clear()
+    for args in cases:
+        tower(*args)
+    built = [m for s in steps for m in (s.kernel, s.cokernel, s.residual)] + layers + rests
+    for em in built:
+        em.validate()
+    # each is reached with a nonzero module; the kernels of these steps are
+    # all zero, and the drawn reductions above reach nonzero ones
+    for kind in ([s.cokernel for s in steps], layers, rests):
+        assert any(not em.is_zero() for em in kind)

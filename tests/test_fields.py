@@ -11,11 +11,10 @@ try:
 except ImportError:
     sympy = None
 
-from ttkit import polymod
 from ttkit.errors import DomainMismatchError, ValidationError
 from ttkit.fields import GF, QQ, Echelon, Field, Matrix, kernel_basis, rank, rref, solve
 from ttkit.polymod import module_groebner
-from ttkit.polyring import GREVLEX, PolyRing
+from ttkit.polyring import PolyRing
 
 
 def mat_q(rows):
@@ -433,8 +432,3 @@ def test_every_qq_value_is_canonical(data):
     gens = data.draw(st.lists(st.tuples(*[poly] * rank_), min_size=1, max_size=3))
     for v in module_groebner(gens):
         assert all(is_canonical(QQ, c) for p in v for _, c in p.terms), v
-    # the scalar an integral reducer is of its vector, e.g. 2x + 1 of x + 1/2
-    red = polymod._Reducers(GREVLEX, ring, integral=True)
-    for v in gens:
-        if any(p.terms for p in v):
-            assert is_canonical(QQ, red.add(red.pk.pack(v).items()))

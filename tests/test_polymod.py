@@ -666,9 +666,11 @@ def test_integral_reducers_are_primitive_with_a_positive_lead(case):
         if vec_is_zero(g):
             continue
         terms = pk.pack(g)
-        scale = reducers.add(terms.items())
+        reducers.add(terms.items())
         lead, tail, lc = reducers.reducers[-1]
         assert pk.decode(lead) == lead_of(g, order)
+        # the reducer is g times the scalar that takes g's lead to lc
+        scale = ring.field.mul(lc, ring.field.inv(terms[lead]))
         got = [(lead, lc)] + tail
         assert len(got) == len(terms)
         assert {pk.decode(k): c for k, c in got} == {

@@ -217,10 +217,13 @@ def test_bad_polynomial_carries_its_json_path():
 
 
 def _c2_line_with(edit):
+    return _bundled_with("c2_line", edit)
+
+
+def _bundled_with(name, edit):
     from importlib import resources
 
-    doc = json.loads(resources.files("ttkit").joinpath(
-        "scenarios", "c2_line.json").read_text())
+    doc = json.loads(resources.files("ttkit").joinpath("scenarios", f"{name}.json").read_text())
     edit(doc)
     return doc
 
@@ -269,6 +272,41 @@ def test_a_mistyped_query_arg_is_an_input_error(tmp_path, capsys, edit, path):
     assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err
     assert f"{path}: expected an" in err
+    assert "Traceback" not in err
+
+
+# a flag given as a string was read by its truth: "no" ran the classification
+@pytest.mark.parametrize("name, edit, path", [
+    ("c2_line", lambda d: d["queries"][3]["args"].update(regular="yes"),
+     "$.queries[3].args.regular"),
+    ("superline", lambda d: d["queries"][0]["args"].update(classify="no"),
+     "$.queries[0].args.classify"),
+    ("superline", lambda d: d["queries"][0]["args"].update(homeomorphism=1),
+     "$.queries[0].args.homeomorphism"),
+], ids=["regular-string", "classify-string", "homeomorphism-integer"])
+def test_a_flag_that_is_not_a_json_boolean_is_an_input_error(tmp_path, capsys, name, edit,
+                                                             path):
+    p = tmp_path / "flag.json"
+    p.write_text(json.dumps(_bundled_with(name, edit)))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: expected true or false, got" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, edit, path", [
+    # a misspelt expectation was never read, so the query passed
+    ("c2_line", lambda d: d["queries"][1]["args"].update(expect_degree=[9, 9]),
+     "$.queries[1].args.expect_degree"),
+    ("superline", lambda d: d["queries"][0]["args"].update(degree=1),
+     "$.queries[0].args.degree"),
+], ids=["invariants-typo", "spc-degree"])
+def test_an_arg_its_op_does_not_take_is_an_input_error(tmp_path, capsys, name, edit, path):
+    p = tmp_path / "unknown_arg.json"
+    p.write_text(json.dumps(_bundled_with(name, edit)))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: unknown arg" in err
     assert "Traceback" not in err
 
 
