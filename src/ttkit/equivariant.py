@@ -33,6 +33,7 @@ from .grouprep import (
     cyclic_group,
     homomorphism_failure,
 )
+from .memo import MEMO_SIZE
 from .polyring import GroebnerBasis, Poly, PolyRing, radical_equal
 from .polymod import (
     ModuleMap,
@@ -970,7 +971,7 @@ def support_reduction(
     return _support_reduction(em, pres, degree_bound)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=MEMO_SIZE)
 def _support_reduction(em: EquivariantModule, pres: InvariantRingPresentation,
                        degree_bound: Optional[int]) -> ReductionStep:
     em.validate()
@@ -1059,7 +1060,7 @@ def _filtration_cap(act: RingAction) -> int:
     return max(6, 2 * act.group.order + act.ring.nvars)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=MEMO_SIZE)
 def _fixed_stage(em: EquivariantModule, pres: InvariantRingPresentation,
                  label: str, component: ClosedSet, table: CharacterTable):
     """Consume a fully fixed component through its ideal-power filtration."""

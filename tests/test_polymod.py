@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ttkit import polymod
+from ttkit import memo, polymod
 from ttkit.errors import DomainMismatchError, PreconditionError, ValidationError
 from ttkit.fields import GF, QQ, Matrix, rref, solve
 from ttkit.polyring import (
@@ -831,14 +831,12 @@ def test_exponents_past_the_limit_raise():
 # -- presented modules ------------------------------------------------------------
 
 
-def test_relation_gb_cache_evicts_oldest_past_its_bound(monkeypatch):
+def test_relation_bases_stay_right_past_the_memo_bound(monkeypatch):
     monkeypatch.setattr(polymod, "_REL_GB_CACHE", {})
-    monkeypatch.setattr(polymod, "_REL_GB_CACHE_MAX", 3)
+    monkeypatch.setattr(memo, "MEMO_SIZE", 3)
     mods = [PresentedModule.cyclic(RXY, [P(f"x^{k} - y"), P("y^2")]) for k in range(1, 6)]
     for mod in mods:
         mod.relation_gb()
-    keys = [(m.ring, m.rank, m.relations) for m in mods]
-    assert list(polymod._REL_GB_CACHE) == keys[2:]  # the two oldest are gone
     for mod in mods:
         assert mod.relation_gb() == module_groebner(list(mod.relations))
     assert len(polymod._REL_GB_CACHE) == 3

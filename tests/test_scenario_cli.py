@@ -263,15 +263,31 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, edit, field, path)
     (lambda d: d["queries"][1]["args"].update(upto=-1), "$.queries[1].args.upto"),
     (lambda d: d["queries"][1]["args"].update(upto=0), "$.queries[1].args.upto"),
     (lambda d: d["queries"][2]["args"].update(degree=-1), "$.queries[2].args.degree"),
+    # expectation values: true was read as multiplicity 1 and passed; the
+    # others never matched, so the run failed instead of the input
+    (lambda d: d["queries"][2]["args"]["expect"].update(sign=True),
+     "$.queries[2].args.expect.sign"),
+    (lambda d: d["queries"][3]["args"]["expect"].update(triv="1"),
+     "$.queries[3].args.expect.triv"),
+    (lambda d: d["queries"][2]["args"]["expect"].update(triv=-1),
+     "$.queries[2].args.expect.triv"),
+    (lambda d: d["queries"][1]["args"].update(expect_degrees=["2"]),
+     "$.queries[1].args.expect_degrees[0]"),
+    (lambda d: d["queries"][1]["args"].update(expect_degrees=[2, -2]),
+     "$.queries[1].args.expect_degrees[1]"),
+    (lambda d: d["queries"][4]["args"].update(expect_pieces=[5]),
+     "$.queries[4].args.expect_pieces[0]"),
 ], ids=["generators-number", "degree-string", "upto-string", "support-expect-number",
         "component-generators-number", "members-string", "expect-vanishing-string",
-        "upto-negative", "upto-zero", "degree-negative"])
+        "upto-negative", "upto-zero", "degree-negative", "multiplicity-boolean",
+        "multiplicity-string", "multiplicity-negative", "expect-degree-string",
+        "expect-degree-negative", "expect-piece-number"])
 def test_a_mistyped_query_arg_is_an_input_error(tmp_path, capsys, edit, path):
     p = tmp_path / "mistyped.json"
     p.write_text(json.dumps(_c2_line_with(edit)))
     assert main(["run", str(p)]) == 2
     err = capsys.readouterr().err
-    assert f"{path}: expected an" in err
+    assert f"{path}: expected a" in err
     assert "Traceback" not in err
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttkit import polymod, polyring, supermod
+from ttkit import geometry, polymod, polyring, supermod
 from ttkit.corpus import _random_free_complex, super_support_corpus
 from ttkit.errors import ValidationError
 from ttkit.fields import GF, QQ
@@ -27,7 +27,7 @@ from ttkit.geometry import (
     closed_union,
 )
 from ttkit.polymod import graded_dim
-from ttkit.polyring import GREVLEX, Poly, PolyRing
+from ttkit.polyring import GREVLEX, GroebnerBasis, Poly, PolyRing
 from ttkit.supermod import (
     SuperAlgebra,
     SuperComplex,
@@ -603,14 +603,16 @@ def test_packed_fibre_ranks_match_the_full_elimination(case):
     of g times its first column put last get the rank of the full
     elimination on `Poly` normal forms.  That last column lies in the span
     of the first over Frac(A/p) but, off the rational sites, often not
-    over A, so its differences must be reduced modulo p again."""
+    over A, so its differences must be reduced modulo p again.  Each
+    site computes its basis once."""
     fld, plane, columns, g = case
     ring, sites = _fibre_sites(fld, plane)
     nrows = len(columns[0]) if columns else 1
     zeros = ((ring.zero(),) * nrows,) * len(columns)
     for site in sites:
-        basis = supermod._site_basis(site)
+        basis = site.certified_basis
         assert basis is not None
+        assert site.certified_basis is basis
         multiple = tuple(basis.normal_form(g * e) for e in columns[0]) if columns else ()
         rank = supermod._fibre_rank(columns, basis)
         assert rank == ref_fibre_rank(columns, basis)
@@ -717,10 +719,14 @@ def test_super_corpus_ranks_each_fibre_matrix_once(monkeypatch):
     divides each nonzero entry and each nonzero difference once by the
     site's reducers: 1,275 divisions, the 1,366 normal forms less the 91
     of zero differences.  281 of those were at the generic site, where
-    there is no reducer to divide by; dividing nothing there leaves 994."""
-    monkeypatch.setattr(supermod, "_SITE_GB_CACHE", {})
+    there is no reducer to divide by; dividing nothing there leaves 994.
+    The corpus builds its own sites, and each computes its basis once."""
     polyring._radical_member.cache_clear()
     counts = {"_fibre_rank": 0, "divide": 0}
+    certified = []
+    real_certified = geometry.is_certified_prime
+    monkeypatch.setattr(geometry, "is_certified_prime",
+                        lambda site: certified.append(site) or real_certified(site))
     real_rank, real_divide = supermod._fibre_rank, polymod._Reducers.divide
     ranking = []
 
@@ -741,6 +747,7 @@ def test_super_corpus_ranks_each_fibre_matrix_once(monkeypatch):
     super_support_corpus(DEFAULT_SEED)
     assert counts["_fibre_rank"] <= 575
     assert 0 < counts["divide"] <= 994
+    assert certified and len({id(site) for site in certified}) == len(certified)
 
 
 def test_uncertified_sites_fall_back_on_cohomology_once_per_complex(line, supph_spy):
@@ -773,26 +780,18 @@ def test_certified_sites_never_build_cohomology(line, supph_spy):
     assert supph_spy == []
 
 
-def test_site_basis_cache_evicts_oldest_past_its_bound(line, monkeypatch):
-    ring, alg = line
-    x = ring.var("x")
-    monkeypatch.setattr(supermod, "_SITE_GB_CACHE", {})
-    monkeypatch.setattr(supermod, "_SITE_GB_CACHE_MAX", 2)
-    sites = [PrimeSite(f"p{k}", ring, (x - k,)) for k in range(4)]
-    k2 = koszul_complex_super(alg, [x - 2])
-    for site in sites:
-        assert supph_sites(k2, SiteSpace(ring, (site,))) == (
-            {"p2"} if site.label == "p2" else set())
-    assert list(supermod._SITE_GB_CACHE) == sites[2:]  # the two oldest are gone
-
-
 def test_a_site_hashes_its_generators_once(line, monkeypatch):
+    """Equal sites hash alike.  Each site object computes its basis once,
+    and reading the basis again hashes no generator."""
     ring, _ = line
     x = ring.var("x")
     a = PrimeSite("p", ring, (x - 1,), "rational-point")
     b = PrimeSite("p", ring, (x - 1,), "rational-point")
     assert a is not b and a == b and hash(a) == hash(b)
-    monkeypatch.setattr(supermod, "_SITE_GB_CACHE", {})
+    runs = []
+    real_buchberger = geometry.buchberger
+    monkeypatch.setattr(geometry, "buchberger",
+                        lambda gens: runs.append(gens) or real_buchberger(gens))
     hashed = []
     real = Poly.__hash__
 
@@ -801,10 +800,12 @@ def test_a_site_hashes_its_generators_once(line, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(Poly, "__hash__", spy)
-    basis = supermod._site_basis(a)
+    basis = a.certified_basis
+    assert basis == b.certified_basis == GroebnerBasis(ring, GREVLEX, (x - 1,))
     first = len(hashed)
     for _ in range(3):
-        assert supermod._site_basis(a) is basis
-        assert supermod._site_basis(b) is basis
+        assert a.certified_basis is basis
+        assert b.certified_basis == basis
     assert len(hashed) == first
-    assert list(supermod._SITE_GB_CACHE) == [a]
+    assert len(runs) == 2
+    assert PrimeSite("i", ring, (x * x + 1,)).certified_basis is None  # declared
